@@ -38,7 +38,7 @@ from .embedding_store import (
     save_embeddings,
 )
 from .lexicon import BilingualLexicon, load_lexicon, restrict_to_vocab, split_lexicon
-from .retrieval import bli_precision_at_k, knn
+from .retrieval import bli_precision_at_k, knn, knn_batch
 from .rules import (
     AssociationRule,
     LabeledDataset,

@@ -38,7 +38,6 @@ class ClassifierModel:
     language: str = ""
     epochs: int = 0
     l2: float = 0.0
-    seed: int = 0
     losses: list = field(default_factory=list)  # per-epoch regularized loss
 
     def scores(self, features):
@@ -104,12 +103,10 @@ def featurize_dataset(ds, model, spaces):
     return feats, labels, oov_docs
 
 
-def train_logreg(features, labels, epochs=300, learning_rate=0.5, l2=1e-4,
-                 seed=0):
+def train_logreg(features, labels, epochs=300, learning_rate=0.5, l2=1e-4):
     """Full-batch gradient descent on L2-regularized logistic loss.
 
-    Weights start at zero; the seed is recorded for manifest purposes and
-    reserved for optional jittered initialization.
+    Weights start at zero, so training is deterministic.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
@@ -134,9 +131,7 @@ def train_logreg(features, labels, epochs=300, learning_rate=0.5, l2=1e-4,
         grad_b = float(np.mean(err))
         w -= learning_rate * grad_w
         b -= learning_rate * grad_b
-    return ClassifierModel(
-        weights=w, bias=b, epochs=epochs, l2=l2, seed=seed, losses=losses
-    )
+    return ClassifierModel(weights=w, bias=b, epochs=epochs, l2=l2, losses=losses)
 
 
 def metrics_from_counts(tp, fp, fn, tn):
@@ -204,7 +199,6 @@ def zero_shot_eval(train_ds, test_ds, model, spaces, cfg=ClassifyConfig(),
         epochs=cfg.epochs,
         learning_rate=cfg.learning_rate,
         l2=cfg.l2,
-        seed=cfg.seed,
     )
     clf.language = train_ds.language
     test_x, test_y, _ = featurize_dataset(test_ds, model, spaces)

@@ -22,7 +22,7 @@ from .embedding_store import load_embeddings, save_embeddings
 from .errors import ConfigurationError, CrosslexError, ProtocolError
 from .lexicon import load_lexicon, restrict_to_vocab, split_lexicon
 from .manifest import write_manifest
-from .retrieval import bli_precision_at_k, knn
+from .retrieval import bli_precision_at_k, knn, knn_batch
 from .rules import (
     HATE,
     NON_HATE,
@@ -192,12 +192,12 @@ def _cmd_bli(args):
     for lang, path in args.validation:
         lex = load_lexicon(path, model.pivot_lang, lang)
         if args.detailed:
-            for src_word in lex.source_words():
-                if src_word not in spaces[lex.src_lang].vocab:
-                    continue
-                result = knn(model, spaces, src_word, lex.src_lang, lang, args.k)
+            queries = [w for w in lex.source_words()
+                       if w in spaces[lex.src_lang].vocab]
+            for result in knn_batch(model, spaces, queries, lex.src_lang,
+                                    lang, args.k):
                 records.append({
-                    "query": src_word, "query_lang": lex.src_lang,
+                    "query": result.query_word, "query_lang": lex.src_lang,
                     "target_lang": lang,
                     "neighbors": [
                         {"word": w, "score": round(s, 6)}

@@ -119,9 +119,9 @@ def save_embeddings(space, path):
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "w", encoding="utf-8") as fh:
         fh.write(f"{len(space)} {space.dim}\n")
+        row_fmt = " ".join(["%.6f"] * space.dim)
         for word, row in zip(space.words, space.vectors):
-            comps = " ".join(f"{x:.6f}" for x in row)
-            fh.write(f"{word} {comps}\n")
+            fh.write(f"{word} {row_fmt % tuple(row.tolist())}\n")
     os.replace(tmp, path)
 
 

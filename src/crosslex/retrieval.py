@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .alignment import project, project_space
-from .errors import ConfigurationError, InsufficientDataError, NotFoundError
+from .errors import ConfigurationError, InsufficientDataError
 
 
 @dataclass
@@ -27,49 +27,88 @@ class BliResult:
     excluded: int  # source words with no in-vocabulary gold target
 
 
+# Score blocks hold at most this many float64 entries (4 MB), so the rows
+# ranked at once shrink as the target vocabulary grows.
+_BLOCK_ENTRIES = 1 << 19
+
+
 def _unit_rows(mat):
     norms = np.linalg.norm(mat, axis=1, keepdims=True)
     norms[norms == 0] = 1.0
     return mat / norms
 
 
-def _rank(query_vec, target_unit, words, exclude=None, k=None):
-    """Exact cosine ranking; ties broken by ascending word order."""
-    qn = np.linalg.norm(query_vec)
-    scores = target_unit @ (query_vec / qn if qn > 0 else query_vec)
-    order = sorted(range(len(words)), key=lambda i: (-scores[i], words[i]))
+def _word_rank(words):
+    """Position of each word in ascending word order."""
+    rank = np.empty(len(words), dtype=np.int64)
+    rank[sorted(range(len(words)), key=words.__getitem__)] = np.arange(len(words))
+    return rank
+
+
+def _top_k(queries, target_unit, word_rank, k, exclude):
+    """Exact cosine top-k of the target rows for each query row.
+
+    Ties are broken by ascending ``word_rank``. ``exclude[i]`` is a target
+    row that query ``i`` may not return, or -1. A zero query scores 0
+    against every row. Returns, per query, the chosen row indices best
+    first and their scores; fewer than ``k`` when fewer rows are available.
+    """
+    unit = _unit_rows(queries)
+    n_rows = len(target_unit)
+    step = max(1, _BLOCK_ENTRIES // n_rows)
     out = []
-    for i in order:
-        if exclude is not None and words[i] == exclude:
-            continue
-        out.append((words[i], float(scores[i])))
-        if k is not None and len(out) == k:
-            break
+    for start in range(0, len(unit), step):
+        block = unit[start:start + step] @ target_unit.T
+        for scores, skip in zip(block, exclude[start:start + step]):
+            take = min(k, n_rows - (skip >= 0))
+            if take == 0:
+                out.append((np.empty(0, dtype=np.intp), scores[:0]))
+                continue
+            if skip >= 0:
+                scores[skip] = -np.inf
+            part = np.argpartition(scores, n_rows - take)
+            kth = scores[part[n_rows - take]]
+            tied = np.flatnonzero(scores >= kth)
+            order = tied[np.lexsort((word_rank[tied], -scores[tied]))][:take]
+            out.append((order, scores[order]))
     return out
+
+
+def knn_batch(model, spaces, query_words, query_lang, target_lang, k):
+    """``knn`` for several query words, ranked against one projection of
+    the target space. Returns one NeighborList per query word, in order."""
+    if k < 1:
+        raise ConfigurationError("k must be >= 1")
+    qvecs = [project(model, w, query_lang, spaces) for w in query_words]
+    target_space = spaces[target_lang]
+    target_unit = _unit_rows(project_space(model, target_lang, spaces))
+    words = target_space.words
+    same = query_lang == target_lang
+    exclude = [target_space.vocab.get(w, -1) if same else -1 for w in query_words]
+    queries = np.array(qvecs).reshape(len(qvecs), target_unit.shape[1])
+    ranked = _top_k(queries, target_unit, _word_rank(words), k, exclude)
+    return [
+        NeighborList(
+            query_word=w,
+            query_lang=query_lang,
+            target_lang=target_lang,
+            neighbors=[(words[i], target_lang, float(s))
+                       for i, s in zip(rows, scores)],
+            truncated=k > len(words) - (skip >= 0),
+        )
+        for w, (rows, scores), skip in zip(query_words, ranked, exclude)
+    ]
 
 
 def knn(model, spaces, query_word, query_lang, target_lang, k):
     """Exact top-k cosine neighbors of a word in a target language.
 
-    The query itself is excluded only when query and target language
-    coincide. Asking for more neighbors than the target vocabulary holds
-    returns the full ranking with the truncation flag set.
+    Ties are broken by ascending word. The query itself is excluded only
+    when query and target language coincide. Asking for more neighbors
+    than the target vocabulary holds returns the full ranking with the
+    truncation flag set.
     """
-    if k < 1:
-        raise ConfigurationError("k must be >= 1")
-    qvec = project(model, query_word, query_lang, spaces)
-    target_space = spaces[target_lang]
-    target_unit = _unit_rows(project_space(model, target_lang, spaces))
-    exclude = query_word if query_lang == target_lang else None
-    avail = len(target_space.words) - (1 if exclude in target_space.vocab else 0)
-    ranked = _rank(qvec, target_unit, target_space.words, exclude, min(k, avail))
-    return NeighborList(
-        query_word=query_word,
-        query_lang=query_lang,
-        target_lang=target_lang,
-        neighbors=[(w, target_lang, s) for w, s in ranked],
-        truncated=k > avail,
-    )
+    return knn_batch(model, spaces, [query_word], query_lang, target_lang, k)[0]
 
 
 def bli_precision_at_k(model, spaces, validation, k):
@@ -78,44 +117,34 @@ def bli_precision_at_k(model, spaces, validation, k):
 
     One-to-many source words count once. Source words that are OOV, or
     whose gold targets are all OOV, are excluded from the denominator and
-    counted in ``excluded``.
+    counted in ``excluded``. All evaluated words are ranked in one batch.
     """
     src_lang, tgt_lang = validation.src_lang, validation.tgt_lang
     gold = {}
     for s, t in validation.pairs:
         gold.setdefault(s, set()).add(t)
 
-    target_space = spaces[tgt_lang]
-    target_unit = _unit_rows(project_space(model, tgt_lang, spaces))
-    exclude_self = src_lang == tgt_lang
-
-    hits = 0
-    evaluated = 0
+    target_vocab = spaces[tgt_lang].vocab
+    queries = []
     excluded = 0
     for src_word, targets in gold.items():
-        in_vocab_targets = {t for t in targets if t in target_space.vocab}
+        in_vocab_targets = {t for t in targets if t in target_vocab}
         if src_word not in spaces[src_lang].vocab or not in_vocab_targets:
             excluded += 1
             continue
-        try:
-            qvec = project(model, src_word, src_lang, spaces)
-        except NotFoundError:
-            excluded += 1
-            continue
-        top = _rank(
-            qvec,
-            target_unit,
-            target_space.words,
-            src_word if exclude_self else None,
-            k,
-        )
-        evaluated += 1
-        if in_vocab_targets.intersection(w for w, _ in top):
-            hits += 1
-    if evaluated == 0:
+        queries.append((src_word, in_vocab_targets))
+    if not queries:
         raise InsufficientDataError(
             "no validation pair survives vocabulary restriction"
         )
+    ranked = knn_batch(model, spaces, [w for w, _ in queries], src_lang,
+                       tgt_lang, k)
+    hits = sum(
+        1
+        for (_, targets), result in zip(queries, ranked)
+        if targets.intersection(w for w, _, _ in result.neighbors)
+    )
     return BliResult(
-        precision=hits / evaluated, k=k, evaluated=evaluated, excluded=excluded
+        precision=hits / len(queries), k=k, evaluated=len(queries),
+        excluded=excluded,
     )

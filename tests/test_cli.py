@@ -147,6 +147,37 @@ def test_align_knn_bli_classify_pipeline(mini_pipeline_inputs, tmp_path, capsys)
     assert set(rec) >= {"f1", "precision", "recall", "tp", "fp", "fn", "tn"}
 
 
+def test_bli_detailed_matches_knn(mini_pipeline_inputs, tmp_path):
+    inp = mini_pipeline_inputs
+    model_dir = tmp_path / "model"
+    emb = ["--embeddings", f"en={inp['en']}", "--embeddings", f"es={inp['es']}"]
+    assert main([
+        "align", "--pivot", "en", *emb,
+        "--lexicon", f"es={inp['lexicon']}",
+        "--holdout", "--output", str(model_dir),
+    ]) == 0
+    detailed_out = tmp_path / "bli_detailed.jsonl"
+    assert main([
+        "bli", "--model", str(model_dir), *emb,
+        "--validation", f"es={model_dir / 'validation_es.tsv'}",
+        "--k", "4", "--detailed", "--output", str(detailed_out),
+    ]) == 0
+    per_word = [json.loads(l) for l in detailed_out.read_text().splitlines()][:-1]
+    assert len(per_word) > 1
+    for rec in per_word:
+        knn_out = tmp_path / "knn.jsonl"
+        assert main([
+            "knn", "--model", str(model_dir), *emb,
+            "--word", rec["query"], "--lang", rec["query_lang"],
+            "--target", rec["target_lang"], "--k", "4",
+            "--output", str(knn_out),
+        ]) == 0
+        knn_records = [json.loads(l) for l in knn_out.read_text().splitlines()]
+        assert rec["neighbors"] == [
+            {"word": r["word"], "score": r["score"]} for r in knn_records
+        ]
+
+
 def test_mine_rules_command(tmp_path):
     ds = tmp_path / "ds.tsv"
     ds.write_text("1\tfoo bar\n1\tfoo bar baz\n0\tfoo baz\n")

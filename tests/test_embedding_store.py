@@ -79,6 +79,22 @@ def test_roundtrip_large_random(tmp_path):
     assert np.max(np.abs(again.vectors - space.vectors)) < 1e-6
 
 
+def test_save_bytes_match_per_float_formatting(tmp_path):
+    special = [5e-7, -5e-7, -0.0, 0.0, 1.5e-6, 2.5e-6, -1e-9, 1.0000005,
+               0.1234565, -0.1234565, 123456.7890625, -3.4e38, 1e-45]
+    vectors = np.random.default_rng(3).normal(size=(4, len(special)))
+    vectors[0] = special
+    vectors[1] = -vectors[1]
+    space = EmbeddingSpace("en", ["a", "b", "c", "d"], vectors)
+    path = tmp_path / "e.vec"
+    save_embeddings(space, path)
+    expected = f"4 {len(special)}\n" + "".join(
+        f"{w} " + " ".join(f"{x:.6f}" for x in row) + "\n"
+        for w, row in zip(space.words, space.vectors)
+    )
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
 def test_save_unwritable(tmp_path):
     space = EmbeddingSpace("en", ["a"], [[1.0, 2.0]])
     with pytest.raises(OSError):

@@ -10,7 +10,60 @@ from crosslex import (
     knn,
     project,
 )
-from crosslex.errors import InsufficientDataError, NotFoundError
+from crosslex import retrieval
+from crosslex.errors import ConfigurationError, InsufficientDataError, NotFoundError
+
+
+def _rank(query_vec, target_unit, words, exclude=None, k=None):
+    """Exact cosine ranking; ties broken by ascending word order."""
+    qn = np.linalg.norm(query_vec)
+    scores = target_unit @ (query_vec / qn if qn > 0 else query_vec)
+    order = sorted(range(len(words)), key=lambda i: (-scores[i], words[i]))
+    out = []
+    for i in order:
+        if exclude is not None and words[i] == exclude:
+            continue
+        out.append((words[i], float(scores[i])))
+        if k is not None and len(out) == k:
+            break
+    return out
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_top_k_matches_scalar_oracle(seed, monkeypatch):
+    """The batched kernel ranks like the scalar per-query sort it replaced."""
+    rng = np.random.default_rng(seed)
+    n_words, dim = 40, 6
+    words = [f"w{i:02d}" for i in rng.permutation(n_words)]
+    target = rng.normal(size=(n_words, dim))
+    # Exact ties: one row copied under eight other words, another under two.
+    tied = rng.choice(n_words, size=11, replace=False)
+    target[tied[1:9]] = target[tied[0]]
+    target[tied[10]] = target[tied[9]]
+    target_unit = retrieval._unit_rows(target)
+    queries = np.vstack([
+        rng.normal(size=(6, dim)),
+        target[tied[[0, 0, 9]]],  # the tie groups rank first
+        target[tied[0]] + 0.3 * rng.normal(size=dim),
+        np.zeros(dim),
+    ])
+    exclude = [-1] * len(queries)
+    exclude[1] = int(rng.integers(n_words))
+    exclude[6] = int(tied[0])  # same-language exclusion inside a tie group
+    exclude[7] = int(tied[10])
+    exclude[9] = int(tied[3])
+    # Three queries per score block, so the queries span four blocks.
+    monkeypatch.setattr(retrieval, "_BLOCK_ENTRIES", 3 * n_words)
+    word_rank = retrieval._word_rank(words)
+    for k in (1, 3, 5, 9, n_words - 1, n_words, n_words + 4):
+        ranked = retrieval._top_k(queries, target_unit, word_rank, k, exclude)
+        assert len(ranked) == len(queries)
+        for q, skip, (rows, scores) in zip(queries, exclude, ranked):
+            expected = _rank(q, target_unit, words,
+                             words[skip] if skip >= 0 else None, k)
+            assert [words[i] for i in rows] == [w for w, _ in expected]
+            np.testing.assert_allclose(
+                scores, [s for _, s in expected], rtol=0, atol=1e-12)
 
 
 def test_knn_self_match_across_duplicate_spaces(duplicate_space_pair):
@@ -136,3 +189,10 @@ def test_bli_one_to_many_counts_once(duplicate_space_pair):
     res = bli_precision_at_k(model, spaces, val, k=1)
     assert res.evaluated == 1
     assert res.precision == 1.0  # any gold target in top-k counts
+
+
+def test_bli_rejects_k_below_one(duplicate_space_pair):
+    spaces, lex = duplicate_space_pair
+    model = fit_hub_alignment(spaces, [lex], "en", lam=1e-3, kept_ratio=1.0)
+    with pytest.raises(ConfigurationError):
+        bli_precision_at_k(model, spaces, lex, k=0)
