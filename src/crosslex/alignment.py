@@ -225,14 +225,33 @@ def _write_matrix(fh, mat):
         fh.write(" ".join(f"{x:.12e}" for x in row) + "\n")
 
 
-def _read_matrix(fh):
-    rows, cols = (int(x) for x in fh.readline().split())
-    data = np.array(
-        [[float(x) for x in fh.readline().split()] for _ in range(rows)]
-    )
-    if data.shape != (rows, cols):
-        raise FormatError("matrix block shape mismatch")
-    return data
+def _read_matrix(lines, start):
+    """Parse the "<rows> <cols>" block that begins at ``lines[start]``.
+
+    Returns the matrix and the index of the line after the block. Errors
+    carry the 1-based line number within the file.
+    """
+    if start >= len(lines):
+        raise FormatError("missing matrix block", start + 1)
+    try:
+        rows, cols = (int(x) for x in lines[start].split())
+    except ValueError:
+        raise FormatError("expected block header '<rows> <cols>'", start + 1) from None
+    if rows < 1 or cols < 1:
+        raise FormatError("matrix block must be at least 1 x 1", start + 1)
+    data = np.empty((rows, cols))
+    for i in range(rows):
+        lineno = start + 2 + i
+        if lineno > len(lines):
+            raise FormatError(f"matrix block ends after {i} of {rows} rows", lineno)
+        try:
+            row = [float(x) for x in lines[lineno - 1].split()]
+        except ValueError:
+            raise FormatError("non-numeric matrix cell", lineno) from None
+        if len(row) != cols:
+            raise FormatError(f"expected {cols} values, found {len(row)}", lineno)
+        data[i] = row
+    return data, start + 1 + rows
 
 
 def save_alignment(model, dirpath):
@@ -270,9 +289,10 @@ def load_alignment(dirpath):
     )
     for lang in meta["languages"]:
         with open(os.path.join(dirpath, f"{lang}.mat"), encoding="utf-8") as fh:
-            mean = _read_matrix(fh)[0]
-            projection = _read_matrix(fh)
-            back_map = _read_matrix(fh)
-            pivot_mean = _read_matrix(fh)[0]
-        model.maps[lang] = LanguageMap(mean, projection, back_map, pivot_mean)
+            lines = fh.readlines()
+        mean, at = _read_matrix(lines, 0)
+        projection, at = _read_matrix(lines, at)
+        back_map, at = _read_matrix(lines, at)
+        pivot_mean, _ = _read_matrix(lines, at)
+        model.maps[lang] = LanguageMap(mean[0], projection, back_map, pivot_mean[0])
     return model

@@ -62,27 +62,110 @@ def load_embeddings(path, language):
     its components, space separated. Duplicate words keep the first
     occurrence; the count of dropped rows is recorded on the returned
     space as ``duplicates_dropped``.
+
+    The numbers are parsed in one ``np.loadtxt`` call. A file that call
+    refuses (a bad line, other spacing, undecodable bytes, or a rarer
+    number spelling such as ``1_0``) is read again line by line, which
+    returns the same space or raises the first bad line's error.
+    """
+    with open(path, encoding="utf-8") as fh:
+        try:
+            parsed = _parse_bulk(fh)
+        except ValueError:  # undecodable bytes or a field loadtxt refuses
+            parsed = None
+    if parsed is None:
+        parsed = _parse_lines(path)
+    words, vectors, duplicates = parsed
+    space = EmbeddingSpace(language, words, vectors)
+    space.duplicates_dropped = duplicates
+    return space
+
+
+def _read_header(fh):
+    """Parse the "<vocab_count> <dim>" first line into (count, dim)."""
+    header = fh.readline()
+    _check_decoded(header, 1)
+    parts = header.split()
+    if len(parts) != 2:
+        raise FormatError("expected header '<vocab_count> <dim>'", 1)
+    try:
+        count, dim = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise FormatError("non-integer header fields", 1) from None
+    if count < 1:
+        raise InsufficientDataError("empty vocabulary in embedding file")
+    if dim < 1:
+        raise FormatError("embedding dimension must be >= 1", 1)
+    return count, dim
+
+
+def _check_decoded(line, lineno):
+    """Reject a line holding bytes that were not UTF-8 (escaped on reading)."""
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError:
+        raise FormatError("invalid UTF-8 bytes", lineno) from None
+
+
+def _parse_bulk(fh):
+    """(words, vectors, duplicates) of a well-formed file, or None.
+
+    In a well-formed file each row is the word and its components joined
+    by single spaces. loadtxt parses all the numbers at once and checks
+    that every row has the same number of columns; the word column goes
+    through a converter that collects the words. None, or a ValueError,
+    means that the per-line scan must read the file.
+    """
+    count, dim = _read_header(fh)
+    start = fh.tell()
+    line = fh.readline()
+    while line.isspace():
+        line = fh.readline()
+    if not line:  # no rows: loadtxt would warn, the scan raises
+        return None
+    fh.seek(start)
+    words = []
+
+    def word(field):
+        if not field:  # the row starts with a space
+            raise ValueError("empty word")
+        words.append(field)
+        return 0.0
+
+    table = np.loadtxt(fh, dtype=np.float32, delimiter=" ", comments=None,
+                       converters={0: word}, ndmin=2)
+    if table.shape != (count, dim + 1):
+        return None
+    vectors = np.ascontiguousarray(table[:, 1:])
+    del table  # before the norm's temporary, to keep the peak at two matrices
+    if not np.all(np.linalg.norm(vectors, axis=1) > 0):
+        return None
+    first_row = {}
+    for i, w in enumerate(words):
+        first_row.setdefault(w, i)
+    duplicates = count - len(first_row)
+    if duplicates:
+        words = list(first_row)
+        vectors = vectors[list(first_row.values())]
+    return words, vectors, duplicates
+
+
+def _parse_lines(path):
+    """(words, vectors, duplicates) by the per-line scan.
+
+    Raises the error of the first bad line in file order: a wrong field
+    count, a non-numeric or all-zero vector, or bytes that are not UTF-8.
     """
     words = []
     rows = []
     seen = {}
     duplicates = 0
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline()
-        parts = header.split()
-        if len(parts) != 2:
-            raise FormatError("expected header '<vocab_count> <dim>'", 1)
-        try:
-            count, dim = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise FormatError("non-integer header fields", 1) from None
-        if count < 1:
-            raise InsufficientDataError("empty vocabulary in embedding file")
-        if dim < 1:
-            raise FormatError("embedding dimension must be >= 1", 1)
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        count, dim = _read_header(fh)
         lineno = 1
         for line in fh:
             lineno += 1
+            _check_decoded(line, lineno)
             if not line.strip():
                 continue
             fields = line.rstrip("\n").split(" ")
@@ -109,9 +192,7 @@ def load_embeddings(path, language):
             f"header promised {count} rows, found {len(words) + duplicates}",
             lineno + 1,
         )
-    space = EmbeddingSpace(language, words, np.vstack(rows))
-    space.duplicates_dropped = duplicates
-    return space
+    return words, np.vstack(rows), duplicates
 
 
 def save_embeddings(space, path):

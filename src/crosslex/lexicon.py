@@ -22,6 +22,7 @@ class BilingualLexicon:
     src_lang: str
     tgt_lang: str
     pairs: list = field(default_factory=list)
+    multiword_dropped: int = 0  # entries load_lexicon dropped for whitespace
 
     def __post_init__(self):
         if self.src_lang == self.tgt_lang:
@@ -77,9 +78,7 @@ def load_lexicon(path, src, tgt):
                     multiword += 1
                     continue
                 pairs.append((src_word, tgt_word))
-    lex = BilingualLexicon(src, tgt, pairs)
-    lex.multiword_dropped = multiword
-    return lex
+    return BilingualLexicon(src, tgt, pairs, multiword_dropped=multiword)
 
 
 def restrict_to_vocab(lex, src_space, tgt_space):

@@ -13,6 +13,7 @@ from crosslex import (
 )
 from crosslex.errors import (
     ConfigurationError,
+    FormatError,
     InsufficientDataError,
     NotFoundError,
     SingularityError,
@@ -198,3 +199,44 @@ def test_alignment_model_roundtrip(tmp_path, trilingual):
     a = project(tri.model, word, "it", tri.spaces)
     b = project(again, word, "it", tri.spaces)
     assert np.max(np.abs(a - b)) < 1e-6
+
+
+def _saved_mat_lines(tmp_path, trilingual):
+    save_alignment(trilingual.model, tmp_path / "model")
+    return (tmp_path / "model" / "it.mat").read_text().splitlines(keepends=True)
+
+
+def _load_error(tmp_path, lines):
+    (tmp_path / "model" / "it.mat").write_text("".join(lines))
+    with pytest.raises(FormatError) as exc:
+        load_alignment(tmp_path / "model")
+    return exc.value
+
+
+def test_mat_short_row_reports_line(tmp_path, trilingual):
+    lines = _saved_mat_lines(tmp_path, trilingual)
+    lines[4] = lines[4].rsplit(" ", 1)[0] + "\n"  # a row of the projection block
+    err = _load_error(tmp_path, lines)
+    assert err.line_number == 5
+    assert "expected" in str(err)
+
+
+def test_mat_truncated_block_reports_line(tmp_path, trilingual):
+    lines = _saved_mat_lines(tmp_path, trilingual)
+    assert _load_error(tmp_path, lines[:-1]).line_number == len(lines)
+    assert _load_error(tmp_path, lines[:5]).line_number == 6  # 2 projection rows
+    assert _load_error(tmp_path, lines[:2]).line_number == 3  # no projection block
+
+
+def test_mat_non_numeric_cell_reports_line(tmp_path, trilingual):
+    lines = _saved_mat_lines(tmp_path, trilingual)
+    lines[1] = "x" + lines[1][1:]  # the mean row
+    err = _load_error(tmp_path, lines)
+    assert err.line_number == 2
+    assert "non-numeric" in str(err)
+
+
+def test_mat_bad_block_header_reports_line(tmp_path, trilingual):
+    lines = _saved_mat_lines(tmp_path, trilingual)
+    lines[2] = "80\n"  # the projection block's "<rows> <cols>"
+    assert _load_error(tmp_path, lines).line_number == 3

@@ -64,6 +64,18 @@ def test_load_drops_multiword(tmp_path):
     assert lex.multiword_dropped == 1
 
 
+def test_multiword_dropped_is_a_field_other_lexicons_read_zero(tmp_path):
+    path = tmp_path / "lex.tsv"
+    path.write_text("a b\tc\nd\te\nf\tg\nh\ti\n")
+    lex = load_lexicon(path, "en", "es")
+    assert lex.multiword_dropped == 1
+    assert BilingualLexicon("en", "es", [("d", "e")]).multiword_dropped == 0
+    kept, _ = restrict_to_vocab(lex, make_space("en", ["d", "f", "h"]),
+                                make_space("es", ["e", "g", "i"]))
+    assert kept.multiword_dropped == 0
+    assert [part.multiword_dropped for part in split_lexicon(lex, 0.5, 0)] == [0, 0]
+
+
 def test_same_language_rejected():
     with pytest.raises(ConfigurationError):
         BilingualLexicon("en", "en", [("a", "b")])
