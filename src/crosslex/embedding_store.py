@@ -68,14 +68,11 @@ def load_embeddings(path, language):
     number spelling such as ``1_0``) is read again line by line, which
     returns the same space or raises the first bad line's error.
     """
-    with open(path, encoding="utf-8") as fh:
-        try:
-            parsed = _parse_bulk(fh)
-        except ValueError:  # undecodable bytes or a field loadtxt refuses
-            parsed = None
-    if parsed is None:
-        parsed = _parse_lines(path)
-    words, vectors, duplicates = parsed
+    try:
+        with open(path, encoding="utf-8") as fh:
+            words, vectors, duplicates = _parse_bulk(fh)
+    except ValueError:  # undecodable bytes, or a row the bulk parse refuses
+        words, vectors, duplicates = _parse_lines(path)
     space = EmbeddingSpace(language, words, vectors)
     space.duplicates_dropped = duplicates
     return space
@@ -108,13 +105,13 @@ def _check_decoded(line, lineno):
 
 
 def _parse_bulk(fh):
-    """(words, vectors, duplicates) of a well-formed file, or None.
+    """(words, vectors, duplicates) of a well-formed file.
 
     In a well-formed file each row is the word and its components joined
     by single spaces. loadtxt parses all the numbers at once and checks
     that every row has the same number of columns; the word column goes
-    through a converter that collects the words. None, or a ValueError,
-    means that the per-line scan must read the file.
+    through a converter that collects the words. A ValueError means that
+    the per-line scan must read the file.
     """
     count, dim = _read_header(fh)
     start = fh.tell()
@@ -122,7 +119,7 @@ def _parse_bulk(fh):
     while line.isspace():
         line = fh.readline()
     if not line:  # no rows: loadtxt would warn, the scan raises
-        return None
+        raise ValueError("no rows")
     fh.seek(start)
     words = []
 
@@ -132,14 +129,16 @@ def _parse_bulk(fh):
         words.append(field)
         return 0.0
 
+    # encoding="utf-8": before numpy 2.0 the default ("bytes") hands the
+    # converter latin1-encoded bytes instead of str.
     table = np.loadtxt(fh, dtype=np.float32, delimiter=" ", comments=None,
-                       converters={0: word}, ndmin=2)
-    if table.shape != (count, dim + 1):
-        return None
+                       converters={0: word}, ndmin=2, encoding="utf-8")
+    if table.shape != (count, dim + 1) or len(words) != count:
+        raise ValueError("row or column count differs from the header")
     vectors = np.ascontiguousarray(table[:, 1:])
     del table  # before the norm's temporary, to keep the peak at two matrices
     if not np.all(np.linalg.norm(vectors, axis=1) > 0):
-        return None
+        raise ValueError("all-zero row")
     first_row = {}
     for i, w in enumerate(words):
         first_row.setdefault(w, i)

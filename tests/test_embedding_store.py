@@ -145,6 +145,8 @@ def _outcome(load, path):
             space = load(path, "en")
     except CrosslexError as err:
         return type(err), getattr(err, "line_number", None)
+    # str, not the bytes that numpy < 2.0 hands loadtxt converters by default
+    assert all(type(w) is str for w in space.words)
     return space.words, space.vectors.view(np.uint32).tolist(), space.duplicates_dropped
 
 
