@@ -21,6 +21,7 @@ from .errors import (
     InsufficientDataError,
     NotFoundError,
     SingularityError,
+    in_file,
 )
 
 _PINV_RCOND = 1e-10
@@ -277,9 +278,64 @@ def save_alignment(model, dirpath):
             _write_matrix(fh, lmap.pivot_mean)
 
 
+_META_KEYS = ("pivot_lang", "shared_dim", "regularization", "kept_ratio",
+              "normalize", "languages")
+
+
+def _read_metadata(path):
+    with open(path, encoding="utf-8") as fh:
+        try:
+            meta = json.load(fh)
+        except json.JSONDecodeError as err:
+            raise FormatError(f"invalid JSON: {err.msg}", err.lineno) from None
+        except UnicodeDecodeError:
+            raise FormatError("invalid UTF-8 bytes") from None
+    if not isinstance(meta, dict):
+        raise FormatError("metadata must be a JSON object")
+    missing = [key for key in _META_KEYS if key not in meta]
+    if missing:
+        raise FormatError(f"metadata lacks {', '.join(missing)}")
+    if not isinstance(meta["languages"], list) or not all(
+            isinstance(lang, str) for lang in meta["languages"]):
+        raise FormatError("metadata 'languages' must be a list of strings")
+    return meta
+
+
+def _read_language_map(lines):
+    """The four blocks of a ``.mat`` file, checked against each other.
+    Errors carry the line of the offending block's header."""
+    blocks, headers = [], []
+    at = 0
+    for _ in range(4):
+        headers.append(at + 1)
+        mat, at = _read_matrix(lines, at)
+        blocks.append(mat)
+    mean, projection, back_map, pivot_mean = blocks
+    for name, mat, line in (("mean", mean, headers[0]),
+                            ("pivot mean", pivot_mean, headers[3])):
+        if mat.shape[0] != 1:
+            raise FormatError(f"{name} block has {mat.shape[0]} rows, expected 1", line)
+    if projection.shape[0] != mean.shape[1]:
+        raise FormatError(
+            f"projection block has {projection.shape[0]} rows, expected "
+            f"{mean.shape[1]} (the mean's length)", headers[1])
+    if back_map.shape[0] != projection.shape[1]:
+        raise FormatError(
+            f"back-map block has {back_map.shape[0]} rows, expected "
+            f"{projection.shape[1]} (the projection's columns)", headers[2])
+    if pivot_mean.shape[1] != back_map.shape[1]:
+        raise FormatError(
+            f"pivot mean block has {pivot_mean.shape[1]} values, expected "
+            f"{back_map.shape[1]} (the back-map's columns)", headers[3])
+    return LanguageMap(mean[0], projection, back_map, pivot_mean[0])
+
+
 def load_alignment(dirpath):
-    with open(os.path.join(dirpath, "metadata.json"), encoding="utf-8") as fh:
-        meta = json.load(fh)
+    """Read a model written by ``save_alignment``. A corrupt metadata file
+    or ``.mat`` file raises FormatError naming the file."""
+    meta_path = os.path.join(dirpath, "metadata.json")
+    with in_file(meta_path):
+        meta = _read_metadata(meta_path)
     model = AlignmentModel(
         pivot_lang=meta["pivot_lang"],
         shared_dim=meta["shared_dim"],
@@ -288,11 +344,10 @@ def load_alignment(dirpath):
         normalize=meta["normalize"],
     )
     for lang in meta["languages"]:
-        with open(os.path.join(dirpath, f"{lang}.mat"), encoding="utf-8") as fh:
-            lines = fh.readlines()
-        mean, at = _read_matrix(lines, 0)
-        projection, at = _read_matrix(lines, at)
-        back_map, at = _read_matrix(lines, at)
-        pivot_mean, _ = _read_matrix(lines, at)
-        model.maps[lang] = LanguageMap(mean[0], projection, back_map, pivot_mean[0])
+        path = os.path.join(dirpath, f"{lang}.mat")
+        with in_file(path):
+            # Bytes that are not UTF-8 become non-numeric cells with a line.
+            with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+                lines = fh.readlines()
+            model.maps[lang] = _read_language_map(lines)
     return model

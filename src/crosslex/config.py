@@ -24,7 +24,6 @@ _SCHEMA = {
         "min_count": (int, 5),
         "subsample_t": (float, 1e-4),
         "rng_seed": (int, 1),
-        "workers": (int, 1),
     },
     "alignment": {
         "pivot": (str, "en"),

@@ -6,7 +6,13 @@ import os
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, FormatError, InsufficientDataError
+from .errors import (
+    DimensionError,
+    DomainError,
+    FormatError,
+    InsufficientDataError,
+    in_file,
+)
 
 
 class EmbeddingSpace:
@@ -68,11 +74,12 @@ def load_embeddings(path, language):
     number spelling such as ``1_0``) is read again line by line, which
     returns the same space or raises the first bad line's error.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            words, vectors, duplicates = _parse_bulk(fh)
-    except ValueError:  # undecodable bytes, or a row the bulk parse refuses
-        words, vectors, duplicates = _parse_lines(path)
+    with in_file(path):
+        try:
+            with open(path, encoding="utf-8") as fh:
+                words, vectors, duplicates = _parse_bulk(fh)
+        except ValueError:  # undecodable bytes, or a row the bulk parse refuses
+            words, vectors, duplicates = _parse_lines(path)
     space = EmbeddingSpace(language, words, vectors)
     space.duplicates_dropped = duplicates
     return space

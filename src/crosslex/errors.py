@@ -1,18 +1,40 @@
 """Exception hierarchy shared by all crosslex modules."""
 
+import os
+from contextlib import contextmanager
+
 
 class CrosslexError(Exception):
     """Base class for all crosslex errors."""
 
 
 class FormatError(CrosslexError):
-    """Malformed input file. Carries the 1-based line number when known."""
+    """Malformed input file. Carries the 1-based line number and the file
+    when known; ``in_file`` names the file for errors raised inside it."""
 
-    def __init__(self, message, line_number=None):
-        if line_number is not None:
-            message = f"{message} (line {line_number})"
+    def __init__(self, message, line_number=None, path=None):
         super().__init__(message)
+        self.message = message
         self.line_number = line_number
+        self.path = path
+
+    def __str__(self):
+        text = self.message if self.path is None else f"{self.path}: {self.message}"
+        if self.line_number is not None:
+            text = f"{text} (line {self.line_number})"
+        return text
+
+
+@contextmanager
+def in_file(path):
+    """Name ``path`` in a FormatError raised inside the block that does not
+    name a file yet."""
+    try:
+        yield
+    except FormatError as err:
+        if err.path is None:
+            err.path = os.fspath(path)
+        raise
 
 
 class DimensionError(CrosslexError):

@@ -12,6 +12,7 @@ from .errors import (
     FormatError,
     InsufficientDataError,
     InsufficientOverlapError,
+    in_file,
 )
 
 
@@ -60,7 +61,7 @@ def load_lexicon(path, src, tgt):
     """
     pairs = []
     multiword = 0
-    with open(path, encoding="utf-8") as fh:
+    with in_file(path), open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip() or line.startswith("#"):
                 continue

@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .corpus import TokenizerConfig, tokenize
-from .errors import ConfigurationError, FormatError, InsufficientDataError
+from .errors import ConfigurationError, FormatError, InsufficientDataError, in_file
 
 logger = logging.getLogger(__name__)
 
@@ -66,7 +66,7 @@ def load_labeled_dataset(path, language, cfg=TokenizerConfig()):
     """
     docs = []
     dropped = 0
-    with open(path, encoding="utf-8") as fh:
+    with in_file(path), open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue

@@ -1,14 +1,26 @@
 """Skip-gram with negative sampling, trained from scratch in numpy.
 
-Single-threaded training is bit-reproducible for a fixed seed. Sentence
-boundaries are input lines; context windows never cross them. Negative
-samples are drawn from the unigram distribution raised to the 3/4 power.
+Training is bit-reproducible for a fixed seed. Sentence boundaries are
+input lines; context windows never cross them. Negative samples are drawn
+from the unigram distribution raised to the 3/4 power.
+
+Each epoch first draws, with whole-array operations, which tokens survive
+frequent-word subsampling and one window size per kept token. The kept
+tokens are then walked in blocks of ``_BLOCK_CENTERS`` center positions,
+with minibatch SGD in the word2vec form (Mikolov et al., 2013). A block
+builds its (center, context) pairs with one broadcast over the window
+offsets and draws ``negatives`` noise words per pair. It scores every pair
+against the weights as they were before the block, gathers the pair
+gradients into one (distinct targets x distinct centers) matrix with one
+scalar scatter-add, and updates each weight matrix with one product over
+its distinct rows, so repeated words have their gradients summed. Every
+array with a pair or negative axis is sized to a block, never to the
+epoch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from threading import Thread
 
 import numpy as np
 
@@ -17,6 +29,10 @@ from .embedding_store import EmbeddingSpace
 from .errors import ConfigurationError, InsufficientDataError
 
 _LR_FLOOR_FACTOR = 1e-4
+# Center positions per minibatch, each with at most 2 * window pairs.
+# Larger blocks spend less Python time per token, but update from staler
+# weights and hold more target rows at once.
+_BLOCK_CENTERS = 32
 
 
 @dataclass(frozen=True)
@@ -29,7 +45,6 @@ class SgnsConfig:
     min_count: int = 5
     subsample_t: float = 1e-4
     rng_seed: int = 1
-    workers: int = 1
 
     def validate(self):
         if self.dim < 2:
@@ -52,55 +67,77 @@ def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def subsample(sentence_ids, keep_prob, rng):
-    """Randomly discard frequent tokens; a zero threshold keeps everything."""
+def subsample(ids, keep_prob, rng):
+    """Keep each entry ``i`` of ``ids`` with probability ``keep_prob[i]``,
+    in order; ``None`` (a zero threshold) keeps everything."""
     if keep_prob is None:
-        return sentence_ids
-    return [i for i in sentence_ids if rng.random() < keep_prob[i]]
+        return ids
+    return ids[rng.random(len(ids)) < keep_prob[ids]]
 
 
-def _train_sentences(sentences, w_in, w_out, noise_cdf, cfg, keep_prob, rng,
-                     progress, total_tokens):
-    """Run one pass of SGD over id-encoded sentences, updating in place.
+def _block_pairs(ids, sentence, win, lo, hi, window):
+    """(center, context) position pairs for the centers ``lo:hi``.
 
-    ``progress`` is a one-element list holding the number of center tokens
-    consumed so far, shared across epochs for the linear LR decay.
+    ``ids`` are the kept word ids of an epoch, ``sentence`` their sentence
+    numbers and ``win`` the window drawn for each. A context lies within
+    its center's window, in the same sentence, and is not the center's
+    word. Pairs come in center order, then left to right.
     """
-    lr0 = cfg.learning_rate
-    lr_floor = lr0 * _LR_FLOOR_FACTOR
-    for sent in sentences:
-        ids = subsample(sent, keep_prob, rng)
-        n = len(ids)
-        for pos in range(n):
-            progress[0] += 1
-            center = ids[pos]
-            lr = max(lr0 * (1.0 - progress[0] / total_tokens), lr_floor)
-            win = int(rng.integers(1, cfg.window + 1))
-            ctx = ids[max(0, pos - win):pos] + ids[pos + 1:pos + 1 + win]
-            ctx = [c for c in ctx if c != center]
-            if not ctx:
-                continue
-            negs = np.searchsorted(
-                noise_cdf, rng.random(len(ctx) * cfg.negatives)
-            )
-            targets = np.concatenate([np.array(ctx, dtype=np.int64), negs])
-            labels = np.zeros(len(targets), dtype=np.float32)
-            labels[: len(ctx)] = 1.0
-            v = w_in[center]
-            u = w_out[targets]
-            g = (labels - _sigmoid(u @ v)) * lr
-            grad_v = g @ u
-            np.add.at(w_out, targets, g[:, None] * v[None, :])
-            w_in[center] += grad_v
+    offsets = np.concatenate([np.arange(-window, 0), np.arange(1, window + 1)])
+    ctx = np.arange(lo, hi)[:, None] + offsets
+    ok = (np.abs(offsets) <= win[lo:hi, None]) & (ctx >= 0) & (ctx < len(ids))
+    np.clip(ctx, 0, len(ids) - 1, out=ctx)
+    ok &= sentence[ctx] == sentence[lo:hi, None]
+    ok &= ids[ctx] != ids[lo:hi, None]
+    row, col = np.nonzero(ok)
+    return lo + row, ctx[row, col]
+
+
+def _distinct(ids, slot):
+    """(distinct values of ``ids``, each entry's index among them).
+
+    ``np.unique(ids, return_inverse=True)`` without the sort, whose code
+    alone raised a training run's peak memory by about 0.4 MB. The values
+    come in order of their last occurrence; ``slot`` is scratch space with
+    one entry per possible value.
+    """
+    flat = ids.ravel()
+    entry = np.arange(len(flat))
+    slot[flat] = entry
+    last = slot[flat]
+    is_last = last == entry
+    return flat[is_last], (np.cumsum(is_last) - 1)[last].reshape(ids.shape)
+
+
+def _block_update(w_in, w_out, centers, contexts, negs, lr, slot):
+    """One minibatch step over pairs of word ids, in place.
+
+    Pair p pulls ``w_out[contexts[p]]`` towards ``w_in[centers[p]]`` and
+    pushes the ``w_out`` rows of its ``negs[p]`` away, at rate ``lr[p]``.
+    Every gradient is taken against the weights from before the call, and
+    the gradients of repeated words are summed.
+    """
+    targets = np.concatenate([contexts[:, None], negs], axis=1)
+    rows, t = _distinct(targets, slot)
+    cols, c = _distinct(centers[:, None], slot)
+    u = w_out[rows]
+    v = w_in[cols]
+    g = -_sigmoid((u @ v.T)[t, c])
+    g[:, 0] += 1.0
+    g *= lr[:, None]
+    # coef[i, j]: summed gradient weight between target row i and center j
+    coef = np.zeros((len(rows), len(cols)), dtype=w_out.dtype)
+    np.add.at(coef.reshape(-1), (t * len(cols) + c).ravel(), g.ravel())
+    w_out[rows] += coef @ v
+    w_in[cols] += coef.T @ u
 
 
 def train_sgns(corpus, cfg):
     """Train word vectors on a corpus of token lists.
 
     Returns an EmbeddingSpace over the min_count-filtered vocabulary,
-    ordered by descending frequency (ties alphabetical). With workers=1
-    the result is bit-reproducible for a fixed rng_seed; more workers
-    trade determinism for throughput via lock-free shared updates.
+    ordered by descending frequency (ties alphabetical). The result is
+    bit-reproducible for a fixed rng_seed.
     """
     cfg.validate()
     corpus = [list(doc) for doc in corpus]
@@ -115,11 +152,14 @@ def train_sgns(corpus, cfg):
     index = {w: i for i, w in enumerate(words)}
     counts = np.array([vocab[w] for w in words], dtype=np.float64)
 
-    sentences = []
-    for doc in corpus:
-        ids = [index[t] for t in doc if t in index]
-        if ids:
-            sentences.append(ids)
+    # One flat stream of in-vocabulary ids, each with its sentence number.
+    tokens = np.fromiter((index.get(t, -1) for doc in corpus for t in doc),
+                         dtype=np.int32)
+    sentence = np.repeat(np.arange(len(corpus), dtype=np.int32),
+                         [len(doc) for doc in corpus])
+    known = tokens >= 0
+    tokens, sentence = tokens[known], sentence[known]
+    del known
 
     noise = counts ** 0.75
     noise_cdf = np.cumsum(noise / noise.sum())
@@ -135,25 +175,27 @@ def train_sgns(corpus, cfg):
     w_in = ((rng.random((nvocab, cfg.dim)) - 0.5) / cfg.dim).astype(np.float32)
     w_out = np.zeros((nvocab, cfg.dim), dtype=np.float32)
 
-    total_tokens = cfg.epochs * sum(len(s) for s in sentences)
-    progress = [0]
-    if cfg.workers <= 1:
-        for _ in range(cfg.epochs):
-            _train_sentences(sentences, w_in, w_out, noise_cdf, cfg,
-                             keep_prob, rng, progress, total_tokens)
-    else:
-        shards = [sentences[i::cfg.workers] for i in range(cfg.workers)]
-        for _ in range(cfg.epochs):
-            threads = [
-                Thread(target=_train_sentences,
-                       args=(shard, w_in, w_out, noise_cdf, cfg, keep_prob,
-                             np.random.default_rng(cfg.rng_seed + 1 + k),
-                             progress, total_tokens))
-                for k, shard in enumerate(shards)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
+    lr0 = cfg.learning_rate
+    total_tokens = cfg.epochs * len(tokens)
+    # Subsampling keeps token positions, so each kept id keeps its sentence.
+    positions = np.arange(len(tokens), dtype=np.int32)
+    token_keep = None if keep_prob is None else keep_prob[tokens]
+    slot = np.empty(nvocab, dtype=np.intp)
+    done = 0  # centers of earlier epochs, for the linear LR decay
+    for _ in range(cfg.epochs):
+        kept = subsample(positions, token_keep, rng)
+        ids, sent = tokens[kept], sentence[kept]
+        del kept
+        win = rng.integers(1, cfg.window + 1, size=len(ids), dtype=np.int32)
+        for lo in range(0, len(ids), _BLOCK_CENTERS):
+            c, x = _block_pairs(ids, sent, win, lo,
+                                min(lo + _BLOCK_CENTERS, len(ids)), cfg.window)
+            if not len(c):
+                continue
+            lr = np.maximum(lr0 * (1.0 - (done + c + 1) / total_tokens),
+                            lr0 * _LR_FLOOR_FACTOR).astype(np.float32)
+            negs = np.searchsorted(noise_cdf, rng.random((len(c), cfg.negatives)))
+            _block_update(w_in, w_out, ids[c], ids[x], negs, lr, slot)
+        done += len(ids)
 
     return EmbeddingSpace(language="", words=words, vectors=w_in)

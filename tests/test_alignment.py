@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -240,3 +242,80 @@ def test_mat_bad_block_header_reports_line(tmp_path, trilingual):
     lines = _saved_mat_lines(tmp_path, trilingual)
     lines[2] = "80\n"  # the projection block's "<rows> <cols>"
     assert _load_error(tmp_path, lines).line_number == 3
+
+
+def test_mat_invalid_utf8_reports_line(tmp_path, trilingual):
+    lines = _saved_mat_lines(tmp_path, trilingual)
+    path = tmp_path / "model" / "it.mat"
+    path.write_bytes("".join(lines[:3]).encode() + b"\xff" + "".join(lines[3:]).encode())
+    with pytest.raises(FormatError) as exc:
+        load_alignment(tmp_path / "model")
+    assert exc.value.line_number == 4
+    assert str(exc.value).startswith(f"{path}: non-numeric matrix cell")
+
+
+def _mat_lines(*shapes):
+    """A .mat file whose blocks are all-ones matrices of the given shapes."""
+    lines = []
+    for rows, cols in shapes:
+        lines.append(f"{rows} {cols}\n")
+        lines += [" ".join(["1.0"] * cols) + "\n"] * rows
+    return lines
+
+
+@pytest.mark.parametrize("shapes, line, message", [
+    (((1, 5), (6, 4), (4, 6), (1, 6)), 3,
+     "projection block has 6 rows, expected 5 (the mean's length)"),
+    (((1, 6), (6, 4), (3, 6), (1, 6)), 10,
+     "back-map block has 3 rows, expected 4 (the projection's columns)"),
+    (((1, 6), (6, 4), (4, 6), (1, 5)), 15,
+     "pivot mean block has 5 values, expected 6 (the back-map's columns)"),
+    (((2, 6), (6, 4), (4, 6), (1, 6)), 1, "mean block has 2 rows, expected 1"),
+    (((1, 6), (6, 4), (4, 6), (2, 6)), 15,
+     "pivot mean block has 2 rows, expected 1"),
+])
+def test_mat_block_shape_mismatch_names_block(tmp_path, trilingual, shapes,
+                                               line, message):
+    save_alignment(trilingual.model, tmp_path / "model")
+    err = _load_error(tmp_path, _mat_lines(*shapes))
+    assert err.line_number == line
+    assert str(err) == f"{tmp_path / 'model' / 'it.mat'}: {message} (line {line})"
+
+
+def test_mat_consistent_blocks_load(tmp_path, trilingual):
+    save_alignment(trilingual.model, tmp_path / "model")
+    (tmp_path / "model" / "it.mat").write_text(
+        "".join(_mat_lines((1, 6), (6, 4), (4, 6), (1, 6))))
+    lmap = load_alignment(tmp_path / "model").maps["it"]
+    assert lmap.mean.shape == (6,) and lmap.pivot_mean.shape == (6,)
+    assert lmap.projection.shape == (6, 4) and lmap.back_map.shape == (4, 6)
+
+
+@pytest.mark.parametrize("text, message, line", [
+    ("{not json", "invalid JSON: Expecting property name enclosed in double "
+     "quotes", 1),
+    ('{\n"pivot_lang": "en",\n', "invalid JSON: Expecting property name "
+     "enclosed in double quotes", 3),
+    ("[1, 2]", "metadata must be a JSON object", None),
+    ('{"pivot_lang": "en", "shared_dim": 3}', "metadata lacks regularization, "
+     "kept_ratio, normalize, languages", None),
+])
+def test_corrupt_metadata_is_format_error(tmp_path, trilingual, text, message,
+                                          line):
+    save_alignment(trilingual.model, tmp_path / "model")
+    meta = tmp_path / "model" / "metadata.json"
+    meta.write_text(text)
+    with pytest.raises(FormatError) as exc:
+        load_alignment(tmp_path / "model")
+    assert exc.value.line_number == line
+    assert str(exc.value).startswith(f"{meta}: {message}")
+
+
+def test_metadata_languages_must_be_strings(tmp_path, trilingual):
+    save_alignment(trilingual.model, tmp_path / "model")
+    meta = tmp_path / "model" / "metadata.json"
+    data = json.loads(meta.read_text())
+    data["languages"] = [1]
+    meta.write_text(json.dumps(data))
+    with pytest.raises(FormatError, match="'languages' must be a list of strings"):
+        load_alignment(tmp_path / "model")

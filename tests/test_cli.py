@@ -147,6 +147,69 @@ def test_align_knn_bli_classify_pipeline(mini_pipeline_inputs, tmp_path, capsys)
     assert set(rec) >= {"f1", "precision", "recall", "tp", "fp", "fn", "tn"}
 
 
+def _aligned_model(inp, model_dir):
+    """Align the mini fixture into ``model_dir``; returns the embedding flags."""
+    emb = ["--embeddings", f"en={inp['en']}", "--embeddings", f"es={inp['es']}"]
+    assert main([
+        "align", "--pivot", "en", *emb, "--lexicon", f"es={inp['lexicon']}",
+        "--output", str(model_dir),
+    ]) == 0
+    return emb
+
+
+def _knn(model_dir, emb):
+    return main([
+        "knn", "--model", str(model_dir), *emb,
+        "--word", "en3", "--lang", "en", "--target", "es", "--k", "5",
+    ])
+
+
+def test_knn_corrupt_metadata_exits_2(mini_pipeline_inputs, tmp_path, capsys):
+    model_dir = tmp_path / "model"
+    emb = _aligned_model(mini_pipeline_inputs, model_dir)
+    meta = model_dir / "metadata.json"
+    meta.write_text("{not json")
+    capsys.readouterr()
+    assert _knn(model_dir, emb) == 2
+    err = capsys.readouterr().err
+    assert f"{meta}: invalid JSON" in err
+    assert "(line 1)" in err
+    assert "Traceback" not in err
+    meta.write_text('{"pivot_lang": "en"}')
+    assert _knn(model_dir, emb) == 2
+    assert "metadata lacks shared_dim" in capsys.readouterr().err
+
+
+def test_knn_mismatched_mat_blocks_exit_2(mini_pipeline_inputs, tmp_path, capsys):
+    model_dir = tmp_path / "model"
+    emb = _aligned_model(mini_pipeline_inputs, model_dir)
+    mat = model_dir / "es.mat"
+    lines = mat.read_text().splitlines(keepends=True)
+    assert lines[0] == "1 10\n"
+    lines[0] = "1 5\n"  # a 1x5 mean for the 10-dimensional space
+    lines[1] = " ".join(lines[1].split()[:5]) + "\n"
+    mat.write_text("".join(lines))
+    capsys.readouterr()
+    assert _knn(model_dir, emb) == 2
+    err = capsys.readouterr().err
+    assert (f"{mat}: projection block has 10 rows, expected 5 (the mean's "
+            "length) (line 3)") in err
+
+
+def test_sgns_workers_key_is_gone(tmp_path, capsys):
+    corpus = tmp_path / "c.txt"
+    corpus.write_text("a b c d\n" * 10)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[sgns]\nworkers = 2\n")
+    code = main([
+        "train-embeddings", "--config", str(cfg), "--corpus", str(corpus),
+        "--language", "en", "--output", str(tmp_path / "en.vec"),
+    ])
+    assert code == 1
+    assert "unknown configuration key [sgns] workers" in capsys.readouterr().err
+    assert not (tmp_path / "en.vec").exists()
+
+
 def test_bli_detailed_matches_knn(mini_pipeline_inputs, tmp_path):
     inp = mini_pipeline_inputs
     model_dir = tmp_path / "model"

@@ -322,7 +322,7 @@ def test_cli_invalid_utf8_exits_2_with_line(tmp_path, capsys):
         "--lexicon", f"es={lexicon}", "--output", str(tmp_path / "model"),
     ])
     assert code == 2
-    assert "(line 12)" in capsys.readouterr().err
+    assert f"{es}: invalid UTF-8 bytes (line 12)" in capsys.readouterr().err
 
 
 def test_roundtrip_small(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 
 from crosslex import SgnsConfig, build_vocab, cosine, train_sgns
 from crosslex.errors import InsufficientDataError
-from crosslex.sgns import subsample
+from crosslex.sgns import _BLOCK_CENTERS, _block_pairs, _block_update, subsample
 
 from conftest import planted_pair_corpus
 
@@ -65,3 +65,98 @@ def test_planted_pairs_closer_than_random():
             continue
         unplanted.append(cosine(space.vector(pairs[i][0]), space.vector(pairs[j][0])))
     assert planted - np.mean(unplanted) >= 0.2
+
+
+def _scalar_pairs(sentences, keep, win):
+    """Pairs of kept-stream positions, by a per-token loop written like the
+    old trainer: subsample each sentence, then take the window around each
+    kept center and drop contexts that are the center's word."""
+    pairs = []
+    start = 0  # kept-stream position of the sentence's first kept token
+    draws = iter(win)
+    keep = iter(keep)
+    for sent in sentences:
+        ids = [i for i in sent if next(keep)]
+        for pos in range(len(ids)):
+            w = int(next(draws))
+            ctx = list(range(max(0, pos - w), pos)) + list(range(pos + 1, pos + 1 + w))
+            pairs += [(start + pos, start + q) for q in ctx
+                      if q < len(ids) and ids[q] != ids[pos]]
+        start += len(ids)
+    return pairs
+
+
+def _vector_pairs(sentences, keep, win, window, block):
+    tokens = np.array([i for s in sentences for i in s], dtype=np.int32)
+    sentence = np.repeat(np.arange(len(sentences)), [len(s) for s in sentences])
+    ids, sent = tokens[keep], sentence[keep]
+    pairs = []
+    for lo in range(0, len(ids), block):
+        c, x = _block_pairs(ids, sent, win, lo, min(lo + block, len(ids)), window)
+        pairs += list(zip(c.tolist(), x.tolist()))
+    return pairs
+
+
+def test_block_pairs_hand_example():
+    # kept stream: [0 1 0 2] [3 3] [4]; "2" and "5" were subsampled away
+    sentences = [[0, 1, 0, 2, 2], [3, 5, 3], [4]]
+    keep = np.array([1, 1, 1, 1, 0, 1, 0, 1, 1], dtype=bool)
+    win = np.array([2, 1, 2, 1, 2, 2, 2])
+    expected = [
+        (0, 1),                  # 0: positions 1, 2; 2 holds the center's word
+        (1, 0), (1, 2),          # 1: window 1
+        (2, 1), (2, 3),          # 0: positions 0..3, 0 holds the center's word
+        (3, 2),                  # 2: window 1, the sentence ends after it
+        # 3 3: the only context is the center's word; 4: a sentence alone
+    ]
+    assert _scalar_pairs(sentences, keep, win) == expected
+    for block in (1, 2, 3, 7):
+        assert _vector_pairs(sentences, keep, win, 2, block) == expected
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_block_pairs_match_scalar_loop(seed):
+    rng = np.random.default_rng(seed)
+    window = int(rng.integers(1, 6))
+    sentences = [rng.integers(0, 6, size=rng.integers(1, 15)).tolist()
+                 for _ in range(40)]
+    keep = rng.random(sum(map(len, sentences))) < 0.7
+    win = rng.integers(1, window + 1, size=int(keep.sum()))
+    expected = _scalar_pairs(sentences, keep, win)
+    assert len(expected) > 100
+    for block in (1, 5, _BLOCK_CENTERS, len(win)):
+        assert _vector_pairs(sentences, keep, win, window, block) == expected
+
+
+def _sigmoid64(x):
+    return 1.0 / (1.0 + np.exp(-x))
+
+
+def test_block_update_sums_scalar_pair_gradients():
+    rng = np.random.default_rng(3)
+    nvocab, dim = 7, 5
+    w_in = (rng.normal(size=(nvocab, dim)) * 0.5).astype(np.float32)
+    w_out = (rng.normal(size=(nvocab, dim)) * 0.5).astype(np.float32)
+    centers = np.array([0, 0, 2, 2, 5, 0])
+    contexts = np.array([1, 3, 1, 1, 0, 1])  # pairs (0, 1) and (2, 1) twice
+    negs = np.array([[1, 1, 4], [6, 0, 6], [3, 3, 3], [4, 1, 2],
+                     [5, 5, 1], [2, 6, 1]])  # targets repeat in and across pairs
+    lr = rng.uniform(0.01, 0.1, size=len(centers)).astype(np.float32)
+
+    grad_in = np.zeros((nvocab, dim))
+    grad_out = np.zeros((nvocab, dim))
+    for p, center in enumerate(centers):
+        v = w_in[center].astype(np.float64)
+        for target, label in [(contexts[p], 1.0)] + [(n, 0.0) for n in negs[p]]:
+            u = w_out[target].astype(np.float64)
+            g = lr[p] * (label - _sigmoid64(u @ v))
+            grad_in[center] += g * u
+            grad_out[target] += g * v
+    expected_in = w_in + grad_in
+    expected_out = w_out + grad_out
+
+    _block_update(w_in, w_out, centers, contexts, negs, lr,
+                  np.empty(nvocab, dtype=np.intp))
+    assert np.max(np.abs(w_in - expected_in)) < 1e-6
+    assert np.max(np.abs(w_out - expected_out)) < 1e-6
+    assert np.max(np.abs(grad_out[1])) > 1e-3  # the summed rows really moved
