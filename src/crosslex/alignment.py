@@ -1,9 +1,11 @@
 """CCA-based alignment of monolingual embedding spaces into one shared space.
 
 Each non-pivot language is fitted against the pivot through its bilingual
-lexicon; words are mapped into the pivot's original coordinate system, so
-pivot embeddings are reusable unchanged and all languages land in a single
-space anchored at the pivot.
+lexicon and kept as one affine map ``x @ W + b`` into the pivot's original
+coordinate system, so pivot embeddings are used without a map and all
+languages land in a single space anchored at the pivot. The model owns the
+preparation of its inputs: when it normalizes, every language's rows, the
+pivot's included, are scaled to unit length before anything else.
 """
 
 from __future__ import annotations
@@ -15,8 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .embedding_store import unit_rows
 from .errors import (
     ConfigurationError,
+    DimensionError,
     FormatError,
     InsufficientDataError,
     NotFoundError,
@@ -40,25 +44,24 @@ class CcaResult:
 
 @dataclass
 class LanguageMap:
-    """Affine map taking one language's vectors into the pivot space."""
+    """Affine map ``x @ W + b`` taking one language's prepared rows into
+    the shared space, with the canonical correlations of its CCA fit
+    (empty for a model read from the older four-block layout)."""
 
-    mean: np.ndarray  # centering vector in the language's own space
-    projection: np.ndarray  # d x k, into the canonical space
-    back_map: np.ndarray  # k x dim_pivot, out of the canonical space
-    pivot_mean: np.ndarray  # added after back-mapping
-
-    def apply(self, vec, normalize):
-        v = np.asarray(vec, dtype=np.float64)
-        if normalize:
-            n = np.linalg.norm(v)
-            if n > 0:
-                v = v / n
-        return (v - self.mean) @ self.projection @ self.back_map + self.pivot_mean
+    W: np.ndarray  # d x shared_dim
+    b: np.ndarray  # shared_dim
+    correlations: np.ndarray = field(default_factory=lambda: np.empty(0))
 
 
 @dataclass
 class AlignmentModel:
-    """Per-language projections into a single shared space with a pivot."""
+    """Per-language affine maps into a single shared space with a pivot.
+
+    ``normalize`` is the model's input preparation: each row is scaled to
+    unit length (in float32, before the float64 map) for every language,
+    the pivot included. ``legacy`` marks a model read from a directory
+    without the format marker, whose ``normalize`` may understate it.
+    """
 
     pivot_lang: str
     shared_dim: int
@@ -66,6 +69,7 @@ class AlignmentModel:
     kept_ratio: float
     normalize: bool
     maps: dict = field(default_factory=dict)  # language -> LanguageMap
+    legacy: bool = False
 
     @property
     def languages(self):
@@ -131,28 +135,31 @@ def fit_cca(X, Y, lam=1e-3, kept_ratio=0.8):
     )
 
 
-def _pair_matrices(src_space, tgt_space, lexicon, normalize):
-    xs, ys = [], []
-    for s, t in lexicon.pairs:
-        xs.append(src_space.vector(s))
-        ys.append(tgt_space.vector(t))
-    X = np.array(xs, dtype=np.float64)
-    Y = np.array(ys, dtype=np.float64)
-    if normalize:
-        X = X / np.linalg.norm(X, axis=1, keepdims=True)
-        Y = Y / np.linalg.norm(Y, axis=1, keepdims=True)
-    return X, Y
+def _prepare(vectors, normalize):
+    """The float64 rows a map acts on: unit rows first when ``normalize``."""
+    return (unit_rows(vectors) if normalize else vectors).astype(np.float64)
+
+
+def _fold(mean, projection, back_map, pivot_mean):
+    """``W, b`` of ``x -> (x - mean) @ projection @ back_map + pivot_mean``."""
+    W = projection @ back_map
+    return W, pivot_mean - mean @ W
 
 
 def fit_hub_alignment(spaces, lexicons, pivot, lam=1e-3, kept_ratio=0.8,
                       normalize=True):
-    """Fit one CCA per non-pivot language against the pivot and compose.
+    """Fit one CCA per non-pivot language against the pivot and fold each
+    into one affine map.
 
     Every lexicon must have src_lang == pivot and be pre-restricted to the
-    vocabularies. A non-pivot word maps to the shared space by centering,
-    projecting with its canonical projection, and back-mapping through the
-    pseudo-inverse of the pivot-side projection into the pivot's original
-    space. Pivot words keep their original vectors.
+    vocabularies. Pass the spaces as loaded: with ``normalize`` the model
+    scales every row to unit length, in every language and the pivot's
+    too, both for the lexicon pairs fitted here and in ``project`` and
+    ``project_space`` later. A non-pivot word maps to the shared space by
+    centering, projecting with its canonical projection, and back-mapping
+    through the pseudo-inverse of the pivot-side projection into the
+    pivot's original space; the three steps are folded into ``x @ W + b``
+    at fit time. Pivot words keep their prepared vectors.
     """
     if pivot not in spaces:
         raise ConfigurationError(f"pivot language {pivot!r} has no embedding space")
@@ -173,50 +180,66 @@ def fit_hub_alignment(spaces, lexicons, pivot, lam=1e-3, kept_ratio=0.8,
             raise ConfigurationError(f"no embedding space for language {lang!r}")
         if not lex.pairs:
             raise InsufficientDataError(f"empty alignment lexicon for {lang!r}")
-        X, Y = _pair_matrices(spaces[pivot], spaces[lang], lex, normalize)
+        src, tgt = spaces[pivot], spaces[lang]
+        X = _prepare(src.vectors[[src.vocab[s] for s, _ in lex.pairs]], normalize)
+        Y = _prepare(tgt.vectors[[tgt.vocab[t] for _, t in lex.pairs]], normalize)
         try:
             cca = fit_cca(X, Y, lam=lam, kept_ratio=kept_ratio)
         except (SingularityError, InsufficientDataError) as err:
             raise type(err)(f"[{lang}] {err}") from err
         back = np.linalg.pinv(cca.proj_src, rcond=_PINV_RCOND)
         model.maps[lang] = LanguageMap(
-            mean=cca.means_tgt,
-            projection=cca.proj_tgt,
-            back_map=back,
-            pivot_mean=cca.means_src,
+            *_fold(cca.means_tgt, cca.proj_tgt, back, cca.means_src),
+            correlations=cca.correlations,
         )
     return model
 
 
-def project(model, word, language, spaces):
-    """Map one word into the shared space."""
+def _language_map(model, language):
+    """The map of a non-pivot language; None for the pivot."""
     if language == model.pivot_lang:
-        space = spaces[language]
-        if word not in space.vocab:
-            raise NotFoundError(f"{word!r} not in {language} vocabulary")
-        return space.vector(word).astype(np.float64)
+        return None
     if language not in model.maps:
         raise ConfigurationError(f"language {language!r} not in alignment model")
+    return model.maps[language]
+
+
+def _shared_rows(model, language, spaces, rows):
+    """Shared-space float64 rows of ``spaces[language].vectors[rows]``:
+    prepared as the model says, then mapped unless ``language`` is the
+    pivot. A map that does not fit the space raises DimensionError."""
+    lmap = _language_map(model, language)
     space = spaces[language]
-    if word not in space.vocab:
+    takes, gives = (model.shared_dim,) * 2 if lmap is None else lmap.W.shape
+    if (takes, gives) != (space.dim, model.shared_dim):
+        raise DimensionError(
+            f"the {language} map takes {takes} dimensions to {gives}, but the "
+            f"{language} space has {space.dim} and the shared space "
+            f"{model.shared_dim}")
+    vecs = _prepare(space.vectors[rows], model.normalize)
+    if lmap is None:
+        return vecs
+    out = vecs @ lmap.W
+    out += lmap.b
+    return out
+
+
+def project(model, word, language, spaces):
+    """Map one word into the shared space: its row of ``project_space``."""
+    _language_map(model, language)  # an unknown language before an unknown word
+    row = spaces[language].vocab.get(word)
+    if row is None:
         raise NotFoundError(f"{word!r} not in {language} vocabulary")
-    return model.maps[language].apply(space.vector(word), model.normalize)
+    return _shared_rows(model, language, spaces, slice(row, row + 1))[0]
 
 
 def project_space(model, language, spaces):
-    """Shared-space matrix for a whole vocabulary, one row per word."""
-    space = spaces[language]
-    if language == model.pivot_lang:
-        return space.vectors.astype(np.float64)
-    if language not in model.maps:
-        raise ConfigurationError(f"language {language!r} not in alignment model")
-    vecs = space.vectors.astype(np.float64)
-    if model.normalize:
-        norms = np.linalg.norm(vecs, axis=1, keepdims=True)
-        norms[norms == 0] = 1.0
-        vecs = vecs / norms
-    m = model.maps[language]
-    return (vecs - m.mean) @ m.projection @ m.back_map + m.pivot_mean
+    """Shared-space matrix for a whole vocabulary, one row per word.
+
+    Rows are prepared as ``model.normalize`` says, the pivot's included,
+    and mapped by the language's ``W`` and ``b``; pivot rows are not mapped.
+    """
+    return _shared_rows(model, language, spaces, slice(None))
 
 
 def _write_matrix(fh, mat):
@@ -255,27 +278,33 @@ def _read_matrix(lines, start):
     return data, start + 1 + rows
 
 
+# The metadata marker of a model that records its own input preparation and
+# writes two blocks (W, b) per language; older models have no marker.
+_FORMAT = 2
+
+
 def save_alignment(model, dirpath):
     """Persist a model as a directory: metadata JSON + one matrix file per
-    non-pivot language (mean, projection, back-map, pivot-mean blocks)."""
+    non-pivot language (``W`` and ``b`` blocks)."""
     os.makedirs(dirpath, exist_ok=True)
     meta = {
+        "format": _FORMAT,
         "pivot_lang": model.pivot_lang,
         "shared_dim": model.shared_dim,
         "regularization": model.regularization,
         "kept_ratio": model.kept_ratio,
         "normalize": model.normalize,
         "languages": sorted(model.maps),
+        "correlations": {lang: lmap.correlations.tolist()
+                         for lang, lmap in sorted(model.maps.items())},
     }
     with open(os.path.join(dirpath, "metadata.json"), "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
     for lang, lmap in sorted(model.maps.items()):
         with open(os.path.join(dirpath, f"{lang}.mat"), "w", encoding="utf-8") as fh:
-            _write_matrix(fh, lmap.mean)
-            _write_matrix(fh, lmap.projection)
-            _write_matrix(fh, lmap.back_map)
-            _write_matrix(fh, lmap.pivot_mean)
+            _write_matrix(fh, lmap.W)
+            _write_matrix(fh, lmap.b)
 
 
 _META_KEYS = ("pivot_lang", "shared_dim", "regularization", "kept_ratio",
@@ -298,18 +327,46 @@ def _read_metadata(path):
     if not isinstance(meta["languages"], list) or not all(
             isinstance(lang, str) for lang in meta["languages"]):
         raise FormatError("metadata 'languages' must be a list of strings")
+    if meta.get("format", _FORMAT) != _FORMAT:
+        raise FormatError(f"unsupported model format {meta['format']!r}")
+    correlations = meta.get("correlations", {})
+    if not isinstance(correlations, dict) or not all(
+            isinstance(values, list)
+            and all(isinstance(x, (int, float)) for x in values)
+            for values in correlations.values()):
+        raise FormatError("metadata 'correlations' must map languages to "
+                          "lists of numbers")
     return meta
 
 
 def _read_language_map(lines):
-    """The four blocks of a ``.mat`` file, checked against each other.
-    Errors carry the line of the offending block's header."""
+    """``W, b`` of a ``.mat`` file: its two blocks, or the four blocks of
+    the older layout (mean, projection, back-map, pivot mean) folded.
+    The blocks are checked against each other; errors carry the line of
+    the offending block's header."""
     blocks, headers = [], []
     at = 0
-    for _ in range(4):
+    while at < len(lines):
         headers.append(at + 1)
         mat, at = _read_matrix(lines, at)
         blocks.append(mat)
+    if len(blocks) == 4:
+        return _fold(*_check_legacy_blocks(blocks, headers))
+    if len(blocks) != 2:
+        raise FormatError(
+            f"found {len(blocks)} matrix blocks, expected 2 (W, b) or 4",
+            headers[4] if len(blocks) > 4 else len(lines) + 1)
+    W, b = blocks
+    if b.shape[0] != 1:
+        raise FormatError(f"b block has {b.shape[0]} rows, expected 1", headers[1])
+    if b.shape[1] != W.shape[1]:
+        raise FormatError(
+            f"b block has {b.shape[1]} values, expected {W.shape[1]} "
+            "(W's columns)", headers[1])
+    return W, b[0]
+
+
+def _check_legacy_blocks(blocks, headers):
     mean, projection, back_map, pivot_mean = blocks
     for name, mat, line in (("mean", mean, headers[0]),
                             ("pivot mean", pivot_mean, headers[3])):
@@ -327,7 +384,7 @@ def _read_language_map(lines):
         raise FormatError(
             f"pivot mean block has {pivot_mean.shape[1]} values, expected "
             f"{back_map.shape[1]} (the back-map's columns)", headers[3])
-    return LanguageMap(mean[0], projection, back_map, pivot_mean[0])
+    return mean[0], projection, back_map, pivot_mean[0]
 
 
 def load_alignment(dirpath):
@@ -342,12 +399,17 @@ def load_alignment(dirpath):
         regularization=meta["regularization"],
         kept_ratio=meta["kept_ratio"],
         normalize=meta["normalize"],
+        legacy="format" not in meta,
     )
+    correlations = meta.get("correlations", {})
     for lang in meta["languages"]:
         path = os.path.join(dirpath, f"{lang}.mat")
         with in_file(path):
             # Bytes that are not UTF-8 become non-numeric cells with a line.
             with open(path, encoding="utf-8", errors="surrogateescape") as fh:
                 lines = fh.readlines()
-            model.maps[lang] = _read_language_map(lines)
+            model.maps[lang] = LanguageMap(
+                *_read_language_map(lines),
+                correlations=np.array(correlations.get(lang, []), dtype=np.float64),
+            )
     return model

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .alignment import project_space
+from .alignment import _shared_rows, project_space
 from .errors import (
     DegenerateDataError,
     DimensionError,
@@ -74,16 +74,17 @@ class Metrics:
 
 
 def featurize(doc, model, spaces, language):
-    """Mean shared-space vector of the in-vocabulary tokens of a document.
+    """Mean shared-space vector of the in-vocabulary tokens of a document;
+    only those tokens' rows are projected.
 
     Returns (vector, all_oov flag); an all-OOV document gets a zero vector.
     """
-    shared = project_space(model, language, spaces)
     vocab = spaces[language].vocab
     rows = [vocab[t] for t in doc if t in vocab]
+    shared = _shared_rows(model, language, spaces, rows)
     if not rows:
         return np.zeros(shared.shape[1]), True
-    return shared[rows].mean(axis=0), False
+    return shared.mean(axis=0), False
 
 
 def featurize_dataset(ds, model, spaces):

@@ -93,7 +93,7 @@ def _cmd_filter_corpus(args):
         [args.input, args.seeds],
         name=os.path.basename(args.output) + ".manifest.json",
     )
-    print(f"kept {len(kept)} of {len(lines)} lines")
+    print(f"kept {len(kept)} of {len(lines)} lines", file=sys.stderr)
     return EXIT_OK
 
 
@@ -117,7 +117,8 @@ def _cmd_train_embeddings(args):
         seeds={"rng_seed": sgns_cfg.rng_seed},
         name=os.path.basename(args.output) + ".manifest.json",
     )
-    print(f"trained {len(space)} x {space.dim} vectors for {args.language}")
+    print(f"trained {len(space)} x {space.dim} vectors for {args.language}",
+          file=sys.stderr)
     return EXIT_OK
 
 
@@ -126,8 +127,6 @@ def _cmd_align(args):
     acfg = cfg.section("alignment")
     pivot = args.pivot or acfg["pivot"]
     spaces = _load_spaces(args.embeddings)
-    if acfg["normalize"]:
-        spaces = {lang: s.normalized() for lang, s in spaces.items()}
     lexicons = []
     heldout = {}
     for lang, path in args.lexicon:
@@ -140,11 +139,12 @@ def _cmd_align(args):
             heldout[lang] = val
             lex = train
         lexicons.append(lex)
-        print(f"{pivot}-{lang}: {len(lex)} alignment pairs ({dropped} dropped)")
+        print(f"{pivot}-{lang}: {len(lex)} alignment pairs ({dropped} dropped)",
+              file=sys.stderr)
     model = fit_hub_alignment(
         spaces, lexicons, pivot,
         lam=acfg["lambda"], kept_ratio=acfg["kept_ratio"],
-        normalize=False,  # spaces already normalized above when requested
+        normalize=acfg["normalize"],
     )
     save_alignment(model, args.output)
     for lang, val in heldout.items():
@@ -163,11 +163,24 @@ def _cmd_align(args):
 
 
 def _load_model_and_spaces(args, cfg):
+    """The model and the spaces as loaded; the model prepares its inputs.
+
+    A run config whose ``alignment.normalize`` disagrees with the model is
+    an error. A model without the format marker may understate its
+    preparation, so it normalizes when its metadata or the config says so.
+    """
     model = load_alignment(args.model)
-    spaces = _load_spaces(args.embeddings)
-    if cfg.section("alignment")["normalize"]:
-        spaces = {lang: s.normalized() for lang, s in spaces.items()}
-    return model, spaces
+    normalize = cfg.section("alignment")["normalize"]
+    if model.legacy:
+        model.normalize = model.normalize or normalize
+        print(f"crosslex: warning: {args.model} has no format marker; "
+              f"normalize={model.normalize} taken from its metadata or "
+              "alignment.normalize", file=sys.stderr)
+    elif model.normalize != normalize:
+        raise ConfigurationError(
+            f"{args.model} was fitted with normalize={model.normalize}, "
+            f"but alignment.normalize is {normalize}")
+    return model, _load_spaces(args.embeddings)
 
 
 def _cmd_knn(args):

@@ -6,7 +6,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, text_lines
 
 _URL_RE = re.compile(r"https?://\S+|www\.\S+")
 _MENTION_RE = re.compile(r"@\w+")
@@ -65,16 +65,14 @@ def build_vocab(corpus, min_count=1):
 
 def read_lines(path):
     """Read a UTF-8 corpus file, one document per line."""
-    with open(path, encoding="utf-8") as fh:
-        return [line.rstrip("\n") for line in fh]
+    return [line.rstrip("\n") for _, line in text_lines(path)]
 
 
 def load_seed_terms(path):
     """Read a seed lexicon: one term per line, '#' comments and blanks skipped."""
     seeds = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            term = line.strip()
-            if term and not term.startswith("#"):
-                seeds.append(term)
+    for _, line in text_lines(path):
+        term = line.strip()
+        if term and not term.startswith("#"):
+            seeds.append(term)
     return seeds

@@ -11,6 +11,7 @@ from .errors import (
     DomainError,
     FormatError,
     InsufficientDataError,
+    check_utf8,
     in_file,
 )
 
@@ -54,11 +55,16 @@ class EmbeddingSpace:
         return self.vectors[self.vocab[word]]
 
     def normalized(self):
-        """Return a copy with every row scaled to unit Euclidean norm."""
-        norms = np.linalg.norm(self.vectors, axis=1, keepdims=True)
-        if np.any(norms == 0):
-            raise DomainError("cannot normalize a space containing zero vectors")
-        return EmbeddingSpace(self.language, self.words, self.vectors / norms)
+        """Return a copy with its rows passed through ``unit_rows``."""
+        return EmbeddingSpace(self.language, self.words, unit_rows(self.vectors))
+
+
+def unit_rows(mat):
+    """The rows of a 2-d matrix scaled to unit Euclidean norm, computed in
+    the matrix's own dtype; zero rows stay zero."""
+    norms = np.linalg.norm(mat, axis=1, keepdims=True)
+    norms[norms == 0] = 1
+    return mat / norms
 
 
 def load_embeddings(path, language):
@@ -88,7 +94,7 @@ def load_embeddings(path, language):
 def _read_header(fh):
     """Parse the "<vocab_count> <dim>" first line into (count, dim)."""
     header = fh.readline()
-    _check_decoded(header, 1)
+    check_utf8(header, 1)
     parts = header.split()
     if len(parts) != 2:
         raise FormatError("expected header '<vocab_count> <dim>'", 1)
@@ -101,14 +107,6 @@ def _read_header(fh):
     if dim < 1:
         raise FormatError("embedding dimension must be >= 1", 1)
     return count, dim
-
-
-def _check_decoded(line, lineno):
-    """Reject a line holding bytes that were not UTF-8 (escaped on reading)."""
-    try:
-        line.encode("utf-8")
-    except UnicodeEncodeError:
-        raise FormatError("invalid UTF-8 bytes", lineno) from None
 
 
 def _parse_bulk(fh):
@@ -171,7 +169,7 @@ def _parse_lines(path):
         lineno = 1
         for line in fh:
             lineno += 1
-            _check_decoded(line, lineno)
+            check_utf8(line, lineno)
             if not line.strip():
                 continue
             fields = line.rstrip("\n").split(" ")

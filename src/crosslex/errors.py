@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by all crosslex modules."""
+"""Exception hierarchy shared by all crosslex modules, and the checked
+readers that turn undecodable text into format errors."""
 
 import os
 from contextlib import contextmanager
@@ -35,6 +36,24 @@ def in_file(path):
         if err.path is None:
             err.path = os.fspath(path)
         raise
+
+
+def check_utf8(line, lineno):
+    """Reject a line read with ``errors="surrogateescape"`` that holds bytes
+    that were not UTF-8."""
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError:
+        raise FormatError("invalid UTF-8 bytes", lineno) from None
+
+
+def text_lines(path):
+    """Yield (1-based line number, line) of a UTF-8 text file. A line with
+    bytes that are not UTF-8 raises FormatError naming the file and line."""
+    with in_file(path), open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            check_utf8(line, lineno)
+            yield lineno, line
 
 
 class DimensionError(CrosslexError):

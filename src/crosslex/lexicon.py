@@ -13,6 +13,7 @@ from .errors import (
     InsufficientDataError,
     InsufficientOverlapError,
     in_file,
+    text_lines,
 )
 
 
@@ -61,8 +62,8 @@ def load_lexicon(path, src, tgt):
     """
     pairs = []
     multiword = 0
-    with in_file(path), open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+    with in_file(path):
+        for lineno, line in text_lines(path):
             if not line.strip() or line.startswith("#"):
                 continue
             cells = line.rstrip("\n").split("\t")

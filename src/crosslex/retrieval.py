@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .alignment import project, project_space
+from .embedding_store import unit_rows
 from .errors import ConfigurationError, InsufficientDataError
 
 
@@ -32,12 +33,6 @@ class BliResult:
 _BLOCK_ENTRIES = 1 << 19
 
 
-def _unit_rows(mat):
-    norms = np.linalg.norm(mat, axis=1, keepdims=True)
-    norms[norms == 0] = 1.0
-    return mat / norms
-
-
 def _word_rank(words):
     """Position of each word in ascending word order."""
     rank = np.empty(len(words), dtype=np.int64)
@@ -53,7 +48,7 @@ def _top_k(queries, target_unit, word_rank, k, exclude):
     against every row. Returns, per query, the chosen row indices best
     first and their scores; fewer than ``k`` when fewer rows are available.
     """
-    unit = _unit_rows(queries)
+    unit = unit_rows(queries)
     n_rows = len(target_unit)
     step = max(1, _BLOCK_ENTRIES // n_rows)
     out = []
@@ -81,7 +76,7 @@ def knn_batch(model, spaces, query_words, query_lang, target_lang, k):
         raise ConfigurationError("k must be >= 1")
     qvecs = [project(model, w, query_lang, spaces) for w in query_words]
     target_space = spaces[target_lang]
-    target_unit = _unit_rows(project_space(model, target_lang, spaces))
+    target_unit = unit_rows(project_space(model, target_lang, spaces))
     words = target_space.words
     same = query_lang == target_lang
     exclude = [target_space.vocab.get(w, -1) if same else -1 for w in query_words]

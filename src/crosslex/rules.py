@@ -15,7 +15,13 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .corpus import TokenizerConfig, tokenize
-from .errors import ConfigurationError, FormatError, InsufficientDataError, in_file
+from .errors import (
+    ConfigurationError,
+    FormatError,
+    InsufficientDataError,
+    in_file,
+    text_lines,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -66,8 +72,8 @@ def load_labeled_dataset(path, language, cfg=TokenizerConfig()):
     """
     docs = []
     dropped = 0
-    with in_file(path), open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+    with in_file(path):
+        for lineno, line in text_lines(path):
             if not line.strip():
                 continue
             cells = line.rstrip("\n").split("\t", 1)

@@ -6,15 +6,23 @@ import scipy.linalg
 
 from crosslex import (
     BilingualLexicon,
+    ClassifyConfig,
+    EmbeddingSpace,
+    alignment,
     cosine,
+    featurize,
     fit_cca,
     fit_hub_alignment,
     load_alignment,
     project,
+    project_space,
     save_alignment,
+    zero_shot_eval,
 )
+from crosslex.embedding_store import unit_rows
 from crosslex.errors import (
     ConfigurationError,
+    DimensionError,
     FormatError,
     InsufficientDataError,
     NotFoundError,
@@ -136,12 +144,17 @@ def test_identity_alignment(duplicate_space_pair):
 
 
 def test_pivot_words_unchanged(duplicate_space_pair):
+    """Pivot words get the model's preparation and no map."""
     spaces, lex = duplicate_space_pair
     model = fit_hub_alignment(spaces, [lex], "en", lam=1e-3, kept_ratio=1.0)
     word = spaces["en"].words[0]
+    row = spaces["en"].vector(word)
     assert np.array_equal(
-        project(model, word, "en", spaces), spaces["en"].vector(word)
+        project(model, word, "en", spaces), unit_rows(row[None])[0]
     )
+    raw = fit_hub_alignment(spaces, [lex], "en", lam=1e-3, kept_ratio=1.0,
+                            normalize=False)
+    assert np.array_equal(project(raw, word, "en", spaces), row)
 
 
 def test_trilingual_recovery(trilingual):
@@ -157,12 +170,21 @@ def test_trilingual_recovery(trilingual):
 
 
 def test_project_matches_matrix_chain_oracle(trilingual):
+    """The folded map gives the unfolded chain (v - mean) @ P @ B + pm,
+    rebuilt here from a CCA of the prepared lexicon pairs."""
     tri = trilingual
-    lmap = tri.model.maps["es"]
+
+    def prepared(lang, words):
+        space = tri.spaces[lang]
+        rows = space.vectors[[space.vocab[w] for w in words]]
+        return unit_rows(rows).astype(np.float64)
+
+    cca = fit_cca(prepared("en", tri.align_words),
+                  prepared("es", tri.align_words), lam=1e-3, kept_ratio=1.0)
+    back = np.linalg.pinv(cca.proj_src, rcond=alignment._PINV_RCOND)
     word = tri.val_words[3]
-    v = tri.spaces["es"].vector(word).astype(np.float64)
-    v = v / np.linalg.norm(v)
-    expected = (v - lmap.mean) @ lmap.projection @ lmap.back_map + lmap.pivot_mean
+    v = prepared("es", [word])[0]
+    expected = (v - cca.means_tgt) @ cca.proj_tgt @ back + cca.means_src
     got = project(tri.model, word, "es", tri.spaces)
     assert np.max(np.abs(got - expected)) < 1e-12
 
@@ -177,8 +199,6 @@ def test_project_errors(trilingual):
 
 def test_error_tagged_with_language():
     rng = np.random.default_rng(12)
-    from crosslex import EmbeddingSpace
-
     words = [f"w{i}" for i in range(10)]
     vecs = rng.normal(size=(10, 4))
     vecs[:, 3] = vecs[:, 0]  # rank-deficient space
@@ -191,6 +211,107 @@ def test_error_tagged_with_language():
         fit_hub_alignment(spaces, [lex], "en", lam=0.0, kept_ratio=1.0)
 
 
+def _raw_spaces(tri, seed=13):
+    """The fixture's spaces with every row scaled by its own factor."""
+    rng = np.random.default_rng(seed)
+    return {
+        lang: EmbeddingSpace(lang, space.words, space.vectors
+                             * rng.uniform(0.5, 8.0, size=(len(space), 1)))
+        for lang, space in tri.spaces.items()
+    }
+
+
+def test_model_normalizes_raw_spaces_pivot_included(trilingual_labeled):
+    """Raw spaces with normalize=True give what pre-normalized spaces give
+    with normalize=False, down to the classifier's counts."""
+    tri = trilingual_labeled
+    raw = _raw_spaces(tri)
+    prenormalized = {lang: space.normalized() for lang, space in raw.items()}
+    lexicons = [BilingualLexicon("en", lang, [(w, w) for w in tri.align_words])
+                for lang in ("es", "it")]
+    own = fit_hub_alignment(raw, lexicons, "en", lam=1e-3, kept_ratio=1.0)
+    outside = fit_hub_alignment(prenormalized, lexicons, "en", lam=1e-3,
+                                kept_ratio=1.0, normalize=False)
+    pivot_norms = np.linalg.norm(project_space(own, "en", raw), axis=1)
+    assert np.max(np.abs(pivot_norms - 1.0)) < 1e-6
+    for lang in ("en", "es", "it"):
+        assert np.array_equal(project_space(own, lang, raw),
+                              project_space(outside, lang, prenormalized))
+    cfg = ClassifyConfig(epochs=500, learning_rate=2.0, l2=1e-5)
+    for train, test in (("es", "en"), ("en", "es")):
+        got = zero_shot_eval(tri.datasets[train], tri.datasets[test], own, raw,
+                             cfg)
+        want = zero_shot_eval(tri.datasets[train], tri.datasets[test], outside,
+                              prenormalized, cfg)
+        assert got == want
+        assert got.f1 > 0.9
+
+
+def test_project_is_a_row_of_project_space(trilingual):
+    tri = trilingual
+    raw = _raw_spaces(tri)
+    for normalize in (True, False):
+        model = fit_hub_alignment(
+            raw, [BilingualLexicon("en", "es", [(w, w) for w in tri.align_words])],
+            "en", lam=1e-3, kept_ratio=1.0, normalize=normalize)
+        for lang in ("en", "es"):
+            whole = project_space(model, lang, raw)
+            for word in tri.val_words[:20]:
+                row = whole[raw[lang].vocab[word]]
+                np.testing.assert_allclose(project(model, word, lang, raw), row,
+                                           rtol=0, atol=1e-12)
+
+
+def test_featurize_projects_only_document_rows(trilingual):
+    tri = trilingual
+    doc = tri.words[3:40:3] + ["nope"] + tri.words[5:8]
+    for lang in ("en", "es"):
+        vocab = tri.spaces[lang].vocab
+        whole = project_space(tri.model, lang, tri.spaces)
+        vec, oov = featurize(doc, tri.model, tri.spaces, lang)
+        assert not oov
+        np.testing.assert_allclose(
+            vec, whole[[vocab[t] for t in doc if t in vocab]].mean(axis=0),
+            rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("lang", ["en", "xx"])
+def test_map_that_does_not_fit_the_space_names_language(duplicate_space_pair, lang):
+    spaces, lex = duplicate_space_pair
+    model = fit_hub_alignment(spaces, [lex], "en", lam=1e-3, kept_ratio=1.0)
+    narrow = dict(spaces)
+    narrow[lang] = EmbeddingSpace(lang, spaces[lang].words,
+                                  spaces[lang].vectors[:, :6])
+    word = spaces[lang].words[0]
+    with pytest.raises(DimensionError, match=f"the {lang} map takes 8 "
+                       f"dimensions to 8, but the {lang} space has 6"):
+        project(model, word, lang, narrow)
+    with pytest.raises(DimensionError, match=f"the {lang} map"):
+        project_space(model, lang, narrow)
+
+
+def test_legacy_four_block_model_loads_folded(tmp_path, trilingual):
+    """A model written before the format marker: four blocks per language
+    and no marker. It folds at load and projects like the fitted model."""
+    tri = trilingual
+    save_alignment(tri.model, tmp_path / "model")
+    meta_path = tmp_path / "model" / "metadata.json"
+    meta = json.loads(meta_path.read_text())
+    del meta["format"], meta["correlations"]
+    meta_path.write_text(json.dumps(meta))
+    for lang in ("es", "it"):
+        lmap = tri.model.maps[lang]
+        with open(tmp_path / "model" / f"{lang}.mat", "w") as fh:
+            for block in (np.zeros(50), lmap.W, np.eye(50), lmap.b):
+                alignment._write_matrix(fh, block)
+    again = load_alignment(tmp_path / "model")
+    assert again.legacy and again.normalize
+    assert len(again.maps["es"].correlations) == 0
+    for lang in ("es", "it"):
+        assert np.max(np.abs(again.maps[lang].W - tri.model.maps[lang].W)) < 1e-12
+        assert np.max(np.abs(again.maps[lang].b - tri.model.maps[lang].b)) < 1e-12
+
+
 def test_alignment_model_roundtrip(tmp_path, trilingual):
     tri = trilingual
     save_alignment(tri.model, tmp_path / "model")
@@ -201,6 +322,14 @@ def test_alignment_model_roundtrip(tmp_path, trilingual):
     a = project(tri.model, word, "it", tri.spaces)
     b = project(again, word, "it", tri.spaces)
     assert np.max(np.abs(a - b)) < 1e-6
+    assert not again.legacy
+    for lang in ("es", "it"):
+        fitted = tri.model.maps[lang].correlations
+        assert len(fitted) == 50
+        assert np.array_equal(again.maps[lang].correlations, fitted)
+    meta = json.loads((tmp_path / "model" / "metadata.json").read_text())
+    assert meta["format"] == 2 and meta["normalize"] is True
+    assert meta["correlations"]["es"] == tri.model.maps["es"].correlations.tolist()
 
 
 def _saved_mat_lines(tmp_path, trilingual):
@@ -287,8 +416,9 @@ def test_mat_consistent_blocks_load(tmp_path, trilingual):
     (tmp_path / "model" / "it.mat").write_text(
         "".join(_mat_lines((1, 6), (6, 4), (4, 6), (1, 6))))
     lmap = load_alignment(tmp_path / "model").maps["it"]
-    assert lmap.mean.shape == (6,) and lmap.pivot_mean.shape == (6,)
-    assert lmap.projection.shape == (6, 4) and lmap.back_map.shape == (4, 6)
+    mean, P, B, pm = (np.ones(shape) for shape in ((6,), (6, 4), (4, 6), (6,)))
+    assert np.array_equal(lmap.W, P @ B)
+    assert np.array_equal(lmap.b, pm - mean @ lmap.W)
 
 
 @pytest.mark.parametrize("text, message, line", [

@@ -185,15 +185,114 @@ def test_knn_mismatched_mat_blocks_exit_2(mini_pipeline_inputs, tmp_path, capsys
     emb = _aligned_model(mini_pipeline_inputs, model_dir)
     mat = model_dir / "es.mat"
     lines = mat.read_text().splitlines(keepends=True)
-    assert lines[0] == "1 10\n"
-    lines[0] = "1 5\n"  # a 1x5 mean for the 10-dimensional space
-    lines[1] = " ".join(lines[1].split()[:5]) + "\n"
+    assert lines[11] == "1 10\n"  # the b block, after the 10 x 10 W block
+    lines[11] = "1 5\n"  # a 1x5 offset for the 10-dimensional space
+    lines[12] = " ".join(lines[12].split()[:5]) + "\n"
     mat.write_text("".join(lines))
     capsys.readouterr()
     assert _knn(model_dir, emb) == 2
     err = capsys.readouterr().err
-    assert (f"{mat}: projection block has 10 rows, expected 5 (the mean's "
-            "length) (line 3)") in err
+    assert f"{mat}: b block has 5 values, expected 10 (W's columns) (line 12)" in err
+
+
+def test_knn_map_that_does_not_fit_the_space_exits_2(mini_pipeline_inputs,
+                                                     tmp_path, capsys):
+    model_dir = tmp_path / "model"
+    emb = _aligned_model(mini_pipeline_inputs, model_dir)
+    # Blocks that agree with each other: a 5 x 10 W and a 1 x 10 b.
+    (model_dir / "es.mat").write_text(
+        "5 10\n" + "0.1 " * 9 + "0.1\n" + ("0.0 " * 9 + "0.0\n") * 4
+        + "1 10\n" + "0.0 " * 9 + "0.0\n")
+    capsys.readouterr()
+    assert _knn(model_dir, emb) == 2
+    err = capsys.readouterr().err
+    assert ("the es map takes 5 dimensions to 10, but the es space has 10 "
+            "and the shared space 10") in err
+    assert "Traceback" not in err
+
+
+def test_align_records_preparation_and_config_must_agree(mini_pipeline_inputs,
+                                                         tmp_path, capsys):
+    model_dir = tmp_path / "model"
+    emb = _aligned_model(mini_pipeline_inputs, model_dir)
+    meta = json.loads((model_dir / "metadata.json").read_text())
+    assert meta["format"] == 2 and meta["normalize"] is True
+    assert len(meta["correlations"]["es"]) == 8  # ceil(0.8 * 10) directions
+    capsys.readouterr()
+    assert main([
+        "knn", "--model", str(model_dir), *emb, "--word", "en3", "--lang", "en",
+        "--target", "es", "--set", "alignment.normalize=false",
+    ]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (f"{model_dir} was fitted with normalize=True, but "
+            "alignment.normalize is False") in captured.err
+
+
+def test_legacy_model_normalizes_by_metadata_or_config(mini_pipeline_inputs,
+                                                       tmp_path, capsys):
+    from crosslex.alignment import _write_matrix, load_alignment
+
+    model_dir = tmp_path / "model"
+    emb = _aligned_model(mini_pipeline_inputs, model_dir)
+    knn_out = tmp_path / "knn.jsonl"
+    argv = ["knn", "--model", str(model_dir), *emb, "--word", "en3",
+            "--lang", "en", "--target", "es", "--k", "5",
+            "--output", str(knn_out)]
+    assert main(argv) == 0
+    expected = knn_out.read_text()
+    # The same map in the older layout: four blocks per language, no format
+    # marker, and "normalize": false, as align wrote when it normalized the
+    # spaces itself.
+    lmap = load_alignment(model_dir).maps["es"]
+    with open(model_dir / "es.mat", "w", encoding="utf-8") as fh:
+        for block in (np.zeros(10), lmap.W, np.eye(10), lmap.b):
+            _write_matrix(fh, block)
+    meta_path = model_dir / "metadata.json"
+    meta = json.loads(meta_path.read_text())
+    del meta["format"], meta["correlations"]
+    meta["normalize"] = False
+    meta_path.write_text(json.dumps(meta))
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert knn_out.read_text() == expected
+    err = capsys.readouterr().err
+    assert err.count("warning") == 1
+    assert f"{model_dir} has no format marker; normalize=True" in err
+
+
+def test_diagnostics_go_to_stderr(mini_pipeline_inputs, tmp_path, capsys):
+    corpus = tmp_path / "c.txt"
+    corpus.write_text("keep a b c\nskip d e\n" * 10)
+    seeds = tmp_path / "s.txt"
+    seeds.write_text("keep\n")
+    filtered = tmp_path / "filtered.txt"
+    capsys.readouterr()
+    assert main(["filter-corpus", "--input", str(corpus), "--seeds", str(seeds),
+                 "--output", str(filtered)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "" and "kept 10 of 20 lines" in captured.err
+    assert main(["train-embeddings", "--corpus", str(filtered), "--language",
+                 "en", "--set", "sgns.dim=4", "--set", "sgns.min_count=1",
+                 "--set", "sgns.epochs=1",
+                 "--output", str(tmp_path / "trained" / "en.vec")]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "" and "trained 4 x 4 vectors" in captured.err
+    _aligned_model(mini_pipeline_inputs, tmp_path / "model")
+    captured = capsys.readouterr()
+    assert captured.out == "" and "en-es: 60 alignment pairs" in captured.err
+
+
+def test_filter_corpus_invalid_utf8_exits_2_with_line(tmp_path, capsys):
+    corpus = tmp_path / "c.txt"
+    corpus.write_bytes(b"keep me\nkeep caf\xe9\n")
+    seeds = tmp_path / "s.txt"
+    seeds.write_text("keep\n")
+    assert main(["filter-corpus", "--input", str(corpus), "--seeds", str(seeds),
+                 "--output", str(tmp_path / "f.txt")]) == 2
+    err = capsys.readouterr().err
+    assert f"{corpus}: invalid UTF-8 bytes (line 2)" in err
+    assert "Traceback" not in err
 
 
 def test_sgns_workers_key_is_gone(tmp_path, capsys):

@@ -3,9 +3,16 @@ from collections import Counter
 
 import pytest
 
-from crosslex import TokenizerConfig, build_vocab, filter_corpus, tokenize
-from crosslex.corpus import load_seed_terms
-from crosslex.errors import ConfigurationError
+from crosslex import (
+    TokenizerConfig,
+    build_vocab,
+    filter_corpus,
+    load_labeled_dataset,
+    load_lexicon,
+    tokenize,
+)
+from crosslex.corpus import load_seed_terms, read_lines
+from crosslex.errors import ConfigurationError, FormatError
 
 
 def test_tokenize_lowercase():
@@ -92,3 +99,18 @@ def test_load_seed_terms(tmp_path):
     path = tmp_path / "seeds.txt"
     path.write_text("# comment\nfoo\n\nbar\n")
     assert load_seed_terms(path) == ["foo", "bar"]
+
+
+@pytest.mark.parametrize("load, first_line", [
+    (read_lines, b"a document\n"),
+    (load_seed_terms, b"# seeds\n"),
+    (lambda path: load_labeled_dataset(path, "en"), b"1\tsome text\n"),
+    (lambda path: load_lexicon(path, "en", "es"), b"dog\tperro\n"),
+])
+def test_invalid_utf8_names_file_and_line(tmp_path, load, first_line):
+    path = tmp_path / "input.txt"
+    path.write_bytes(first_line + b"\n" + first_line + b"caf\xe9\n" + first_line)
+    with pytest.raises(FormatError) as exc:
+        load(path)
+    assert exc.value.line_number == 4
+    assert str(exc.value) == f"{path}: invalid UTF-8 bytes (line 4)"

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from crosslex import EmbeddingSpace, cosine, load_embeddings, save_embeddings
 from crosslex import embedding_store
+from crosslex.embedding_store import unit_rows
 from crosslex.cli import main
 from crosslex.errors import (
     CrosslexError,
@@ -375,6 +376,22 @@ def test_normalized_rows_unit():
     space = EmbeddingSpace("en", ["a", "b", "c"], rng.normal(size=(3, 5)))
     norms = np.linalg.norm(space.normalized().vectors, axis=1)
     assert np.max(np.abs(norms - 1.0)) < 1e-6
+
+
+def test_unit_rows_keeps_dtype_and_zero_rows():
+    rng = np.random.default_rng(3)
+    mat = rng.normal(size=(40, 7)).astype(np.float32) * 5
+    mat[4] = 0
+    unit = unit_rows(mat)
+    assert unit.dtype == np.float32
+    assert np.all(unit[4] == 0)
+    norms = np.linalg.norm(np.delete(unit, 4, axis=0), axis=1)
+    assert np.max(np.abs(norms - 1.0)) < 1e-6
+    # A row comes out the same alone as inside the whole matrix.
+    for i in (0, 4, 39):
+        assert np.array_equal(unit_rows(mat[i:i + 1])[0], unit[i])
+    assert np.array_equal(unit_rows(mat[[3, 9, 3]]), unit[[3, 9, 3]])
+    assert unit_rows(mat.astype(np.float64)).dtype == np.float64
 
 
 def test_cosine_values():

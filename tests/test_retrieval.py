@@ -40,7 +40,7 @@ def test_top_k_matches_scalar_oracle(seed, monkeypatch):
     tied = rng.choice(n_words, size=11, replace=False)
     target[tied[1:9]] = target[tied[0]]
     target[tied[10]] = target[tied[9]]
-    target_unit = retrieval._unit_rows(target)
+    target_unit = retrieval.unit_rows(target)
     queries = np.vstack([
         rng.normal(size=(6, dim)),
         target[tied[[0, 0, 9]]],  # the tie groups rank first
