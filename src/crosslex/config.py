@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigurationError
@@ -70,11 +71,16 @@ def _parse_value(section, key, raw):
                 f"[{section}] {key}: expected a boolean, got {raw!r}"
             ) from None
     try:
-        return kind(raw)
+        value = kind(raw)
     except (TypeError, ValueError):
         raise ConfigurationError(
             f"[{section}] {key}: expected {kind.__name__}, got {raw!r}"
         ) from None
+    if kind is float and not math.isfinite(value):
+        raise ConfigurationError(
+            f"[{section}] {key}: expected a finite number, got {raw!r}"
+        )
+    return value
 
 
 @dataclass

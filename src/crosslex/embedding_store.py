@@ -113,10 +113,12 @@ def _parse_bulk(fh):
     """(words, vectors, duplicates) of a well-formed file.
 
     In a well-formed file each row is the word and its components joined
-    by single spaces. loadtxt parses all the numbers at once and checks
-    that every row has the same number of columns; the word column goes
-    through a converter that collects the words. A ValueError means that
-    the per-line scan must read the file.
+    by single spaces; when the first row ends in a space, as fastText
+    writes them, every row does. loadtxt parses all the numbers at once
+    and checks that every row has the same number of columns; the word
+    column goes through a converter that collects the words, and the empty
+    column after a trailing space through one that refuses anything else.
+    A ValueError means that the per-line scan must read the file.
     """
     count, dim = _read_header(fh)
     start = fh.tell()
@@ -126,6 +128,7 @@ def _parse_bulk(fh):
     if not line:  # no rows: loadtxt would warn, the scan raises
         raise ValueError("no rows")
     fh.seek(start)
+    trailing = line.rstrip("\n").endswith(" ")
     words = []
 
     def word(field):
@@ -134,13 +137,21 @@ def _parse_bulk(fh):
         words.append(field)
         return 0.0
 
+    def empty(field):
+        if field:
+            raise ValueError("a component after the trailing space")
+        return 0.0
+
+    converters = {0: word}
+    if trailing:
+        converters[dim + 1] = empty
     # encoding="utf-8": before numpy 2.0 the default ("bytes") hands the
     # converter latin1-encoded bytes instead of str.
     table = np.loadtxt(fh, dtype=np.float32, delimiter=" ", comments=None,
-                       converters={0: word}, ndmin=2, encoding="utf-8")
-    if table.shape != (count, dim + 1) or len(words) != count:
+                       converters=converters, ndmin=2, encoding="utf-8")
+    if table.shape != (count, dim + 1 + trailing) or len(words) != count:
         raise ValueError("row or column count differs from the header")
-    vectors = np.ascontiguousarray(table[:, 1:])
+    vectors = np.ascontiguousarray(table[:, 1:dim + 1])
     del table  # before the norm's temporary, to keep the peak at two matrices
     if not np.all(np.linalg.norm(vectors, axis=1) > 0):
         raise ValueError("all-zero row")

@@ -6,20 +6,29 @@ from the unigram distribution raised to the 3/4 power.
 
 Each epoch first draws, with whole-array operations, which tokens survive
 frequent-word subsampling and one window size per kept token. The kept
-tokens are then walked in blocks of ``_BLOCK_CENTERS`` center positions,
-with minibatch SGD in the word2vec form (Mikolov et al., 2013). A block
-builds its (center, context) pairs with one broadcast over the window
-offsets and draws ``negatives`` noise words per pair. It scores every pair
+tokens are then walked in superblocks of ``_SUPER_BLOCKS`` blocks of
+``_BLOCK_CENTERS`` center positions. What does not depend on the weights
+is done once per superblock: its (center, context) pairs come from one
+broadcast over the window offsets, and one call each gives their learning
+rates, their ``negatives`` noise words and their word ids. One
+``searchsorted`` on the center positions then cuts these arrays at the
+block boundaries. The gradient steps stay per block, with minibatch SGD in
+the word2vec form (Mikolov et al., 2013). A block scores every pair
 against the weights as they were before the block, gathers the pair
 gradients into one (distinct targets x distinct centers) matrix with one
 scalar scatter-add, and updates each weight matrix with one product over
-its distinct rows, so repeated words have their gradients summed. Every
-array with a pair or negative axis is sized to a block, never to the
-epoch.
-"""
+its distinct rows, so repeated words have their gradients summed. The
+block step works in arrays allocated once per training run.
 
+The superblocks change no number: ``Generator.random`` fills in C order,
+so one draw of (P1 + P2, k) noise values is the draws of (P1, k) and then
+(P2, k), and a block with no pairs draws nothing. The vectors are those of
+drawing and updating block by block. Every array with a pair or negative
+axis is sized to a superblock, never to the epoch.
+"""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +42,10 @@ _LR_FLOOR_FACTOR = 1e-4
 # Larger blocks spend less Python time per token, but update from staler
 # weights and hold more target rows at once.
 _BLOCK_CENTERS = 32
+# Blocks per superblock, whose pairs, learning rates and noise words are
+# drawn in one call each; the arrays hold about 2 * window * (negatives + 2)
+# numbers per center, a few hundred kB for 1024 centers at the defaults.
+_SUPER_BLOCKS = 32
 
 
 @dataclass(frozen=True)
@@ -55,12 +68,12 @@ class SgnsConfig:
             raise ConfigurationError("negatives must be >= 1")
         if self.epochs < 1:
             raise ConfigurationError("epochs must be >= 1")
-        if self.learning_rate <= 0:
-            raise ConfigurationError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigurationError("learning_rate must be positive and finite")
         if self.min_count < 1:
             raise ConfigurationError("min_count must be >= 1")
-        if self.subsample_t < 0:
-            raise ConfigurationError("subsample_t must be >= 0")
+        if not (math.isfinite(self.subsample_t) and self.subsample_t >= 0):
+            raise ConfigurationError("subsample_t must be finite and >= 0")
 
 
 def _sigmoid(x):
@@ -109,27 +122,58 @@ def _distinct(ids, slot):
     return flat[is_last], (np.cumsum(is_last) - 1)[last].reshape(ids.shape)
 
 
-def _block_update(w_in, w_out, centers, contexts, negs, lr, slot):
+class _Workspace:
+    """The arrays ``_block_update`` works in, sized to the largest block.
+
+    A block has at most ``_BLOCK_CENTERS`` distinct centers and
+    ``_BLOCK_CENTERS * 2 * window`` pairs, each with ``1 + negatives``
+    targets. Allocating these arrays once keeps the per-block gathers and
+    products (a few hundred rows of ``dim`` floats) off the allocator,
+    which hands arrays of more than 128 KiB to mmap under glibc's
+    ``MALLOC_MMAP_THRESHOLD_`` setting of that size.
+    """
+
+    def __init__(self, nvocab, dim, window, negatives, dtype=np.float32):
+        rows = min(nvocab, _BLOCK_CENTERS * 2 * window * (1 + negatives))
+        cols = min(nvocab, _BLOCK_CENTERS)
+        self.slot = np.empty(nvocab, dtype=np.intp)  # scratch of _distinct
+        self.u = np.empty((rows, dim), dtype=dtype)
+        self.du = np.empty((rows, dim), dtype=dtype)
+        self.v = np.empty((cols, dim), dtype=dtype)
+        self.dv = np.empty((cols, dim), dtype=dtype)
+        self.coef = np.empty(rows * cols, dtype=dtype)
+
+
+def _block_update(w_in, w_out, centers, contexts, negs, lr, work):
     """One minibatch step over pairs of word ids, in place.
 
     Pair p pulls ``w_out[contexts[p]]`` towards ``w_in[centers[p]]`` and
     pushes the ``w_out`` rows of its ``negs[p]`` away, at rate ``lr[p]``.
     Every gradient is taken against the weights from before the call, and
-    the gradients of repeated words are summed.
+    the gradients of repeated words are summed. ``work`` is a
+    ``_Workspace`` for the weights' shape and dtype.
     """
     targets = np.concatenate([contexts[:, None], negs], axis=1)
-    rows, t = _distinct(targets, slot)
-    cols, c = _distinct(centers[:, None], slot)
-    u = w_out[rows]
-    v = w_in[cols]
-    g = -_sigmoid((u @ v.T)[t, c])
+    rows, t = _distinct(targets, work.slot)
+    cols, c = _distinct(centers[:, None], work.slot)
+    # mode="clip" (the ids are in range) lets take write straight into out
+    u = np.take(w_out, rows, axis=0, out=work.u[:len(rows)], mode="clip")
+    v = np.take(w_in, cols, axis=0, out=work.v[:len(cols)], mode="clip")
+    coef = work.coef[:len(rows) * len(cols)].reshape(len(rows), len(cols))
+    g = -_sigmoid(np.matmul(u, v.T, out=coef)[t, c])
     g[:, 0] += 1.0
     g *= lr[:, None]
     # coef[i, j]: summed gradient weight between target row i and center j
-    coef = np.zeros((len(rows), len(cols)), dtype=w_out.dtype)
+    coef.fill(0)
     np.add.at(coef.reshape(-1), (t * len(cols) + c).ravel(), g.ravel())
-    w_out[rows] += coef @ v
-    w_in[cols] += coef.T @ u
+    du = np.matmul(coef, v, out=work.du[:len(rows)])
+    dv = np.matmul(coef.T, u, out=work.dv[:len(cols)])
+    # u and v are still the rows of w_out and w_in, so these are the
+    # take, add and put of ``w_out[rows] += du`` and ``w_in[cols] += dv``.
+    u += du
+    w_out[rows] = u
+    v += dv
+    w_in[cols] = v
 
 
 def train_sgns(corpus, cfg):
@@ -180,22 +224,28 @@ def train_sgns(corpus, cfg):
     # Subsampling keeps token positions, so each kept id keeps its sentence.
     positions = np.arange(len(tokens), dtype=np.int32)
     token_keep = None if keep_prob is None else keep_prob[tokens]
-    slot = np.empty(nvocab, dtype=np.intp)
+    work = _Workspace(nvocab, cfg.dim, cfg.window, cfg.negatives)
+    span = _BLOCK_CENTERS * _SUPER_BLOCKS
     done = 0  # centers of earlier epochs, for the linear LR decay
     for _ in range(cfg.epochs):
         kept = subsample(positions, token_keep, rng)
         ids, sent = tokens[kept], sentence[kept]
         del kept
         win = rng.integers(1, cfg.window + 1, size=len(ids), dtype=np.int32)
-        for lo in range(0, len(ids), _BLOCK_CENTERS):
-            c, x = _block_pairs(ids, sent, win, lo,
-                                min(lo + _BLOCK_CENTERS, len(ids)), cfg.window)
-            if not len(c):
-                continue
+        for lo in range(0, len(ids), span):
+            hi = min(lo + span, len(ids))
+            c, x = _block_pairs(ids, sent, win, lo, hi, cfg.window)
             lr = np.maximum(lr0 * (1.0 - (done + c + 1) / total_tokens),
                             lr0 * _LR_FLOOR_FACTOR).astype(np.float32)
             negs = np.searchsorted(noise_cdf, rng.random((len(c), cfg.negatives)))
-            _block_update(w_in, w_out, ids[c], ids[x], negs, lr, slot)
+            centers, contexts = ids[c], ids[x]
+            # pair index of each block's first pair, and the end
+            cuts = np.searchsorted(c, range(lo, hi, _BLOCK_CENTERS)).tolist()
+            cuts.append(len(c))
+            for a, b in zip(cuts, cuts[1:]):
+                if a < b:
+                    _block_update(w_in, w_out, centers[a:b], contexts[a:b],
+                                  negs[a:b], lr[a:b], work)
         done += len(ids)
 
     return EmbeddingSpace(language="", words=words, vectors=w_in)

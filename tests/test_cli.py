@@ -309,6 +309,26 @@ def test_sgns_workers_key_is_gone(tmp_path, capsys):
     assert not (tmp_path / "en.vec").exists()
 
 
+@pytest.mark.parametrize("section,key,raw", [
+    ("sgns", "learning_rate", "nan"),
+    ("sgns", "learning_rate", "inf"),
+    ("sgns", "subsample_t", "nan"),
+    ("alignment", "lambda", "-inf"),
+])
+def test_non_finite_float_key_exits_1(tmp_path, capsys, section, key, raw):
+    corpus = tmp_path / "c.txt"
+    corpus.write_text("a b c d\n" * 10)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[{section}]\n{key} = {raw}\n")
+    code = main([
+        "train-embeddings", "--config", str(cfg), "--corpus", str(corpus),
+        "--language", "en", "--output", str(tmp_path / "en.vec"),
+    ])
+    assert code == 1
+    assert f"[{section}] {key}: expected a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "en.vec").exists()
+
+
 def test_bli_detailed_matches_knn(mini_pipeline_inputs, tmp_path):
     inp = mini_pipeline_inputs
     model_dir = tmp_path / "model"

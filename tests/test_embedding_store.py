@@ -172,6 +172,11 @@ BULK_CASES = {
         "d 0.1234565 -0.1234565 16777217\n"
     ),
     "dim one": "2 1\na 1\nb -2\n",
+    "trailing space on every row": "2 2\na 1 0 \nb 0 1 \n",
+    "trailing space crlf": "2 2\r\na 1 0 \r\nb 0 1 \r\n",
+    "trailing space, no final newline": "2 2\na 1 0 \nb 0 1 ",
+    "trailing space, empty lines": "2 2\n\na 1 0 \n\nb 0 1 \n\n",
+    "trailing space, dim one": "3 1\na 1 \nb -2 \na 5 \n",
 }
 
 # Files the one-call parse refuses: the per-line scan reads or rejects them.
@@ -180,10 +185,12 @@ SCAN_CASES = {
     "double spaces": "2 2\na  1 0\nb 0  1\n",
     "leading space": "2 2\n a 1 0\nb 0 1\n",
     "leading space on every row": "2 2\n 1 0\n 0 1\n",
-    "trailing space on every row": "2 2\na 1 0 \nb 0 1 \n",
-    "trailing space crlf": "2 2\r\na 1 0 \r\nb 0 1 \r\n",
     "two trailing spaces": "2 2\na 1 0  \nb 0 1  \n",
     "mixed trailing spaces": "2 2\na 1 0 \nb 0 1\n",
+    "trailing spaces from the second row": "2 2\na 1 0\nb 0 1 \nc 1 1 \n",
+    "number after the trailing space column": "3 2\na 1 0 \nb 0 1 5\nc 1 1 \n",
+    "extra column with trailing space": "2 2\na 1 0 \nb 0 1 5 \n",
+    "trailing space, missing column": "2 2\na 1 0 \nb 0 \n",
     "tab inside a number": "2 2\na 1\t0 5\nb 0 1\n",
     "missing column": "2 2\na 1\nb 0 1\n",
     "extra column": "2 2\na 1 0\nb 0 1 5\n",

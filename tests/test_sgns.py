@@ -2,8 +2,18 @@ import numpy as np
 import pytest
 
 from crosslex import SgnsConfig, build_vocab, cosine, train_sgns
-from crosslex.errors import InsufficientDataError
-from crosslex.sgns import _BLOCK_CENTERS, _block_pairs, _block_update, subsample
+from crosslex.errors import ConfigurationError, InsufficientDataError
+from crosslex.sgns import (
+    _BLOCK_CENTERS,
+    _LR_FLOOR_FACTOR,
+    _SUPER_BLOCKS,
+    _Workspace,
+    _block_pairs,
+    _block_update,
+    _distinct,
+    _sigmoid,
+    subsample,
+)
 
 from conftest import planted_pair_corpus
 
@@ -28,6 +38,14 @@ def test_min_count_filters_vocab():
 def test_single_word_vocab_error():
     with pytest.raises(InsufficientDataError):
         train_sgns([["only", "only", "only"]], FAST)
+
+
+@pytest.mark.parametrize("field", ["learning_rate", "subsample_t"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_rates_rejected(field, value):
+    cfg = SgnsConfig(dim=8, min_count=1, **{field: value})
+    with pytest.raises(ConfigurationError, match=field):
+        train_sgns([["a", "b", "a", "c"]], cfg)
 
 
 def test_deterministic_rerun():
@@ -156,7 +174,141 @@ def test_block_update_sums_scalar_pair_gradients():
     expected_out = w_out + grad_out
 
     _block_update(w_in, w_out, centers, contexts, negs, lr,
-                  np.empty(nvocab, dtype=np.intp))
+                  _Workspace(nvocab, dim, window=1, negatives=3))
     assert np.max(np.abs(w_in - expected_in)) < 1e-6
     assert np.max(np.abs(w_out - expected_out)) < 1e-6
     assert np.max(np.abs(grad_out[1])) > 1e-3  # the summed rows really moved
+
+
+def _allocating_block_update(w_in, w_out, centers, contexts, negs, lr):
+    """The block step as one expression per array, each result freshly
+    allocated. The row and column orders set the order of the sums, so
+    they come from ``_distinct`` as in the trainer."""
+    targets = np.concatenate([contexts[:, None], negs], axis=1)
+    slot = np.empty(len(w_out), dtype=np.intp)
+    rows, t = _distinct(targets, slot)
+    cols, c = _distinct(centers[:, None], slot)
+    u = w_out[rows]
+    v = w_in[cols]
+    g = -_sigmoid((u @ v.T)[t, c])
+    g[:, 0] += 1.0
+    g *= lr[:, None]
+    coef = np.zeros((len(rows), len(cols)), dtype=w_out.dtype)
+    np.add.at(coef.reshape(-1), (t * len(cols) + c).ravel(), g.ravel())
+    w_out[rows] += coef @ v
+    w_in[cols] += coef.T @ u
+
+
+def test_workspace_block_update_equals_allocating_expression():
+    rng = np.random.default_rng(11)
+    nvocab, dim, window, negatives = 3000, 100, 5, 5
+    w_in = (rng.normal(size=(nvocab, dim)) * 0.3).astype(np.float32)
+    w_out = (rng.normal(size=(nvocab, dim)) * 0.3).astype(np.float32)
+    expect_in, expect_out = w_in.copy(), w_out.copy()
+    work = _Workspace(nvocab, dim, window, negatives)
+    # A full block first, then a smaller one that reuses the stale arrays.
+    for npairs in (_BLOCK_CENTERS * 2 * window, 37):
+        centers = rng.choice(nvocab, size=_BLOCK_CENTERS)[
+            rng.integers(0, _BLOCK_CENTERS, size=npairs)]
+        contexts = rng.integers(0, nvocab, size=npairs)
+        negs = rng.integers(0, nvocab, size=(npairs, negatives))
+        lr = rng.uniform(0.001, 0.05, size=npairs).astype(np.float32)
+        if npairs > 37:
+            assert len(np.unique(np.concatenate([contexts, negs.ravel()]))) > 330
+        _allocating_block_update(expect_in, expect_out, centers, contexts,
+                                 negs, lr)
+        _block_update(w_in, w_out, centers, contexts, negs, lr, work)
+        assert np.array_equal(w_in, expect_in)
+        assert np.array_equal(w_out, expect_out)
+
+
+def _per_block_reference(corpus, cfg):
+    """``train_sgns`` as it ran before superblocks: pairs, rates and noise
+    drawn for each block of ``_BLOCK_CENTERS`` centers just before its
+    step. Returns (words, vectors)."""
+    vocab = build_vocab(corpus, cfg.min_count)
+    words = sorted(vocab, key=lambda w: (-vocab[w], w))
+    index = {w: i for i, w in enumerate(words)}
+    counts = np.array([vocab[w] for w in words], dtype=np.float64)
+    tokens = np.array([index.get(t, -1) for doc in corpus for t in doc],
+                      dtype=np.int32)
+    sentence = np.repeat(np.arange(len(corpus), dtype=np.int32),
+                         [len(doc) for doc in corpus])
+    tokens, sentence = tokens[tokens >= 0], sentence[tokens >= 0]
+    noise = counts ** 0.75
+    noise_cdf = np.cumsum(noise / noise.sum())
+    noise_cdf[-1] = 1.0
+    keep_prob = None
+    if cfg.subsample_t > 0:
+        keep_prob = np.minimum(1.0, np.sqrt(cfg.subsample_t / (counts / counts.sum())))
+    rng = np.random.default_rng(cfg.rng_seed)
+    nvocab = len(words)
+    w_in = ((rng.random((nvocab, cfg.dim)) - 0.5) / cfg.dim).astype(np.float32)
+    w_out = np.zeros((nvocab, cfg.dim), dtype=np.float32)
+    lr0 = cfg.learning_rate
+    total_tokens = cfg.epochs * len(tokens)
+    positions = np.arange(len(tokens), dtype=np.int32)
+    token_keep = None if keep_prob is None else keep_prob[tokens]
+    work = _Workspace(nvocab, cfg.dim, cfg.window, cfg.negatives)
+    done = 0
+    for _ in range(cfg.epochs):
+        kept = subsample(positions, token_keep, rng)
+        ids, sent = tokens[kept], sentence[kept]
+        win = rng.integers(1, cfg.window + 1, size=len(ids), dtype=np.int32)
+        for lo in range(0, len(ids), _BLOCK_CENTERS):
+            c, x = _block_pairs(ids, sent, win, lo,
+                                min(lo + _BLOCK_CENTERS, len(ids)), cfg.window)
+            if not len(c):
+                continue
+            lr = np.maximum(lr0 * (1.0 - (done + c + 1) / total_tokens),
+                            lr0 * _LR_FLOOR_FACTOR).astype(np.float32)
+            negs = np.searchsorted(noise_cdf, rng.random((len(c), cfg.negatives)))
+            _block_update(w_in, w_out, ids[c], ids[x], negs, lr, work)
+        done += len(ids)
+    return words, w_in
+
+
+def _oracle_corpora():
+    rng = np.random.default_rng(5)
+    p = 1.0 / np.arange(1, 61) ** 1.1
+    p /= p.sum()
+
+    def text(n_lines, max_len):
+        return [[f"w{i}" for i in rng.choice(60, size=rng.integers(1, max_len + 1), p=p)]
+                for _ in range(n_lines)]
+
+    # Under one superblock, every sentence shorter than a window of 5.
+    short = text(150, 4)
+    # More than one superblock; with subsample_t = 0 an epoch of 3001 kept
+    # tokens is a multiple of neither block size.
+    long = text(299, 19)
+    long.append(["w0"] * (3001 - sum(map(len, long))))
+    # Over a superblock of single-word and then repeated-word sentences
+    # first: whole blocks, and a whole superblock, without pairs.
+    pairless = ([[f"w{i % 60}"] for i in range(1100)] + [["w7"] * 70]
+                + [["w3", "w3"]] * 20 + text(120, 12))
+    return {"short": short, "long": long, "pairless": pairless}
+
+
+_CORPORA = _oracle_corpora()
+
+
+def test_oracle_corpora_cover_the_edges():
+    assert sum(map(len, _CORPORA["short"])) < _BLOCK_CENTERS * _SUPER_BLOCKS
+    assert max(map(len, _CORPORA["short"])) < 5
+    n_long = sum(map(len, _CORPORA["long"]))
+    assert n_long % _BLOCK_CENTERS and n_long % (_BLOCK_CENTERS * _SUPER_BLOCKS)
+    assert n_long > _BLOCK_CENTERS * _SUPER_BLOCKS
+
+
+@pytest.mark.parametrize("corpus", sorted(_CORPORA))
+@pytest.mark.parametrize("subsample_t", [0.0, 1e-2])
+@pytest.mark.parametrize("window,negatives", [(1, 1), (1, 5), (5, 1), (5, 5)])
+def test_superblocks_equal_per_block_training(corpus, subsample_t, window,
+                                              negatives):
+    cfg = SgnsConfig(dim=12, window=window, negatives=negatives, epochs=2,
+                     min_count=1, subsample_t=subsample_t, rng_seed=4)
+    words, vectors = _per_block_reference(_CORPORA[corpus], cfg)
+    space = train_sgns(_CORPORA[corpus], cfg)
+    assert space.words == words
+    assert np.array_equal(space.vectors, vectors)
