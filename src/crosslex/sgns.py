@@ -17,8 +17,7 @@ the word2vec form (Mikolov et al., 2013). A block scores every pair
 against the weights as they were before the block, gathers the pair
 gradients into one (distinct targets x distinct centers) matrix with one
 scalar scatter-add, and updates each weight matrix with one product over
-its distinct rows, so repeated words have their gradients summed. The
-block step works in arrays allocated once per training run.
+its distinct rows, so repeated words have their gradients summed.
 
 The superblocks change no number: ``Generator.random`` fills in C order,
 so one draw of (P1 + P2, k) noise values is the draws of (P1, k) and then
@@ -26,6 +25,7 @@ so one draw of (P1 + P2, k) noise values is the draws of (P1, k) and then
 drawing and updating block by block. Every array with a pair or negative
 axis is sized to a superblock, never to the epoch.
 """
+
 from __future__ import annotations
 
 import math
@@ -43,8 +43,8 @@ _LR_FLOOR_FACTOR = 1e-4
 # weights and hold more target rows at once.
 _BLOCK_CENTERS = 32
 # Blocks per superblock, whose pairs, learning rates and noise words are
-# drawn in one call each; the arrays hold about 2 * window * (negatives + 2)
-# numbers per center, a few hundred kB for 1024 centers at the defaults.
+# drawn in one call each. Their arrays take about 8 * (2 * negatives + 6)
+# bytes per pair, under 1 MB for 1024 centers at the defaults.
 _SUPER_BLOCKS = 32
 
 
@@ -122,58 +122,27 @@ def _distinct(ids, slot):
     return flat[is_last], (np.cumsum(is_last) - 1)[last].reshape(ids.shape)
 
 
-class _Workspace:
-    """The arrays ``_block_update`` works in, sized to the largest block.
-
-    A block has at most ``_BLOCK_CENTERS`` distinct centers and
-    ``_BLOCK_CENTERS * 2 * window`` pairs, each with ``1 + negatives``
-    targets. Allocating these arrays once keeps the per-block gathers and
-    products (a few hundred rows of ``dim`` floats) off the allocator,
-    which hands arrays of more than 128 KiB to mmap under glibc's
-    ``MALLOC_MMAP_THRESHOLD_`` setting of that size.
-    """
-
-    def __init__(self, nvocab, dim, window, negatives, dtype=np.float32):
-        rows = min(nvocab, _BLOCK_CENTERS * 2 * window * (1 + negatives))
-        cols = min(nvocab, _BLOCK_CENTERS)
-        self.slot = np.empty(nvocab, dtype=np.intp)  # scratch of _distinct
-        self.u = np.empty((rows, dim), dtype=dtype)
-        self.du = np.empty((rows, dim), dtype=dtype)
-        self.v = np.empty((cols, dim), dtype=dtype)
-        self.dv = np.empty((cols, dim), dtype=dtype)
-        self.coef = np.empty(rows * cols, dtype=dtype)
-
-
-def _block_update(w_in, w_out, centers, contexts, negs, lr, work):
+def _block_update(w_in, w_out, centers, contexts, negs, lr, slot):
     """One minibatch step over pairs of word ids, in place.
 
     Pair p pulls ``w_out[contexts[p]]`` towards ``w_in[centers[p]]`` and
     pushes the ``w_out`` rows of its ``negs[p]`` away, at rate ``lr[p]``.
     Every gradient is taken against the weights from before the call, and
-    the gradients of repeated words are summed. ``work`` is a
-    ``_Workspace`` for the weights' shape and dtype.
+    the gradients of repeated words are summed.
     """
     targets = np.concatenate([contexts[:, None], negs], axis=1)
-    rows, t = _distinct(targets, work.slot)
-    cols, c = _distinct(centers[:, None], work.slot)
-    # mode="clip" (the ids are in range) lets take write straight into out
-    u = np.take(w_out, rows, axis=0, out=work.u[:len(rows)], mode="clip")
-    v = np.take(w_in, cols, axis=0, out=work.v[:len(cols)], mode="clip")
-    coef = work.coef[:len(rows) * len(cols)].reshape(len(rows), len(cols))
-    g = -_sigmoid(np.matmul(u, v.T, out=coef)[t, c])
+    rows, t = _distinct(targets, slot)
+    cols, c = _distinct(centers[:, None], slot)
+    u = w_out[rows]
+    v = w_in[cols]
+    g = -_sigmoid((u @ v.T)[t, c])
     g[:, 0] += 1.0
     g *= lr[:, None]
     # coef[i, j]: summed gradient weight between target row i and center j
-    coef.fill(0)
+    coef = np.zeros((len(rows), len(cols)), dtype=w_out.dtype)
     np.add.at(coef.reshape(-1), (t * len(cols) + c).ravel(), g.ravel())
-    du = np.matmul(coef, v, out=work.du[:len(rows)])
-    dv = np.matmul(coef.T, u, out=work.dv[:len(cols)])
-    # u and v are still the rows of w_out and w_in, so these are the
-    # take, add and put of ``w_out[rows] += du`` and ``w_in[cols] += dv``.
-    u += du
-    w_out[rows] = u
-    v += dv
-    w_in[cols] = v
+    w_out[rows] += coef @ v
+    w_in[cols] += coef.T @ u
 
 
 def train_sgns(corpus, cfg):
@@ -224,7 +193,7 @@ def train_sgns(corpus, cfg):
     # Subsampling keeps token positions, so each kept id keeps its sentence.
     positions = np.arange(len(tokens), dtype=np.int32)
     token_keep = None if keep_prob is None else keep_prob[tokens]
-    work = _Workspace(nvocab, cfg.dim, cfg.window, cfg.negatives)
+    slot = np.empty(nvocab, dtype=np.intp)
     span = _BLOCK_CENTERS * _SUPER_BLOCKS
     done = 0  # centers of earlier epochs, for the linear LR decay
     for _ in range(cfg.epochs):
@@ -245,7 +214,7 @@ def train_sgns(corpus, cfg):
             for a, b in zip(cuts, cuts[1:]):
                 if a < b:
                     _block_update(w_in, w_out, centers[a:b], contexts[a:b],
-                                  negs[a:b], lr[a:b], work)
+                                  negs[a:b], lr[a:b], slot)
         done += len(ids)
 
     return EmbeddingSpace(language="", words=words, vectors=w_in)

@@ -7,11 +7,8 @@ from crosslex.sgns import (
     _BLOCK_CENTERS,
     _LR_FLOOR_FACTOR,
     _SUPER_BLOCKS,
-    _Workspace,
     _block_pairs,
     _block_update,
-    _distinct,
-    _sigmoid,
     subsample,
 )
 
@@ -174,52 +171,10 @@ def test_block_update_sums_scalar_pair_gradients():
     expected_out = w_out + grad_out
 
     _block_update(w_in, w_out, centers, contexts, negs, lr,
-                  _Workspace(nvocab, dim, window=1, negatives=3))
+                  np.empty(nvocab, dtype=np.intp))
     assert np.max(np.abs(w_in - expected_in)) < 1e-6
     assert np.max(np.abs(w_out - expected_out)) < 1e-6
     assert np.max(np.abs(grad_out[1])) > 1e-3  # the summed rows really moved
-
-
-def _allocating_block_update(w_in, w_out, centers, contexts, negs, lr):
-    """The block step as one expression per array, each result freshly
-    allocated. The row and column orders set the order of the sums, so
-    they come from ``_distinct`` as in the trainer."""
-    targets = np.concatenate([contexts[:, None], negs], axis=1)
-    slot = np.empty(len(w_out), dtype=np.intp)
-    rows, t = _distinct(targets, slot)
-    cols, c = _distinct(centers[:, None], slot)
-    u = w_out[rows]
-    v = w_in[cols]
-    g = -_sigmoid((u @ v.T)[t, c])
-    g[:, 0] += 1.0
-    g *= lr[:, None]
-    coef = np.zeros((len(rows), len(cols)), dtype=w_out.dtype)
-    np.add.at(coef.reshape(-1), (t * len(cols) + c).ravel(), g.ravel())
-    w_out[rows] += coef @ v
-    w_in[cols] += coef.T @ u
-
-
-def test_workspace_block_update_equals_allocating_expression():
-    rng = np.random.default_rng(11)
-    nvocab, dim, window, negatives = 3000, 100, 5, 5
-    w_in = (rng.normal(size=(nvocab, dim)) * 0.3).astype(np.float32)
-    w_out = (rng.normal(size=(nvocab, dim)) * 0.3).astype(np.float32)
-    expect_in, expect_out = w_in.copy(), w_out.copy()
-    work = _Workspace(nvocab, dim, window, negatives)
-    # A full block first, then a smaller one that reuses the stale arrays.
-    for npairs in (_BLOCK_CENTERS * 2 * window, 37):
-        centers = rng.choice(nvocab, size=_BLOCK_CENTERS)[
-            rng.integers(0, _BLOCK_CENTERS, size=npairs)]
-        contexts = rng.integers(0, nvocab, size=npairs)
-        negs = rng.integers(0, nvocab, size=(npairs, negatives))
-        lr = rng.uniform(0.001, 0.05, size=npairs).astype(np.float32)
-        if npairs > 37:
-            assert len(np.unique(np.concatenate([contexts, negs.ravel()]))) > 330
-        _allocating_block_update(expect_in, expect_out, centers, contexts,
-                                 negs, lr)
-        _block_update(w_in, w_out, centers, contexts, negs, lr, work)
-        assert np.array_equal(w_in, expect_in)
-        assert np.array_equal(w_out, expect_out)
 
 
 def _per_block_reference(corpus, cfg):
@@ -249,7 +204,7 @@ def _per_block_reference(corpus, cfg):
     total_tokens = cfg.epochs * len(tokens)
     positions = np.arange(len(tokens), dtype=np.int32)
     token_keep = None if keep_prob is None else keep_prob[tokens]
-    work = _Workspace(nvocab, cfg.dim, cfg.window, cfg.negatives)
+    slot = np.empty(nvocab, dtype=np.intp)
     done = 0
     for _ in range(cfg.epochs):
         kept = subsample(positions, token_keep, rng)
@@ -263,7 +218,7 @@ def _per_block_reference(corpus, cfg):
             lr = np.maximum(lr0 * (1.0 - (done + c + 1) / total_tokens),
                             lr0 * _LR_FLOOR_FACTOR).astype(np.float32)
             negs = np.searchsorted(noise_cdf, rng.random((len(c), cfg.negatives)))
-            _block_update(w_in, w_out, ids[c], ids[x], negs, lr, work)
+            _block_update(w_in, w_out, ids[c], ids[x], negs, lr, slot)
         done += len(ids)
     return words, w_in
 
