@@ -191,6 +191,7 @@ SCAN_CASES = {
     "number after the trailing space column": "3 2\na 1 0 \nb 0 1 5\nc 1 1 \n",
     "extra column with trailing space": "2 2\na 1 0 \nb 0 1 5 \n",
     "trailing space, missing column": "2 2\na 1 0 \nb 0 \n",
+    "trailing space, every row a column short": "2 3\na 1 0 \nb 0 1 \n",
     "tab inside a number": "2 2\na 1\t0 5\nb 0 1\n",
     "missing column": "2 2\na 1\nb 0 1\n",
     "extra column": "2 2\na 1 0\nb 0 1 5\n",
