@@ -23,7 +23,6 @@ from .classify import (
     ClassifyConfig,
     Metrics,
     evaluate,
-    featurize,
     featurize_dataset,
     split_dataset,
     train_logreg,

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .alignment import _shared_rows, project_space
+from .alignment import project_space
 from .errors import (
     DegenerateDataError,
     DimensionError,
@@ -28,7 +28,6 @@ class ClassifyConfig:
     learning_rate: float = 0.5
     l2: float = 1e-4
     threshold: float = 0.5
-    seed: int = 0
 
 
 @dataclass
@@ -71,20 +70,6 @@ class Metrics:
             "fn": self.fn,
             "tn": self.tn,
         }
-
-
-def featurize(doc, model, spaces, language):
-    """Mean shared-space vector of the in-vocabulary tokens of a document;
-    only those tokens' rows are projected.
-
-    Returns (vector, all_oov flag); an all-OOV document gets a zero vector.
-    """
-    vocab = spaces[language].vocab
-    rows = [vocab[t] for t in doc if t in vocab]
-    shared = _shared_rows(model, language, spaces, rows)
-    if not rows:
-        return np.zeros(shared.shape[1]), True
-    return shared.mean(axis=0), False
 
 
 def featurize_dataset(ds, model, spaces):

@@ -61,8 +61,15 @@ def _tokenizer_config(cfg):
     return TokenizerConfig(**cfg.section("tokenizer"))
 
 
-def _load_spaces(pairs):
-    return {lang: load_embeddings(path, lang) for lang, path in pairs}
+def _load_spaces(args, needed):
+    """The ``--embeddings`` spaces. ``needed`` maps each language the command
+    uses to the flag that names it; one without a space is an error."""
+    given = dict(args.embeddings)
+    for lang, flag in needed.items():
+        if lang not in given:
+            raise ConfigurationError(
+                f"{flag} language {lang!r} has no --embeddings {lang}=PATH")
+    return {lang: load_embeddings(path, lang) for lang, path in args.embeddings}
 
 
 def _write_jsonl(path_or_stdout, records):
@@ -126,7 +133,8 @@ def _cmd_align(args):
     cfg = _load_run_config(args)
     acfg = cfg.section("alignment")
     pivot = args.pivot or acfg["pivot"]
-    spaces = _load_spaces(args.embeddings)
+    spaces = _load_spaces(args, {pivot: "pivot",
+                                 **{lang: "--lexicon" for lang, _ in args.lexicon}})
     lexicons = []
     heldout = {}
     for lang, path in args.lexicon:
@@ -162,8 +170,8 @@ def _cmd_align(args):
     return EXIT_OK
 
 
-def _load_model_and_spaces(args, cfg):
-    """The model and the spaces as loaded; the model prepares its inputs.
+def _load_model(args, cfg):
+    """The model as loaded; it prepares the spaces it is given.
 
     A run config whose ``alignment.normalize`` disagrees with the model is
     an error. A model without the format marker may understate its
@@ -180,12 +188,13 @@ def _load_model_and_spaces(args, cfg):
         raise ConfigurationError(
             f"{args.model} was fitted with normalize={model.normalize}, "
             f"but alignment.normalize is {normalize}")
-    return model, _load_spaces(args.embeddings)
+    return model
 
 
 def _cmd_knn(args):
     cfg = _load_run_config(args)
-    model, spaces = _load_model_and_spaces(args, cfg)
+    model = _load_model(args, cfg)
+    spaces = _load_spaces(args, {args.lang: "--lang", args.target: "--target"})
     result = knn(model, spaces, args.word, args.lang, args.target, args.k)
     records = [
         {"query": result.query_word, "query_lang": result.query_lang,
@@ -200,7 +209,10 @@ def _cmd_knn(args):
 
 def _cmd_bli(args):
     cfg = _load_run_config(args)
-    model, spaces = _load_model_and_spaces(args, cfg)
+    model = _load_model(args, cfg)
+    spaces = _load_spaces(args, {
+        model.pivot_lang: "pivot",
+        **{lang: "--validation" for lang, _ in args.validation}})
     records = []
     for lang, path in args.validation:
         lex = load_lexicon(path, model.pivot_lang, lang)
@@ -274,7 +286,9 @@ def _cmd_context_sim(args):
     tok = _tokenizer_config(cfg)
     mcfg = cfg.section("mining")
     scfg = cfg.section("similarity")
-    model, spaces = _load_model_and_spaces(args, cfg)
+    model = _load_model(args, cfg)
+    spaces = _load_spaces(args, {args.source_lang: "--source-lang",
+                                 **{lang: "--dataset" for lang, _ in args.dataset}})
     datasets = {
         lang: load_labeled_dataset(path, lang, tok)
         for lang, path in args.dataset
@@ -307,14 +321,15 @@ def _cmd_classify(args):
     cfg = _load_run_config(args)
     tok = _tokenizer_config(cfg)
     ccfg = cfg.section("classify")
-    model, spaces = _load_model_and_spaces(args, cfg)
+    model = _load_model(args, cfg)
     train_lang, train_path = args.train
     test_lang, test_path = args.test
+    spaces = _load_spaces(args, {train_lang: "--train", test_lang: "--test"})
     train_ds = load_labeled_dataset(train_path, train_lang, tok)
     test_ds = load_labeled_dataset(test_path, test_lang, tok)
     hyper = ClassifyConfig(
         epochs=ccfg["epochs"], learning_rate=ccfg["learning_rate"],
-        l2=ccfg["l2"], threshold=ccfg["threshold"], seed=ccfg["seed"],
+        l2=ccfg["l2"], threshold=ccfg["threshold"],
     )
     if args.monolingual:
         if train_lang != test_lang:
@@ -343,7 +358,7 @@ def _cmd_classify(args):
             "classify",
             {"classify": ccfg, "train": train_lang, "test": test_lang},
             [train_path, test_path],
-            seeds={"seed": ccfg["seed"], "split_seed": ccfg["split_seed"]},
+            seeds={"split_seed": ccfg["split_seed"]},
             name=os.path.basename(args.output) + ".manifest.json",
         )
     return EXIT_OK

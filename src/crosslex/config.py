@@ -49,11 +49,7 @@ _SCHEMA = {
         "learning_rate": (float, 0.5),
         "l2": (float, 1e-4),
         "threshold": (float, 0.5),
-        "seed": (int, 0),
         "split_seed": (int, 0),
-    },
-    "paths": {
-        "output_dir": (str, "."),
     },
 }
 

@@ -10,7 +10,6 @@ from crosslex import (
     EmbeddingSpace,
     alignment,
     cosine,
-    featurize,
     fit_cca,
     fit_hub_alignment,
     load_alignment,
@@ -260,19 +259,6 @@ def test_project_is_a_row_of_project_space(trilingual):
                 row = whole[raw[lang].vocab[word]]
                 np.testing.assert_allclose(project(model, word, lang, raw), row,
                                            rtol=0, atol=1e-12)
-
-
-def test_featurize_projects_only_document_rows(trilingual):
-    tri = trilingual
-    doc = tri.words[3:40:3] + ["nope"] + tri.words[5:8]
-    for lang in ("en", "es"):
-        vocab = tri.spaces[lang].vocab
-        whole = project_space(tri.model, lang, tri.spaces)
-        vec, oov = featurize(doc, tri.model, tri.spaces, lang)
-        assert not oov
-        np.testing.assert_allclose(
-            vec, whole[[vocab[t] for t in doc if t in vocab]].mean(axis=0),
-            rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("lang", ["en", "xx"])

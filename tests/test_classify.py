@@ -5,7 +5,9 @@ from crosslex import (
     ClassifierModel,
     ClassifyConfig,
     evaluate,
-    featurize,
+    featurize_dataset,
+    project,
+    project_space,
     split_dataset,
     train_logreg,
     zero_shot_eval,
@@ -19,31 +21,43 @@ CFG = ClassifyConfig(epochs=500, learning_rate=2.0, l2=1e-5)
 
 def test_featurize_single_token(trilingual):
     tri = trilingual
-    from crosslex import project
-
     word = tri.words[0]
-    vec, oov = featurize([word], tri.model, tri.spaces, "es")
-    assert not oov
-    assert np.allclose(vec, project(tri.model, word, "es", tri.spaces))
+    ds = LabeledDataset("es", [([word], HATE)])
+    feats, labels, oov_docs = featurize_dataset(ds, tri.model, tri.spaces)
+    assert oov_docs == 0
+    np.testing.assert_allclose(feats[0], project(tri.model, word, "es", tri.spaces),
+                               rtol=0, atol=1e-12)
+    assert labels.tolist() == [1.0]
 
 
 def test_featurize_all_oov(trilingual):
     tri = trilingual
-    vec, oov = featurize(["nope", "nah"], tri.model, tri.spaces, "en")
-    assert oov
-    assert np.all(vec == 0)
+    ds = LabeledDataset("en", [(["nope", "nah"], NON_HATE),
+                               ([tri.words[1]], HATE)])
+    feats, labels, oov_docs = featurize_dataset(ds, tri.model, tri.spaces)
+    assert oov_docs == 1
+    assert np.all(feats[0] == 0)
+    assert np.any(feats[1] != 0)
+    assert labels.tolist() == [0.0, 1.0]
 
 
 def test_featurize_mean_of_tokens(trilingual):
     tri = trilingual
-    from crosslex import project
-
-    tokens = tri.words[:3]
-    vec, _ = featurize(tokens, tri.model, tri.spaces, "it")
-    expected = np.mean(
-        [project(tri.model, w, "it", tri.spaces) for w in tokens], axis=0
-    )
-    assert np.max(np.abs(vec - expected)) < 1e-12
+    docs = [
+        (tri.words[3:40:3] + ["nope"] + tri.words[5:8], HATE),
+        (tri.words[:3], NON_HATE),
+        (tri.words[10:12] + tri.words[10:11], HATE),
+    ]
+    for lang in ("en", "es", "it"):
+        vocab = tri.spaces[lang].vocab
+        whole = project_space(tri.model, lang, tri.spaces)
+        feats, labels, oov_docs = featurize_dataset(
+            LabeledDataset(lang, docs), tri.model, tri.spaces)
+        assert oov_docs == 0
+        assert labels.tolist() == [1.0, 0.0, 1.0]
+        for row, (tokens, _) in zip(feats, docs):
+            expected = whole[[vocab[t] for t in tokens if t in vocab]].mean(axis=0)
+            np.testing.assert_allclose(row, expected, rtol=0, atol=1e-12)
 
 
 def test_zero_weight_model_predicts_half():

@@ -416,3 +416,64 @@ def test_report_flattens_to_tsv(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "seed\tes\tit"
     assert lines[1] == "s1\tw (0.90)\t(no context)"
+
+
+def _missing_language_argv(inp, model_dir, emb):
+    """Per command, argv naming language fr, which has no --embeddings or
+    --dataset, and the message it must exit 1 with."""
+    common = ["--model", str(model_dir), *emb]
+    fr_tsv = str(inp["datasets"]["es"])
+    no_space = "language 'fr' has no --embeddings fr=PATH"
+    return {
+        "knn --target": (["knn", *common, "--word", "en3", "--lang", "en",
+                          "--target", "fr"], f"--target {no_space}"),
+        "bli --validation": (["bli", *common, "--validation",
+                              f"fr={inp['lexicon']}"], f"--validation {no_space}"),
+        "align --lexicon": (["align", "--pivot", "en", *emb, "--lexicon",
+                             f"fr={inp['lexicon']}", "--output",
+                             str(model_dir.parent / "fr_model")],
+                            f"--lexicon {no_space}"),
+        "classify --train": (["classify", *common, "--train", f"fr={fr_tsv}",
+                              "--test", f"es={fr_tsv}"], f"--train {no_space}"),
+        "classify --test": (["classify", *common, "--train", f"en={fr_tsv}",
+                             "--test", f"fr={fr_tsv}"], f"--test {no_space}"),
+        "context-sim --dataset": (
+            ["context-sim", *common, "--dataset", f"en={fr_tsv}",
+             "--dataset", f"fr={fr_tsv}", "--seed-terms", "en1",
+             "--source-lang", "en"], f"--dataset {no_space}"),
+        "context-sim --source-lang": (
+            ["context-sim", *common, "--embeddings", f"fr={inp['es']}",
+             "--dataset", f"es={fr_tsv}", "--seed-terms", "en1",
+             "--source-lang", "fr"],
+            "source language 'fr' has no dataset; pass one with --dataset fr=PATH"),
+    }
+
+
+@pytest.mark.parametrize("case", [
+    "align --lexicon", "bli --validation", "classify --test", "classify --train",
+    "context-sim --dataset", "context-sim --source-lang", "knn --target",
+])
+def test_missing_language_exits_1_naming_it(mini_pipeline_inputs, tmp_path,
+                                             capsys, case):
+    model_dir = tmp_path / "model"
+    emb = _aligned_model(mini_pipeline_inputs, model_dir)
+    capsys.readouterr()
+    argv, message = _missing_language_argv(mini_pipeline_inputs, model_dir, emb)[case]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"crosslex: configuration error: {message}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("section,key,message", [
+    ("paths", "output_dir", "unknown configuration section [paths]"),
+    ("classify", "seed", "unknown configuration key [classify] seed"),
+])
+def test_removed_config_key_exits_1(tmp_path, capsys, section, key, message):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[{section}]\n{key} = 1\n")
+    ds = tmp_path / "ds.tsv"
+    ds.write_text("1\ta b\n0\tc d\n")
+    assert main(["mine-rules", "--config", str(cfg), "--dataset", str(ds),
+                 "--language", "en"]) == 1
+    assert message in capsys.readouterr().err

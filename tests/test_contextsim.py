@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 
 from crosslex import context_sim, met_sim, word_sim
 from crosslex.contextsim import BOUNDED, LITERAL
-from crosslex.errors import DomainError, InsufficientDataError
+from crosslex.errors import DimensionError, DomainError, InsufficientDataError
 from crosslex.rules import WordContext
 
 metric = st.floats(0.0, 1.0, allow_nan=False)
@@ -139,3 +139,94 @@ def test_context_sim_skips_missing_vectors():
     assert value == pytest.approx(
         word_sim(ca.entries["u1"], cb.entries["v1"], va["u1"], vb["v1"], LITERAL)
     )
+
+
+def _brute_force_context_sim(ca, cb, va, vb, variant):
+    """Mean-of-max over the ``word_sim`` table of the pairs with vectors."""
+    table = {
+        (u, v): word_sim(ca.entries[u], cb.entries[v], va[u], vb[v], variant)
+        for u in ca.entries if u in va
+        for v in cb.entries if v in vb
+    }
+    xs = sorted({u for u, _ in table})
+    ys = sorted({v for _, v in table})
+    fwd = np.mean([max(table[(u, v)] for v in ys) for u in xs])
+    bwd = np.mean([max(table[(u, v)] for u in xs) for v in ys])
+    return (fwd + bwd) / 2, len(ca.entries) * len(cb.entries) - len(table)
+
+
+@pytest.mark.parametrize("variant", [LITERAL, BOUNDED])
+def test_context_sim_matches_word_sim_table(variant):
+    rng = np.random.default_rng(5)
+    trials = 0
+    while trials < 40:
+        wa = [f"a{i}" for i in range(rng.integers(1, 9))]
+        wb = [f"b{i}" for i in range(rng.integers(1, 9))]
+        ca = make_ctx("x", {w: tuple(rng.random(2)) for w in wa})
+        cb = make_ctx("y", {w: tuple(rng.random(2)) for w in wb})
+        # about a third of the words on each side have no vector
+        va = {w: rng.normal(size=6) for w in wa if rng.random() > 0.3}
+        vb = {w: rng.normal(size=6) for w in wb if rng.random() > 0.3}
+        if not va or not vb:
+            with pytest.raises(InsufficientDataError):
+                context_sim(ca, cb, va, vb, variant)
+            continue
+        trials += 1
+        expected, expected_skipped = _brute_force_context_sim(ca, cb, va, vb, variant)
+        value, skipped = context_sim(ca, cb, va, vb, variant)
+        assert skipped == expected_skipped
+        assert abs(value - expected) < 1e-12
+
+
+def test_context_sim_none_vector_counts_as_missing():
+    rng = np.random.default_rng(6)
+    ca = make_ctx("x", {"u1": (0.2, 0.2), "u2": (0.3, 0.3)})
+    cb = make_ctx("y", {"v1": (0.4, 0.4), "v2": (0.5, 0.1)})
+    va = {"u1": rng.normal(size=3), "u2": None}
+    vb = {"v1": None, "v2": rng.normal(size=3)}
+    value, skipped = context_sim(ca, cb, va, vb, BOUNDED)
+    assert skipped == 3
+    assert abs(value - word_sim(ca.entries["u1"], cb.entries["v2"], va["u1"],
+                                vb["v2"], BOUNDED)) < 1e-12
+
+
+NAN = float("nan")
+VALID = {"cx": {"u": (0.2, 0.4), "w": (0.1, 0.1)}, "cy": {"v": (0.3, 0.5)},
+         "vx": {"u": [1.0, 0.0], "w": [0.0, 1.0]}, "vy": {"v": [0.6, 0.8]},
+         "variant": LITERAL}
+ERROR_CASES = {
+    "empty first context": ({"cx": {}}, InsufficientDataError,
+                            "'x' has an empty context"),
+    "no pair with vectors": ({"vy": {}}, InsufficientDataError, "no context pair"),
+    "unknown variant": ({"variant": "loose"}, DomainError, "unknown variant"),
+    "support above 1": ({"cy": {"v": (1.2, 0.5)}}, DomainError, "support must be in"),
+    "negative confidence": ({"cx": {"u": (0.2, -0.1), "w": (0.1, 0.1)}},
+                            DomainError, "confidence must be in"),
+    "nan support": ({"cx": {"u": (NAN, 0.4), "w": (0.1, 0.1)}},
+                    DomainError, "support must be in"),
+    "nan confidence": ({"cy": {"v": (0.3, NAN)}}, DomainError, "confidence must be in"),
+    "zero vector": ({"vy": {"v": [0.0, 0.0]}}, DomainError, "zero vectors"),
+    "unequal dimensions": ({"vy": {"v": [0.6, 0.8, 0.0]}}, DimensionError,
+                           "dimension mismatch"),
+    "unequal dimensions on one side": (
+        {"vx": {"u": [1.0, 0.0], "w": [0.0, 1.0, 0.0]}}, DimensionError,
+        "dimension mismatch"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_CASES))
+def test_context_sim_errors(case):
+    change, error, match = ERROR_CASES[case]
+    args = dict(VALID, **change)
+    ca, cb = make_ctx("x", args["cx"]), make_ctx("y", args["cy"])
+    va = {w: np.array(v) for w, v in args["vx"].items()}
+    vb = {w: np.array(v) for w, v in args["vy"].items()}
+    with pytest.raises(error, match=match):
+        context_sim(ca, cb, va, vb, args["variant"])
+    # the one-pair path raises the same error on the same pairs
+    if ca.entries and vb:
+        with pytest.raises(error):
+            for u in ca.entries:
+                for v in cb.entries:
+                    word_sim(ca.entries[u], cb.entries[v], va[u], vb[v],
+                             args["variant"])

@@ -6,12 +6,17 @@ import pytest
 from crosslex import (
     BilingualLexicon,
     EmbeddingSpace,
+    build_context,
     cross_lingual_report,
     fit_hub_alignment,
+    mine_rules,
+    project,
 )
-from crosslex.rules import HATE, LabeledDataset
+from crosslex.errors import ConfigurationError, NotFoundError
+from crosslex.rules import HATE, NON_HATE, LabeledDataset
 
-from conftest import random_orthogonal
+from conftest import LANGS, random_orthogonal
+from test_contextsim import _brute_force_context_sim
 
 N_SEEDS = 4
 MINING = {"top_n_antecedents": 30, "min_support": 0.01, "min_confidence": 0.05}
@@ -92,3 +97,102 @@ def test_scores_sorted_and_variant_recorded(planted_bilingual):
     assert rec["variant"] == "bounded"
     scores = [r["score"] for r in rec["results"]]
     assert scores == sorted(scores, reverse=True)
+
+
+def _scalar_report(seed_terms, source_lang, datasets, class_filter, model,
+                   spaces, mining, top_m, variant):
+    """The report computed one pair at a time: each candidate's context is
+    collected by scanning every mined rule, each context word is projected
+    on its own, and each context pair is scored by the ``word_sim`` table."""
+    kwargs = {k: v for k, v in mining.items() if k != "stopwords"}
+    mined = {
+        lang: mine_rules(ds.partition(class_filter),
+                         stopwords=mining.get("stopwords", {}).get(lang, frozenset()),
+                         **kwargs)
+        for lang, ds in datasets.items()
+    }
+
+    def vectors(ctx, lang):
+        out = {}
+        for w in ctx.entries:
+            try:
+                out[w] = project(model, w, lang, spaces)
+            except NotFoundError:
+                pass
+        return out
+
+    records = []
+    for seed in seed_terms:
+        seed_ctx = build_context(mined[source_lang], seed)
+        seed_vecs = vectors(seed_ctx, source_lang)
+        for lang in sorted(datasets):
+            if lang == source_lang:
+                continue
+            record = {"seed": seed, "source_lang": source_lang,
+                      "target_lang": lang, "class": class_filter,
+                      "variant": variant, "results": [], "skipped_pairs": 0,
+                      "no_context": not seed_ctx.entries}
+            records.append(record)
+            if not seed_ctx.entries:
+                continue
+            scored = []
+            for cand in sorted({r.antecedent for r in mined[lang]}):
+                cand_ctx = build_context(mined[lang], cand)
+                cand_vecs = vectors(cand_ctx, lang)
+                if not seed_vecs or not cand_vecs:
+                    continue
+                value, skipped = _brute_force_context_sim(
+                    seed_ctx, cand_ctx, seed_vecs, cand_vecs, variant)
+                record["skipped_pairs"] += skipped
+                scored.append((cand, value))
+            scored.sort(key=lambda t: (-t[1], t[0]))
+            record["results"] = [{"word": w, "score": v} for w, v in scored[:top_m]]
+    return records
+
+
+@pytest.fixture(scope="module")
+def skewed_datasets(trilingual):
+    """Per language, documents over Zipf-weighted fixture words mixed with
+    words that have no vector, so contexts lose pairs to missing vectors."""
+    vocab_words = trilingual.words[:40]
+    datasets = {}
+    for i, lang in enumerate(LANGS):
+        rng = np.random.default_rng(31 + i)
+        words = vocab_words + [f"{lang}oov{j}" for j in range(8)]
+        weights = 1.0 / np.arange(1, len(words) + 1)
+        order = rng.permutation(len(words))
+        docs = []
+        for d in range(300):
+            picks = rng.choice(len(words), size=6, p=weights / weights.sum())
+            docs.append(([words[order[p]] for p in picks],
+                         HATE if d % 3 else NON_HATE))
+        datasets[lang] = LabeledDataset(lang, docs)
+    return datasets
+
+
+@pytest.mark.parametrize("variant", ["literal", "bounded"])
+def test_report_matches_scalar_reference(trilingual, skewed_datasets, variant):
+    tri = trilingual
+    mining = {"top_n_antecedents": 25, "min_support": 0.02,
+              "min_confidence": 0.1,
+              "stopwords": {"es": frozenset(tri.words[:3])}}
+    seeds = tri.words[:12] + ["enoov0", "never-seen"]
+    args = (seeds, "en", skewed_datasets, HATE, tri.model, tri.spaces, mining)
+    got = cross_lingual_report(*args, top_m=100, variant=variant)
+    want = _scalar_report(*args, top_m=100, variant=variant)
+    assert any(rec["no_context"] for rec in want)
+    assert any(rec["skipped_pairs"] for rec in want)
+    assert len(got) == len(want)
+    for rec, ref in zip(got, want):
+        assert {k: v for k, v in rec.items() if k != "results"} == {
+            k: v for k, v in ref.items() if k != "results"}
+        assert [r["word"] for r in rec["results"]] == [r["word"] for r in ref["results"]]
+        for r, q in zip(rec["results"], ref["results"]):
+            assert abs(r["score"] - q["score"]) < 1e-12
+
+
+def test_source_language_without_dataset(planted_bilingual):
+    model, spaces, datasets = planted_bilingual
+    with pytest.raises(ConfigurationError, match="source language 'fr' has no "
+                       "dataset; pass one with --dataset fr=PATH"):
+        cross_lingual_report(["x0"], "fr", datasets, HATE, model, spaces, MINING)
