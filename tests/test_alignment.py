@@ -10,6 +10,7 @@ from crosslex import (
     EmbeddingSpace,
     alignment,
     cosine,
+    featurize_dataset,
     fit_cca,
     fit_hub_alignment,
     load_alignment,
@@ -27,6 +28,7 @@ from crosslex.errors import (
     NotFoundError,
     SingularityError,
 )
+from crosslex.rules import HATE, LabeledDataset
 
 from conftest import random_orthogonal
 
@@ -259,6 +261,20 @@ def test_project_is_a_row_of_project_space(trilingual):
                 row = whole[raw[lang].vocab[word]]
                 np.testing.assert_allclose(project(model, word, lang, raw), row,
                                            rtol=0, atol=1e-12)
+
+
+def test_featurize_projects_only_document_rows(trilingual):
+    tri = trilingual
+    doc = tri.words[3:40:3] + ["nope"] + tri.words[5:8]
+    for lang in ("en", "es"):
+        vocab = tri.spaces[lang].vocab
+        whole = project_space(tri.model, lang, tri.spaces)
+        feats, _, oov_docs = featurize_dataset(
+            LabeledDataset(lang, [(doc, HATE)]), tri.model, tri.spaces)
+        assert oov_docs == 0
+        np.testing.assert_allclose(
+            feats[0], whole[[vocab[t] for t in doc if t in vocab]].mean(axis=0),
+            rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("lang", ["en", "xx"])
