@@ -71,10 +71,6 @@ class AlignmentModel:
     maps: dict = field(default_factory=dict)  # language -> LanguageMap
     legacy: bool = False
 
-    @property
-    def languages(self):
-        return [self.pivot_lang] + sorted(self.maps)
-
 
 def _inv_sqrt(cov):
     """Inverse square root of a symmetric positive definite matrix."""

@@ -34,9 +34,6 @@ class ClassifyConfig:
 class ClassifierModel:
     weights: np.ndarray
     bias: float
-    language: str = ""
-    epochs: int = 0
-    l2: float = 0.0
     losses: list = field(default_factory=list)  # per-epoch regularized loss
 
     def scores(self, features):
@@ -59,18 +56,6 @@ class Metrics:
     fn: int
     tn: int
 
-    def as_dict(self):
-        return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "accuracy": self.accuracy,
-            "tp": self.tp,
-            "fp": self.fp,
-            "fn": self.fn,
-            "tn": self.tn,
-        }
-
 
 def featurize_dataset(ds, model, spaces):
     """Feature matrix and binary label vector (1 = hate) for a dataset."""
@@ -89,7 +74,8 @@ def featurize_dataset(ds, model, spaces):
     return feats, labels, oov_docs
 
 
-def train_logreg(features, labels, epochs=300, learning_rate=0.5, l2=1e-4):
+def train_logreg(features, labels, epochs=ClassifyConfig.epochs,
+                 learning_rate=ClassifyConfig.learning_rate, l2=ClassifyConfig.l2):
     """Full-batch gradient descent on L2-regularized logistic loss.
 
     Weights start at zero, so training is deterministic.
@@ -117,7 +103,7 @@ def train_logreg(features, labels, epochs=300, learning_rate=0.5, l2=1e-4):
         grad_b = float(np.mean(err))
         w -= learning_rate * grad_w
         b -= learning_rate * grad_b
-    return ClassifierModel(weights=w, bias=b, epochs=epochs, l2=l2, losses=losses)
+    return ClassifierModel(weights=w, bias=b, losses=losses)
 
 
 def metrics_from_counts(tp, fp, fn, tn):
@@ -133,7 +119,7 @@ def metrics_from_counts(tp, fp, fn, tn):
     return Metrics(precision, recall, f1, accuracy, tp, fp, fn, tn)
 
 
-def evaluate(clf, features, labels, threshold=0.5):
+def evaluate(clf, features, labels, threshold=ClassifyConfig.threshold):
     """Confusion counts and rates with hate as the positive class."""
     if not 0 < threshold < 1:
         raise ProtocolError("threshold must be in (0, 1)")
@@ -186,6 +172,5 @@ def zero_shot_eval(train_ds, test_ds, model, spaces, cfg=ClassifyConfig(),
         learning_rate=cfg.learning_rate,
         l2=cfg.l2,
     )
-    clf.language = train_ds.language
     test_x, test_y, _ = featurize_dataset(test_ds, model, spaces)
     return evaluate(clf, test_x, test_y, threshold=cfg.threshold)

@@ -1,13 +1,15 @@
 """Command-line entry point for the crosslex pipeline.
 
 Exit codes: 0 success, 1 usage/configuration error, 2 data or format error.
-Every subcommand that writes outputs also writes a run manifest with the
-resolved config, input checksums, and seeds.
+filter-corpus, train-embeddings and align, and bli and classify given
+--output, also write a run manifest with the resolved config, input
+checksums, and seeds.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -15,9 +17,15 @@ import sys
 from . import __version__
 from .alignment import fit_hub_alignment, load_alignment, save_alignment
 from .classify import ClassifyConfig, split_dataset, zero_shot_eval
-from .config import default_config, load_config
+from .config import load_config
 from .contextsim import cross_lingual_report
-from .corpus import TokenizerConfig, filter_corpus, load_seed_terms, read_lines
+from .corpus import (
+    TokenizerConfig,
+    filter_corpus,
+    load_seed_terms,
+    read_lines,
+    tokenize,
+)
 from .embedding_store import load_embeddings, save_embeddings
 from .errors import ConfigurationError, CrosslexError, ProtocolError
 from .lexicon import load_lexicon, restrict_to_vocab, split_lexicon
@@ -50,26 +58,43 @@ def _lang_path_pair(value):
     return lang, path
 
 
-def _load_run_config(args):
-    cfg = load_config(args.config) if args.config else default_config()
-    for section, key, value in getattr(args, "overrides", []):
-        cfg.set(section, key, value)
-    return cfg
+class _LangPaths(argparse.Action):
+    """Collects repeated ``LANG=PATH`` values into a language -> path dict;
+    a language given twice is a usage error."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        lang, path = value
+        given = getattr(namespace, self.dest) or {}
+        if lang in given:
+            raise argparse.ArgumentError(self, f"language {lang!r} given twice")
+        given[lang] = path
+        setattr(namespace, self.dest, given)
 
 
-def _tokenizer_config(cfg):
-    return TokenizerConfig(**cfg.section("tokenizer"))
+def _add_lang_paths(parser, flag, help=None):
+    parser.add_argument(flag, required=True, action=_LangPaths,
+                        type=_lang_path_pair, metavar="LANG=PATH", help=help)
 
 
 def _load_spaces(args, needed):
-    """The ``--embeddings`` spaces. ``needed`` maps each language the command
-    uses to the flag that names it; one without a space is an error."""
-    given = dict(args.embeddings)
+    """The ``--embeddings`` spaces of the languages in ``needed``, which maps
+    each language the command uses to the flag that names it, and the paths
+    read. A needed language without a space is an error; the files of other
+    languages are not read."""
     for lang, flag in needed.items():
-        if lang not in given:
+        if lang not in args.embeddings:
             raise ConfigurationError(
                 f"{flag} language {lang!r} has no --embeddings {lang}=PATH")
-    return {lang: load_embeddings(path, lang) for lang, path in args.embeddings}
+    paths = {lang: path for lang, path in args.embeddings.items() if lang in needed}
+    spaces = {lang: load_embeddings(path, lang) for lang, path in paths.items()}
+    return spaces, list(paths.values())
+
+
+def _write_output_manifest(output, command, config, inputs, seeds=None):
+    """The manifest of a file output, as ``<output>.manifest.json`` beside it."""
+    write_manifest(os.path.dirname(os.path.abspath(output)), command, config,
+                   inputs, seeds=seeds,
+                   name=os.path.basename(output) + ".manifest.json")
 
 
 def _write_jsonl(path_or_stdout, records):
@@ -83,46 +108,37 @@ def _write_jsonl(path_or_stdout, records):
 
 
 def _cmd_filter_corpus(args):
-    cfg = _load_run_config(args)
-    tok = _tokenizer_config(cfg)
+    cfg = load_config(args.config, args.overrides)
     seeds = load_seed_terms(args.seeds)
     lines = read_lines(args.input)
-    kept = list(filter_corpus(lines, seeds, tok))
+    kept = list(filter_corpus(lines, seeds, TokenizerConfig(**cfg["tokenizer"])))
     os.makedirs(os.path.dirname(os.path.abspath(args.output)), exist_ok=True)
     with open(args.output, "w", encoding="utf-8") as fh:
         for line in kept:
             fh.write(line + "\n")
-    write_manifest(
-        os.path.dirname(os.path.abspath(args.output)),
-        "filter-corpus",
-        {"tokenizer": cfg.section("tokenizer"),
-         "kept": len(kept), "total": len(lines)},
+    _write_output_manifest(
+        args.output, "filter-corpus",
+        {"tokenizer": cfg["tokenizer"], "kept": len(kept), "total": len(lines)},
         [args.input, args.seeds],
-        name=os.path.basename(args.output) + ".manifest.json",
     )
     print(f"kept {len(kept)} of {len(lines)} lines", file=sys.stderr)
     return EXIT_OK
 
 
 def _cmd_train_embeddings(args):
-    cfg = _load_run_config(args)
-    tok = _tokenizer_config(cfg)
-    sgns_cfg = SgnsConfig(**cfg.section("sgns"))
-    from .corpus import tokenize
-
+    cfg = load_config(args.config, args.overrides)
+    tok = TokenizerConfig(**cfg["tokenizer"])
     corpus = [tokenize(line, tok) for line in read_lines(args.corpus)]
-    space = train_sgns(corpus, sgns_cfg)
+    space = train_sgns(corpus, SgnsConfig(**cfg["sgns"]))
     space.language = args.language
     os.makedirs(os.path.dirname(os.path.abspath(args.output)), exist_ok=True)
     save_embeddings(space, args.output)
-    write_manifest(
-        os.path.dirname(os.path.abspath(args.output)),
-        "train-embeddings",
-        {"tokenizer": cfg.section("tokenizer"), "sgns": cfg.section("sgns"),
+    _write_output_manifest(
+        args.output, "train-embeddings",
+        {"tokenizer": cfg["tokenizer"], "sgns": cfg["sgns"],
          "language": args.language},
         [args.corpus],
-        seeds={"rng_seed": sgns_cfg.rng_seed},
-        name=os.path.basename(args.output) + ".manifest.json",
+        seeds={"rng_seed": cfg["sgns"]["rng_seed"]},
     )
     print(f"trained {len(space)} x {space.dim} vectors for {args.language}",
           file=sys.stderr)
@@ -130,14 +146,13 @@ def _cmd_train_embeddings(args):
 
 
 def _cmd_align(args):
-    cfg = _load_run_config(args)
-    acfg = cfg.section("alignment")
+    acfg = load_config(args.config, args.overrides)["alignment"]
     pivot = args.pivot or acfg["pivot"]
-    spaces = _load_spaces(args, {pivot: "pivot",
-                                 **{lang: "--lexicon" for lang, _ in args.lexicon}})
+    spaces, read = _load_spaces(
+        args, {pivot: "pivot", **{lang: "--lexicon" for lang in args.lexicon}})
     lexicons = []
     heldout = {}
-    for lang, path in args.lexicon:
+    for lang, path in args.lexicon.items():
         lex = load_lexicon(path, pivot, lang)
         lex, dropped = restrict_to_vocab(lex, spaces[pivot], spaces[lang])
         if args.holdout:
@@ -164,7 +179,7 @@ def _cmd_align(args):
         args.output,
         "align",
         {"alignment": acfg, "pivot": pivot},
-        [p for _, p in args.embeddings] + [p for _, p in args.lexicon],
+        read + list(args.lexicon.values()),
         seeds={"split_seed": acfg["split_seed"]},
     )
     return EXIT_OK
@@ -178,7 +193,7 @@ def _load_model(args, cfg):
     preparation, so it normalizes when its metadata or the config says so.
     """
     model = load_alignment(args.model)
-    normalize = cfg.section("alignment")["normalize"]
+    normalize = cfg["alignment"]["normalize"]
     if model.legacy:
         model.normalize = model.normalize or normalize
         print(f"crosslex: warning: {args.model} has no format marker; "
@@ -192,9 +207,8 @@ def _load_model(args, cfg):
 
 
 def _cmd_knn(args):
-    cfg = _load_run_config(args)
-    model = _load_model(args, cfg)
-    spaces = _load_spaces(args, {args.lang: "--lang", args.target: "--target"})
+    model = _load_model(args, load_config(args.config, args.overrides))
+    spaces, _ = _load_spaces(args, {args.lang: "--lang", args.target: "--target"})
     result = knn(model, spaces, args.word, args.lang, args.target, args.k)
     records = [
         {"query": result.query_word, "query_lang": result.query_lang,
@@ -208,13 +222,12 @@ def _cmd_knn(args):
 
 
 def _cmd_bli(args):
-    cfg = _load_run_config(args)
-    model = _load_model(args, cfg)
-    spaces = _load_spaces(args, {
+    model = _load_model(args, load_config(args.config, args.overrides))
+    spaces, read = _load_spaces(args, {
         model.pivot_lang: "pivot",
-        **{lang: "--validation" for lang, _ in args.validation}})
+        **{lang: "--validation" for lang in args.validation}})
     records = []
-    for lang, path in args.validation:
+    for lang, path in args.validation.items():
         lex = load_lexicon(path, model.pivot_lang, lang)
         if args.detailed:
             queries = [w for w in lex.source_words()
@@ -237,13 +250,8 @@ def _cmd_bli(args):
         })
     _write_jsonl(args.output, records)
     if args.output:
-        write_manifest(
-            os.path.dirname(os.path.abspath(args.output)),
-            "bli",
-            {"k": args.k},
-            [p for _, p in args.validation] + [p for _, p in args.embeddings],
-            name=os.path.basename(args.output) + ".manifest.json",
-        )
+        _write_output_manifest(args.output, "bli", {"k": args.k},
+                               list(args.validation.values()) + read)
     return EXIT_OK
 
 
@@ -251,24 +259,24 @@ def _class_filter(name):
     return {"hate": HATE, "non-hate": NON_HATE}[name]
 
 
+def _mining_args(mcfg):
+    """The ``mine_rules`` keyword arguments of the ``[mining]`` section."""
+    return {"top_n_antecedents": mcfg["top_n"], "min_support": mcfg["min_support"],
+            "min_confidence": mcfg["min_confidence"]}
+
+
 def _cmd_mine_rules(args):
-    cfg = _load_run_config(args)
-    tok = _tokenizer_config(cfg)
-    mcfg = cfg.section("mining")
-    ds = load_labeled_dataset(args.dataset, args.language, tok)
+    cfg = load_config(args.config, args.overrides)
+    mcfg = cfg["mining"]
+    ds = load_labeled_dataset(args.dataset, args.language,
+                              TokenizerConfig(**cfg["tokenizer"]))
     docs = (
         ds.partition(_class_filter(args.class_filter))
         if args.class_filter != "all"
         else ds.token_lists()
     )
     stop = load_stopwords(args.language) if mcfg["use_stopwords"] else frozenset()
-    rules = mine_rules(
-        docs,
-        top_n_antecedents=mcfg["top_n"],
-        min_support=mcfg["min_support"],
-        min_confidence=mcfg["min_confidence"],
-        stopwords=stop,
-    )
+    rules = mine_rules(docs, stopwords=stop, **_mining_args(mcfg))
     records = [
         {"antecedent": r.antecedent, "consequent": r.consequent,
          "support": round(r.support, 6), "confidence": round(r.confidence, 6)}
@@ -282,31 +290,25 @@ def _cmd_mine_rules(args):
 
 
 def _cmd_context_sim(args):
-    cfg = _load_run_config(args)
-    tok = _tokenizer_config(cfg)
-    mcfg = cfg.section("mining")
-    scfg = cfg.section("similarity")
+    cfg = load_config(args.config, args.overrides)
+    tok = TokenizerConfig(**cfg["tokenizer"])
+    mcfg, scfg = cfg["mining"], cfg["similarity"]
     model = _load_model(args, cfg)
-    spaces = _load_spaces(args, {args.source_lang: "--source-lang",
-                                 **{lang: "--dataset" for lang, _ in args.dataset}})
+    spaces, _ = _load_spaces(args, {args.source_lang: "--source-lang",
+                                    **{lang: "--dataset" for lang in args.dataset}})
     datasets = {
         lang: load_labeled_dataset(path, lang, tok)
-        for lang, path in args.dataset
+        for lang, path in args.dataset.items()
     }
     seeds = args.seed_terms.split(",")
     stopword_map = (
         {lang: load_stopwords(lang) for lang in datasets}
         if mcfg["use_stopwords"] else {}
     )
-    mining = {
-        "top_n_antecedents": mcfg["top_n"],
-        "min_support": mcfg["min_support"],
-        "min_confidence": mcfg["min_confidence"],
-        "stopwords": stopword_map,
-    }
     records = cross_lingual_report(
         seeds, args.source_lang, datasets, _class_filter(args.class_filter),
-        model, spaces, mining, top_m=scfg["top_m"], variant=scfg["variant"],
+        model, spaces, {**_mining_args(mcfg), "stopwords": stopword_map},
+        top_m=scfg["top_m"], variant=scfg["variant"],
     )
     for rec in records:
         rec["results"] = [
@@ -318,48 +320,41 @@ def _cmd_context_sim(args):
 
 
 def _cmd_classify(args):
-    cfg = _load_run_config(args)
-    tok = _tokenizer_config(cfg)
-    ccfg = cfg.section("classify")
+    cfg = load_config(args.config, args.overrides)
+    tok = TokenizerConfig(**cfg["tokenizer"])
+    ccfg = dict(cfg["classify"])
+    split_seed = ccfg.pop("split_seed")
     model = _load_model(args, cfg)
     train_lang, train_path = args.train
     test_lang, test_path = args.test
-    spaces = _load_spaces(args, {train_lang: "--train", test_lang: "--test"})
+    spaces, _ = _load_spaces(args, {train_lang: "--train", test_lang: "--test"})
     train_ds = load_labeled_dataset(train_path, train_lang, tok)
     test_ds = load_labeled_dataset(test_path, test_lang, tok)
-    hyper = ClassifyConfig(
-        epochs=ccfg["epochs"], learning_rate=ccfg["learning_rate"],
-        l2=ccfg["l2"], threshold=ccfg["threshold"],
-    )
     if args.monolingual:
         if train_lang != test_lang:
             raise ProtocolError("--monolingual requires matching languages")
         if train_path == test_path:
-            train_ds, _, test_ds = split_dataset(
-                train_ds, seed=ccfg["split_seed"]
-            )
+            train_ds, _, test_ds = split_dataset(train_ds, seed=split_seed)
     metrics = zero_shot_eval(
-        train_ds, test_ds, model, spaces, hyper,
+        train_ds, test_ds, model, spaces, ClassifyConfig(**ccfg),
         allow_same_language=args.monolingual,
     )
     record = {"train_lang": train_lang, "test_lang": test_lang,
               "monolingual": args.monolingual}
     record.update(
         {k: (round(v, 6) if isinstance(v, float) else v)
-         for k, v in metrics.as_dict().items()}
+         for k, v in dataclasses.asdict(metrics).items()}
     )
     _write_jsonl(args.output, [record])
     tsv = (f"{train_lang}\t{test_lang}\t{metrics.f1:.4f}\t"
            f"{metrics.precision:.4f}\t{metrics.recall:.4f}\t{metrics.accuracy:.4f}")
     print(tsv, file=sys.stderr)
     if args.output:
-        write_manifest(
-            os.path.dirname(os.path.abspath(args.output)),
-            "classify",
-            {"classify": ccfg, "train": train_lang, "test": test_lang},
+        _write_output_manifest(
+            args.output, "classify",
+            {"classify": cfg["classify"], "train": train_lang, "test": test_lang},
             [train_path, test_path],
-            seeds={"split_seed": ccfg["split_seed"]},
-            name=os.path.basename(args.output) + ".manifest.json",
+            seeds={"split_seed": split_seed},
         )
     return EXIT_OK
 
@@ -400,15 +395,6 @@ def _cmd_report(args):
     return EXIT_OK
 
 
-def _add_common(parser):
-    parser.add_argument("--config", help="sectioned key-value config file")
-    parser.add_argument(
-        "--set", dest="overrides", action="append", default=[],
-        type=_override, metavar="SECTION.KEY=VALUE",
-        help="override a single config value",
-    )
-
-
 def _override(value):
     try:
         dotted, val = value.split("=", 1)
@@ -425,38 +411,43 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
-    p = sub.add_parser("filter-corpus", parents=[], help="keep lines containing seed terms")
-    _add_common(p)
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", help="sectioned key-value config file")
+    config.add_argument(
+        "--set", dest="overrides", action="append", default=[],
+        type=_override, metavar="SECTION.KEY=VALUE",
+        help="override a single config value",
+    )
+    with_model = argparse.ArgumentParser(add_help=False, parents=[config])
+    with_model.add_argument("--model", required=True)
+    _add_lang_paths(with_model, "--embeddings")
+
+    p = sub.add_parser("filter-corpus", parents=[config],
+                       help="keep lines containing seed terms")
     p.add_argument("--input", required=True)
     p.add_argument("--seeds", required=True)
     p.add_argument("--output", required=True)
     p.set_defaults(func=_cmd_filter_corpus)
 
-    p = sub.add_parser("train-embeddings", help="train SGNS vectors on a corpus")
-    _add_common(p)
+    p = sub.add_parser("train-embeddings", parents=[config],
+                       help="train SGNS vectors on a corpus")
     p.add_argument("--corpus", required=True)
     p.add_argument("--language", required=True)
     p.add_argument("--output", required=True)
     p.set_defaults(func=_cmd_train_embeddings)
 
-    p = sub.add_parser("align", help="fit CCA hub alignment from lexicons")
-    _add_common(p)
-    p.add_argument("--embeddings", required=True, action="append",
-                   type=_lang_path_pair, metavar="LANG=PATH")
-    p.add_argument("--lexicon", required=True, action="append",
-                   type=_lang_path_pair, metavar="LANG=PATH",
-                   help="pivot-to-LANG lexicon TSV")
+    p = sub.add_parser("align", parents=[config],
+                       help="fit CCA hub alignment from lexicons")
+    _add_lang_paths(p, "--embeddings")
+    _add_lang_paths(p, "--lexicon", help="pivot-to-LANG lexicon TSV")
     p.add_argument("--pivot")
     p.add_argument("--holdout", action="store_true",
                    help="split off a validation lexicon per language")
     p.add_argument("--output", required=True)
     p.set_defaults(func=_cmd_align)
 
-    p = sub.add_parser("knn", help="nearest neighbors in the shared space")
-    _add_common(p)
-    p.add_argument("--model", required=True)
-    p.add_argument("--embeddings", required=True, action="append",
-                   type=_lang_path_pair, metavar="LANG=PATH")
+    p = sub.add_parser("knn", parents=[with_model],
+                       help="nearest neighbors in the shared space")
     p.add_argument("--word", required=True)
     p.add_argument("--lang", required=True)
     p.add_argument("--target", required=True)
@@ -464,21 +455,17 @@ def build_parser():
     p.add_argument("--output")
     p.set_defaults(func=_cmd_knn)
 
-    p = sub.add_parser("bli", help="precision@k against validation lexicons")
-    _add_common(p)
-    p.add_argument("--model", required=True)
-    p.add_argument("--embeddings", required=True, action="append",
-                   type=_lang_path_pair, metavar="LANG=PATH")
-    p.add_argument("--validation", required=True, action="append",
-                   type=_lang_path_pair, metavar="LANG=PATH")
+    p = sub.add_parser("bli", parents=[with_model],
+                       help="precision@k against validation lexicons")
+    _add_lang_paths(p, "--validation")
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--detailed", action="store_true",
                    help="emit per-word neighbor records before the summary")
     p.add_argument("--output")
     p.set_defaults(func=_cmd_bli)
 
-    p = sub.add_parser("mine-rules", help="mine association rules from a dataset")
-    _add_common(p)
+    p = sub.add_parser("mine-rules", parents=[config],
+                       help="mine association rules from a dataset")
     p.add_argument("--dataset", required=True)
     p.add_argument("--language", required=True)
     p.add_argument("--class", dest="class_filter", default="all",
@@ -486,13 +473,9 @@ def build_parser():
     p.add_argument("--output")
     p.set_defaults(func=_cmd_mine_rules)
 
-    p = sub.add_parser("context-sim", help="cross-lingual context similarity report")
-    _add_common(p)
-    p.add_argument("--model", required=True)
-    p.add_argument("--embeddings", required=True, action="append",
-                   type=_lang_path_pair, metavar="LANG=PATH")
-    p.add_argument("--dataset", required=True, action="append",
-                   type=_lang_path_pair, metavar="LANG=PATH")
+    p = sub.add_parser("context-sim", parents=[with_model],
+                       help="cross-lingual context similarity report")
+    _add_lang_paths(p, "--dataset")
     p.add_argument("--seed-terms", required=True,
                    help="comma-separated seed words")
     p.add_argument("--source-lang", required=True)
@@ -501,11 +484,8 @@ def build_parser():
     p.add_argument("--output")
     p.set_defaults(func=_cmd_context_sim)
 
-    p = sub.add_parser("classify", help="zero-shot cross-lingual classification")
-    _add_common(p)
-    p.add_argument("--model", required=True)
-    p.add_argument("--embeddings", required=True, action="append",
-                   type=_lang_path_pair, metavar="LANG=PATH")
+    p = sub.add_parser("classify", parents=[with_model],
+                       help="zero-shot cross-lingual classification")
     p.add_argument("--train", required=True, type=_lang_path_pair,
                    metavar="LANG=PATH")
     p.add_argument("--test", required=True, type=_lang_path_pair,

@@ -3,29 +3,25 @@
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import math
-from dataclasses import dataclass, field
 
+from .classify import ClassifyConfig
+from .corpus import TokenizerConfig
 from .errors import ConfigurationError
+from .sgns import SgnsConfig
 
-# section -> key -> (parser, default)
+
+def _fields(cls):
+    """key -> (parser, default) of a config dataclass's fields."""
+    return {f.name: (type(f.default), f.default) for f in dataclasses.fields(cls)}
+
+
+# section -> key -> (parser, default); a section with a config dataclass
+# takes its keys and defaults from the dataclass's fields.
 _SCHEMA = {
-    "tokenizer": {
-        "lowercase": (bool, True),
-        "strip_urls": (bool, True),
-        "strip_mentions": (bool, True),
-        "keep_hashtag_body": (bool, True),
-    },
-    "sgns": {
-        "dim": (int, 100),
-        "window": (int, 5),
-        "negatives": (int, 5),
-        "epochs": (int, 5),
-        "learning_rate": (float, 0.025),
-        "min_count": (int, 5),
-        "subsample_t": (float, 1e-4),
-        "rng_seed": (int, 1),
-    },
+    "tokenizer": _fields(TokenizerConfig),
+    "sgns": _fields(SgnsConfig),
     "alignment": {
         "pivot": (str, "en"),
         "lambda": (float, 1e-3),
@@ -44,13 +40,7 @@ _SCHEMA = {
         "variant": (str, "literal"),
         "top_m": (int, 3),
     },
-    "classify": {
-        "epochs": (int, 300),
-        "learning_rate": (float, 0.5),
-        "l2": (float, 1e-4),
-        "threshold": (float, 0.5),
-        "split_seed": (int, 0),
-    },
+    "classify": {**_fields(ClassifyConfig), "split_seed": (int, 0)},
 }
 
 _BOOL_VALUES = {"true": True, "1": True, "yes": True,
@@ -58,6 +48,8 @@ _BOOL_VALUES = {"true": True, "1": True, "yes": True,
 
 
 def _parse_value(section, key, raw):
+    if section not in _SCHEMA or key not in _SCHEMA[section]:
+        raise ConfigurationError(f"unknown configuration key [{section}] {key}")
     kind, _ = _SCHEMA[section][key]
     if kind is bool:
         try:
@@ -79,48 +71,24 @@ def _parse_value(section, key, raw):
     return value
 
 
-@dataclass
-class RunConfig:
-    """Resolved configuration: defaults, overlaid by file, then by flags."""
-
-    sections: dict = field(default_factory=dict)
-
-    def get(self, section, key):
-        return self.sections[section][key]
-
-    def set(self, section, key, value):
-        if section not in _SCHEMA or key not in _SCHEMA[section]:
-            raise ConfigurationError(f"unknown configuration key [{section}] {key}")
-        self.sections[section][key] = _parse_value(section, key, value)
-
-    def section(self, name):
-        return dict(self.sections[name])
-
-    def as_dict(self):
-        return {s: dict(kv) for s, kv in sorted(self.sections.items())}
-
-
-def default_config():
-    cfg = RunConfig()
-    cfg.sections = {
-        section: {key: default for key, (_, default) in keys.items()}
-        for section, keys in _SCHEMA.items()
-    }
-    return cfg
-
-
-def load_config(path):
-    """Parse an INI-style config file; unknown sections or keys are errors."""
-    cfg = default_config()
-    parser = configparser.ConfigParser()
-    try:
-        with open(path, encoding="utf-8") as fh:
-            parser.read_file(fh)
-    except configparser.Error as err:
-        raise ConfigurationError(f"cannot parse config file: {err}") from err
-    for section in parser.sections():
-        if section not in _SCHEMA:
-            raise ConfigurationError(f"unknown configuration section [{section}]")
-        for key, raw in parser.items(section):
-            cfg.set(section, key, raw)
+def load_config(path=None, overrides=()):
+    """Section -> key -> value: the defaults, overlaid by the INI-style file
+    at ``path``, then by the ``(section, key, raw value)`` overrides.
+    Unknown sections or keys are errors."""
+    cfg = {section: {key: default for key, (_, default) in keys.items()}
+           for section, keys in _SCHEMA.items()}
+    if path is not None:
+        parser = configparser.ConfigParser()
+        try:
+            with open(path, encoding="utf-8") as fh:
+                parser.read_file(fh)
+        except configparser.Error as err:
+            raise ConfigurationError(f"cannot parse config file: {err}") from err
+        for section in parser.sections():
+            if section not in _SCHEMA:
+                raise ConfigurationError(f"unknown configuration section [{section}]")
+            for key, raw in parser.items(section):
+                cfg[section][key] = _parse_value(section, key, raw)
+    for section, key, raw in overrides:
+        cfg[section][key] = _parse_value(section, key, raw)
     return cfg

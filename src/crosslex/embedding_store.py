@@ -48,9 +48,6 @@ class EmbeddingSpace:
     def __len__(self):
         return len(self.words)
 
-    def __contains__(self, word):
-        return word in self.vocab
-
     def vector(self, word):
         return self.vectors[self.vocab[word]]
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -477,3 +478,196 @@ def test_removed_config_key_exits_1(tmp_path, capsys, section, key, message):
     assert main(["mine-rules", "--config", str(cfg), "--dataset", str(ds),
                  "--language", "en"]) == 1
     assert message in capsys.readouterr().err
+
+
+_HELP = (["-h", "--help"], False, argparse.SUPPRESS, "help", None)
+_CONFIG = [(["--config"], False, None, "config", None),
+           (["--set"], False, [], "overrides", "SECTION.KEY=VALUE")]
+_MODEL = [(["--model"], True, None, "model", None),
+          (["--embeddings"], True, None, "embeddings", "LANG=PATH")]
+_OUTPUT = (["--output"], False, None, "output", None)
+
+# Per command: (option strings, required, default, dest, metavar) of each flag.
+FLAG_TABLE = {
+    "filter-corpus": [_HELP, *_CONFIG,
+                      (["--input"], True, None, "input", None),
+                      (["--seeds"], True, None, "seeds", None),
+                      (["--output"], True, None, "output", None)],
+    "train-embeddings": [_HELP, *_CONFIG,
+                         (["--corpus"], True, None, "corpus", None),
+                         (["--language"], True, None, "language", None),
+                         (["--output"], True, None, "output", None)],
+    "align": [_HELP, *_CONFIG,
+              (["--embeddings"], True, None, "embeddings", "LANG=PATH"),
+              (["--lexicon"], True, None, "lexicon", "LANG=PATH"),
+              (["--pivot"], False, None, "pivot", None),
+              (["--holdout"], False, False, "holdout", None),
+              (["--output"], True, None, "output", None)],
+    "knn": [_HELP, *_CONFIG, *_MODEL,
+            (["--word"], True, None, "word", None),
+            (["--lang"], True, None, "lang", None),
+            (["--target"], True, None, "target", None),
+            (["--k"], False, 5, "k", None),
+            _OUTPUT],
+    "bli": [_HELP, *_CONFIG, *_MODEL,
+            (["--validation"], True, None, "validation", "LANG=PATH"),
+            (["--k"], False, 1, "k", None),
+            (["--detailed"], False, False, "detailed", None),
+            _OUTPUT],
+    "mine-rules": [_HELP, *_CONFIG,
+                   (["--dataset"], True, None, "dataset", None),
+                   (["--language"], True, None, "language", None),
+                   (["--class"], False, "all", "class_filter", None),
+                   _OUTPUT],
+    "context-sim": [_HELP, *_CONFIG, *_MODEL,
+                    (["--dataset"], True, None, "dataset", "LANG=PATH"),
+                    (["--seed-terms"], True, None, "seed_terms", None),
+                    (["--source-lang"], True, None, "source_lang", None),
+                    (["--class"], False, "hate", "class_filter", None),
+                    _OUTPUT],
+    "classify": [_HELP, *_CONFIG, *_MODEL,
+                 (["--train"], True, None, "train", "LANG=PATH"),
+                 (["--test"], True, None, "test", "LANG=PATH"),
+                 (["--monolingual"], False, False, "monolingual", None),
+                 _OUTPUT],
+    "report": [_HELP,
+               (["--input"], True, None, "input", None),
+               _OUTPUT],
+}
+
+
+def test_flag_table_of_every_command():
+    from crosslex.cli import build_parser
+
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    table = {
+        name: [(a.option_strings, a.required, a.default, a.dest, a.metavar)
+               for a in parser._actions]
+        for name, parser in sub.choices.items()
+    }
+    assert table == FLAG_TABLE
+
+
+@pytest.mark.parametrize("command", sorted(FLAG_TABLE))
+def test_command_help_exits_0(capsys, command):
+    assert main([command, "--help"]) == 0
+    assert capsys.readouterr().out.startswith(f"usage: crosslex {command}")
+
+
+@pytest.fixture
+def filter_inputs(tmp_path):
+    """filter-corpus argv on a corpus whose kept-line count shows
+    ``tokenizer.lowercase``: 2 lines kept when it is true, 1 when false."""
+    corpus = tmp_path / "c.txt"
+    corpus.write_text("keep me\nKeep you\ndrop\n")
+    seeds = tmp_path / "s.txt"
+    seeds.write_text("keep\n")
+    out = tmp_path / "f.txt"
+    argv = ["filter-corpus", "--input", str(corpus), "--seeds", str(seeds),
+            "--output", str(out)]
+    return argv, tmp_path / "f.txt.manifest.json"
+
+
+@pytest.mark.parametrize("override,message", [
+    ("tokenizer.lowercase=maybe",
+     "[tokenizer] lowercase: expected a boolean, got 'maybe'"),
+    ("sgns.dim=abc", "[sgns] dim: expected int, got 'abc'"),
+])
+def test_bad_override_value_exits_1(filter_inputs, capsys, override, message):
+    argv, manifest = filter_inputs
+    assert main([*argv, "--set", override]) == 1
+    assert (f"crosslex: configuration error: {message}\n"
+            == capsys.readouterr().err)
+    assert not manifest.exists()
+
+
+def test_unparsable_config_file_exits_1(filter_inputs, tmp_path, capsys):
+    argv, manifest = filter_inputs
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("lowercase = no\n")
+    assert main([*argv, "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == (
+        "crosslex: configuration error: cannot parse config file: File "
+        f"contains no section headers.\nfile: '{cfg}', line: 1\n"
+        "'lowercase = no\\n'\n")
+    assert not manifest.exists()
+
+
+@pytest.mark.parametrize("spelling,value", [
+    ("yes", True), ("no", False), ("1", True), ("0", False),
+    ("True", True), ("FALSE", False),
+])
+def test_boolean_spellings(filter_inputs, capsys, spelling, value):
+    argv, manifest = filter_inputs
+    assert main([*argv, "--set", f"tokenizer.lowercase={spelling}"]) == 0
+    config = json.loads(manifest.read_text())["config"]
+    assert config["tokenizer"]["lowercase"] is value
+    assert config["kept"] == (2 if value else 1)
+
+
+def test_set_overrides_config_file(filter_inputs, tmp_path, capsys):
+    argv, manifest = filter_inputs
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[tokenizer]\nlowercase = false\nstrip_urls = no\n")
+    assert main([*argv, "--config", str(cfg)]) == 0
+    assert json.loads(manifest.read_text())["config"]["tokenizer"] == {
+        "keep_hashtag_body": True, "lowercase": False,
+        "strip_mentions": True, "strip_urls": False}
+    assert main([*argv, "--config", str(cfg),
+                 "--set", "tokenizer.lowercase=true"]) == 0
+    assert json.loads(manifest.read_text())["config"] == {
+        "kept": 2, "total": 3,
+        "tokenizer": {"keep_hashtag_body": True, "lowercase": True,
+                      "strip_mentions": True, "strip_urls": False}}
+    assert "kept 2 of 3 lines" in capsys.readouterr().err
+
+
+def _repeated_language_argv(inp, model_dir, emb):
+    """Per flag, argv that names language es twice in it."""
+    common = ["--model", str(model_dir), *emb]
+    es_tsv = str(inp["datasets"]["es"])
+    return {
+        "--embeddings": ["knn", *common, "--embeddings", f"es={inp['es']}",
+                         "--word", "en3", "--lang", "en", "--target", "es"],
+        "--lexicon": ["align", "--pivot", "en", *emb,
+                      "--lexicon", f"es={inp['lexicon']}",
+                      "--lexicon", f"es={inp['lexicon']}",
+                      "--output", str(model_dir.parent / "twice")],
+        "--validation": ["bli", *common,
+                         "--validation", f"es={inp['lexicon']}",
+                         "--validation", f"es={inp['lexicon']}"],
+        "--dataset": ["context-sim", *common, "--dataset", f"en={es_tsv}",
+                      "--dataset", f"es={es_tsv}", "--dataset", f"es={es_tsv}",
+                      "--seed-terms", "en1", "--source-lang", "en"],
+    }
+
+
+@pytest.mark.parametrize("flag", ["--dataset", "--embeddings", "--lexicon",
+                                  "--validation"])
+def test_repeated_language_exits_1_naming_flag(mini_pipeline_inputs, tmp_path,
+                                               capsys, flag):
+    model_dir = tmp_path / "model"
+    emb = _aligned_model(mini_pipeline_inputs, model_dir)
+    capsys.readouterr()
+    argv = _repeated_language_argv(mini_pipeline_inputs, model_dir, emb)[flag]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: argument {flag}: language 'es' given twice" in captured.err
+    assert not (tmp_path / "twice").exists()
+
+
+def test_unused_embeddings_are_not_read(mini_pipeline_inputs, tmp_path):
+    inp = mini_pipeline_inputs
+    broken = tmp_path / "it.vec"
+    broken.write_text("2 10\nnot a vector\n")
+    model_dir = tmp_path / "model"
+    assert main([
+        "align", "--pivot", "en", "--embeddings", f"en={inp['en']}",
+        "--embeddings", f"it={broken}", "--embeddings", f"es={inp['es']}",
+        "--lexicon", f"es={inp['lexicon']}", "--output", str(model_dir),
+    ]) == 0
+    manifest = json.loads((model_dir / "manifest.json").read_text())
+    assert set(manifest["inputs"]) == {
+        str(inp["en"]), str(inp["es"]), str(inp["lexicon"])}
