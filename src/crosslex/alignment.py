@@ -26,6 +26,7 @@ from .errors import (
     NotFoundError,
     SingularityError,
     in_file,
+    text_lines,
 )
 
 _PINV_RCOND = 1e-10
@@ -308,13 +309,10 @@ _META_KEYS = ("pivot_lang", "shared_dim", "regularization", "kept_ratio",
 
 
 def _read_metadata(path):
-    with open(path, encoding="utf-8") as fh:
-        try:
-            meta = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise FormatError(f"invalid JSON: {err.msg}", err.lineno) from None
-        except UnicodeDecodeError:
-            raise FormatError("invalid UTF-8 bytes") from None
+    try:
+        meta = json.loads("".join(line for _, line in text_lines(path)))
+    except json.JSONDecodeError as err:
+        raise FormatError(f"invalid JSON: {err.msg}", err.lineno) from None
     if not isinstance(meta, dict):
         raise FormatError("metadata must be a JSON object")
     missing = [key for key in _META_KEYS if key not in meta]
@@ -401,9 +399,7 @@ def load_alignment(dirpath):
     for lang in meta["languages"]:
         path = os.path.join(dirpath, f"{lang}.mat")
         with in_file(path):
-            # Bytes that are not UTF-8 become non-numeric cells with a line.
-            with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-                lines = fh.readlines()
+            lines = [line for _, line in text_lines(path)]
             model.maps[lang] = LanguageMap(
                 *_read_language_map(lines),
                 correlations=np.array(correlations.get(lang, []), dtype=np.float64),

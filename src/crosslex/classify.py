@@ -14,6 +14,7 @@ import numpy as np
 
 from .alignment import project_space
 from .errors import (
+    ConfigurationError,
     DegenerateDataError,
     DimensionError,
     InsufficientDataError,
@@ -136,6 +137,8 @@ def split_dataset(ds, fractions=(0.7, 0.1, 0.2), seed=0):
     """Deterministic train/dev/test split of a labeled dataset."""
     if not math.isclose(sum(fractions), 1.0):
         raise ProtocolError("split fractions must sum to 1")
+    if seed < 0:
+        raise ConfigurationError("split seed must be >= 0")
     order = np.random.default_rng(seed).permutation(len(ds.docs))
     n = len(ds.docs)
     n_train = int(round(fractions[0] * n))

@@ -27,10 +27,17 @@ from .corpus import (
     tokenize,
 )
 from .embedding_store import load_embeddings, save_embeddings
-from .errors import ConfigurationError, CrosslexError, ProtocolError
+from .errors import (
+    ConfigurationError,
+    CrosslexError,
+    FormatError,
+    ProtocolError,
+    in_file,
+    text_lines,
+)
 from .lexicon import load_lexicon, restrict_to_vocab, split_lexicon
 from .manifest import write_manifest
-from .retrieval import bli_precision_at_k, knn, knn_batch
+from .retrieval import bli_precision_at_k, knn
 from .rules import (
     HATE,
     NON_HATE,
@@ -229,20 +236,14 @@ def _cmd_bli(args):
     records = []
     for lang, path in args.validation.items():
         lex = load_lexicon(path, model.pivot_lang, lang)
-        if args.detailed:
-            queries = [w for w in lex.source_words()
-                       if w in spaces[lex.src_lang].vocab]
-            for result in knn_batch(model, spaces, queries, lex.src_lang,
-                                    lang, args.k):
-                records.append({
-                    "query": result.query_word, "query_lang": lex.src_lang,
-                    "target_lang": lang,
-                    "neighbors": [
-                        {"word": w, "score": round(s, 6)}
-                        for w, _, s in result.neighbors
-                    ],
-                })
         res = bli_precision_at_k(model, spaces, lex, args.k)
+        if args.detailed:
+            records.extend({
+                "query": result.query_word, "query_lang": lex.src_lang,
+                "target_lang": lang,
+                "neighbors": [{"word": w, "score": round(s, 6)}
+                              for w, _, s in result.neighbors],
+            } for result in res.rankings)
         records.append({
             "source_lang": lex.src_lang, "target_lang": lang,
             "k": args.k, "precision": round(res.precision, 6),
@@ -362,25 +363,28 @@ def _cmd_classify(args):
 def _cmd_report(args):
     """Flatten a context-sim JSON-lines report into a TSV table:
     rows = seed terms, columns = target languages."""
-    with open(args.input, encoding="utf-8") as fh:
-        records = [json.loads(line) for line in fh if line.strip()]
-    seeds = []
-    langs = []
     cells = {}
-    for rec in records:
-        if "seed" not in rec:
-            continue
-        seed, lang = rec["seed"], rec["target_lang"]
-        if seed not in seeds:
-            seeds.append(seed)
-        if lang not in langs:
-            langs.append(lang)
-        if rec.get("no_context"):
-            cells[(seed, lang)] = "(no context)"
-        else:
-            cells[(seed, lang)] = "; ".join(
-                f"{r['word']} ({r['score']:.2f})" for r in rec["results"]
-            )
+    with in_file(args.input):
+        for lineno, line in text_lines(args.input):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+                if "seed" in rec:
+                    key = str(rec["seed"]), str(rec["target_lang"])
+                    cells[key] = ("(no context)" if rec.get("no_context") else
+                                  "; ".join(f"{r['word']} ({r['score']:.2f})"
+                                            for r in rec["results"]))
+                    # a JSON escape can spell a lone surrogate, not UTF-8
+                    "".join([*key, cells[key]]).encode("utf-8")
+            except json.JSONDecodeError as err:
+                raise FormatError(f"invalid JSON: {err.msg}", lineno) from None
+            except KeyError as err:
+                raise FormatError(f"record lacks key {err}", lineno) from None
+            except (TypeError, ValueError) as err:
+                raise FormatError(f"malformed record: {err}", lineno) from None
+    seeds = list(dict.fromkeys(seed for seed, _ in cells))
+    langs = list(dict.fromkeys(lang for _, lang in cells))
     lines = ["seed\t" + "\t".join(langs)]
     for seed in seeds:
         lines.append(

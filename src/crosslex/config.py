@@ -8,7 +8,7 @@ import math
 
 from .classify import ClassifyConfig
 from .corpus import TokenizerConfig
-from .errors import ConfigurationError
+from .errors import ConfigurationError, FormatError, text_lines
 from .sgns import SgnsConfig
 
 
@@ -80,9 +80,8 @@ def load_config(path=None, overrides=()):
     if path is not None:
         parser = configparser.ConfigParser()
         try:
-            with open(path, encoding="utf-8") as fh:
-                parser.read_file(fh)
-        except configparser.Error as err:
+            parser.read_file((line for _, line in text_lines(path)), source=path)
+        except (configparser.Error, FormatError) as err:
             raise ConfigurationError(f"cannot parse config file: {err}") from err
         for section in parser.sections():
             if section not in _SCHEMA:

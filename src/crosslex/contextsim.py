@@ -133,6 +133,10 @@ def cross_lingual_report(seed_terms, source_lang, datasets, class_filter,
         raise ConfigurationError(
             f"source language {source_lang!r} has no dataset; pass one with "
             f"--dataset {source_lang}=PATH")
+    if top_m < 1:
+        raise ConfigurationError("top_m must be >= 1")
+    if variant not in VARIANTS:
+        raise ConfigurationError(f"unknown variant {variant!r}")
     stopword_map = mining.get("stopwords", {})
     kwargs = {k: v for k, v in mining.items() if k != "stopwords"}
     contexts, vectors = {}, {}

@@ -11,8 +11,8 @@ from .errors import (
     DomainError,
     FormatError,
     InsufficientDataError,
-    check_utf8,
     in_file,
+    text_lines,
 )
 
 
@@ -51,10 +51,6 @@ class EmbeddingSpace:
     def vector(self, word):
         return self.vectors[self.vocab[word]]
 
-    def normalized(self):
-        """Return a copy with its rows passed through ``unit_rows``."""
-        return EmbeddingSpace(self.language, self.words, unit_rows(self.vectors))
-
 
 def unit_rows(mat):
     """The rows of a 2-d matrix scaled to unit Euclidean norm, computed in
@@ -79,8 +75,7 @@ def load_embeddings(path, language):
     """
     with in_file(path):
         try:
-            with open(path, encoding="utf-8") as fh:
-                words, vectors, duplicates = _parse_bulk(fh)
+            words, vectors, duplicates = _parse_bulk(path)
         except ValueError:  # undecodable bytes, or a row the bulk parse refuses
             words, vectors, duplicates = _parse_lines(path)
     space = EmbeddingSpace(language, words, vectors)
@@ -88,10 +83,8 @@ def load_embeddings(path, language):
     return space
 
 
-def _read_header(fh):
+def _read_header(header):
     """Parse the "<vocab_count> <dim>" first line into (count, dim)."""
-    header = fh.readline()
-    check_utf8(header, 1)
     parts = header.split()
     if len(parts) != 2:
         raise FormatError("expected header '<vocab_count> <dim>'", 1)
@@ -106,7 +99,7 @@ def _read_header(fh):
     return count, dim
 
 
-def _parse_bulk(fh):
+def _parse_bulk(path):
     """(words, vectors, duplicates) of a well-formed file.
 
     In a well-formed file each row is the word and its components joined
@@ -115,37 +108,39 @@ def _parse_bulk(fh):
     and checks that every row has the same number of columns; the word
     column goes through a converter that collects the words, and the empty
     column after a trailing space through one that refuses anything else.
-    A ValueError means that the per-line scan must read the file.
+    A ValueError, undecodable bytes included, means that the per-line scan
+    must read the file.
     """
-    count, dim = _read_header(fh)
-    start = fh.tell()
-    line = fh.readline()
-    while line.isspace():
+    with open(path, encoding="utf-8") as fh:  # loadtxt reads a file handle
+        count, dim = _read_header(fh.readline())
+        start = fh.tell()
         line = fh.readline()
-    if not line:  # no rows: loadtxt would warn, the scan raises
-        raise ValueError("no rows")
-    fh.seek(start)
-    trailing = line.rstrip("\n").endswith(" ")
-    words = []
+        while line.isspace():
+            line = fh.readline()
+        if not line:  # no rows: loadtxt would warn, the scan raises
+            raise ValueError("no rows")
+        fh.seek(start)
+        trailing = line.rstrip("\n").endswith(" ")
+        words = []
 
-    def word(field):
-        if not field:  # the row starts with a space
-            raise ValueError("empty word")
-        words.append(field)
-        return 0.0
+        def word(field):
+            if not field:  # the row starts with a space
+                raise ValueError("empty word")
+            words.append(field)
+            return 0.0
 
-    def empty(field):
-        if field:
-            raise ValueError("a component after the trailing space")
-        return 0.0
+        def empty(field):
+            if field:
+                raise ValueError("a component after the trailing space")
+            return 0.0
 
-    converters = {0: word}
-    if trailing:
-        converters[dim + 1] = empty
-    # encoding="utf-8": before numpy 2.0 the default ("bytes") hands the
-    # converter latin1-encoded bytes instead of str.
-    table = np.loadtxt(fh, dtype=np.float32, delimiter=" ", comments=None,
-                       converters=converters, ndmin=2, encoding="utf-8")
+        converters = {0: word}
+        if trailing:
+            converters[dim + 1] = empty
+        # encoding="utf-8": before numpy 2.0 the default ("bytes") hands the
+        # converter latin1-encoded bytes instead of str.
+        table = np.loadtxt(fh, dtype=np.float32, delimiter=" ", comments=None,
+                           converters=converters, ndmin=2, encoding="utf-8")
     if table.shape != (count, dim + 1 + trailing) or len(words) != count:
         raise ValueError("row or column count differs from the header")
     vectors = np.ascontiguousarray(table[:, 1:dim + 1])
@@ -172,33 +167,31 @@ def _parse_lines(path):
     rows = []
     seen = {}
     duplicates = 0
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        count, dim = _read_header(fh)
-        lineno = 1
-        for line in fh:
-            lineno += 1
-            check_utf8(line, lineno)
-            if not line.strip():
-                continue
-            fields = line.rstrip("\n").split(" ")
-            fields = [f for f in fields if f != ""]
-            if len(fields) != dim + 1:
-                raise FormatError(
-                    f"expected {dim + 1} fields, found {len(fields)}", lineno
-                )
-            word = fields[0]
-            try:
-                vec = np.array(fields[1:], dtype=np.float32)
-            except ValueError:
-                raise FormatError("non-numeric vector component", lineno) from None
-            if not np.linalg.norm(vec) > 0:
-                raise FormatError(f"all-zero vector for word {word!r}", lineno)
-            if word in seen:
-                duplicates += 1
-                continue
-            seen[word] = True
-            words.append(word)
-            rows.append(vec)
+    lines = text_lines(path)
+    lineno, header = next(lines, (1, ""))
+    count, dim = _read_header(header)
+    for lineno, line in lines:
+        if not line.strip():
+            continue
+        fields = line.rstrip("\n").split(" ")
+        fields = [f for f in fields if f != ""]
+        if len(fields) != dim + 1:
+            raise FormatError(
+                f"expected {dim + 1} fields, found {len(fields)}", lineno
+            )
+        word = fields[0]
+        try:
+            vec = np.array(fields[1:], dtype=np.float32)
+        except ValueError:
+            raise FormatError("non-numeric vector component", lineno) from None
+        if not np.linalg.norm(vec) > 0:
+            raise FormatError(f"all-zero vector for word {word!r}", lineno)
+        if word in seen:
+            duplicates += 1
+            continue
+        seen[word] = True
+        words.append(word)
+        rows.append(vec)
     if len(words) + duplicates != count:
         raise FormatError(
             f"header promised {count} rows, found {len(words) + duplicates}",

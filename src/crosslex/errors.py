@@ -1,5 +1,5 @@
-"""Exception hierarchy shared by all crosslex modules, and the checked
-readers that turn undecodable text into format errors."""
+"""Exception hierarchy shared by all crosslex modules, and the one checked
+reader of text inputs, which turns undecodable text into format errors."""
 
 import os
 from contextlib import contextmanager
@@ -38,21 +38,16 @@ def in_file(path):
         raise
 
 
-def check_utf8(line, lineno):
-    """Reject a line read with ``errors="surrogateescape"`` that holds bytes
-    that were not UTF-8."""
-    try:
-        line.encode("utf-8")
-    except UnicodeEncodeError:
-        raise FormatError("invalid UTF-8 bytes", lineno) from None
-
-
 def text_lines(path):
-    """Yield (1-based line number, line) of a UTF-8 text file. A line with
-    bytes that are not UTF-8 raises FormatError naming the file and line."""
+    """Yield (1-based line number, line) of a UTF-8 text file; every text
+    input is read here. A line with bytes that are not UTF-8 raises
+    FormatError naming the file and line."""
     with in_file(path), open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
-            check_utf8(line, lineno)
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                raise FormatError("invalid UTF-8 bytes", lineno) from None
             yield lineno, line
 
 

@@ -108,6 +108,8 @@ def split_lexicon(lex, train_fraction, rng_seed):
     """
     if not 0 < train_fraction < 1:
         raise ConfigurationError("train_fraction must be in (0, 1)")
+    if rng_seed < 0:
+        raise ConfigurationError("split seed must be >= 0")
     sources = lex.source_words()
     if len(sources) < 2:
         raise InsufficientDataError("need >= 2 distinct source words to split")

@@ -26,6 +26,7 @@ class BliResult:
     k: int
     evaluated: int  # distinct source words scored
     excluded: int  # source words with no in-vocabulary gold target
+    rankings: list = field(default_factory=list)  # per in-vocabulary source word
 
 
 # Score blocks hold at most this many float64 entries (4 MB), so the rows
@@ -112,34 +113,29 @@ def bli_precision_at_k(model, spaces, validation, k):
 
     One-to-many source words count once. Source words that are OOV, or
     whose gold targets are all OOV, are excluded from the denominator and
-    counted in ``excluded``. All evaluated words are ranked in one batch.
+    counted in ``excluded``. Every in-vocabulary source word is ranked
+    once, in one batch, and its list is returned in ``rankings``, in
+    first-appearance order.
     """
     src_lang, tgt_lang = validation.src_lang, validation.tgt_lang
+    target_vocab = spaces[tgt_lang].vocab
     gold = {}
     for s, t in validation.pairs:
-        gold.setdefault(s, set()).add(t)
-
-    target_vocab = spaces[tgt_lang].vocab
-    queries = []
-    excluded = 0
-    for src_word, targets in gold.items():
-        in_vocab_targets = {t for t in targets if t in target_vocab}
-        if src_word not in spaces[src_lang].vocab or not in_vocab_targets:
-            excluded += 1
-            continue
-        queries.append((src_word, in_vocab_targets))
-    if not queries:
+        targets = gold.setdefault(s, set())
+        if t in target_vocab:
+            targets.add(t)
+    queries = [w for w in gold if w in spaces[src_lang].vocab]
+    evaluated = sum(1 for w in queries if gold[w])
+    if not evaluated:
         raise InsufficientDataError(
             "no validation pair survives vocabulary restriction"
         )
-    ranked = knn_batch(model, spaces, [w for w, _ in queries], src_lang,
-                       tgt_lang, k)
+    rankings = knn_batch(model, spaces, queries, src_lang, tgt_lang, k)
     hits = sum(
-        1
-        for (_, targets), result in zip(queries, ranked)
-        if targets.intersection(w for w, _, _ in result.neighbors)
+        1 for result in rankings
+        if gold[result.query_word].intersection(w for w, _, _ in result.neighbors)
     )
     return BliResult(
-        precision=hits / len(queries), k=k, evaluated=len(queries),
-        excluded=excluded,
+        precision=hits / evaluated, k=k, evaluated=evaluated,
+        excluded=len(gold) - evaluated, rankings=rankings,
     )

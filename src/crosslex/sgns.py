@@ -74,6 +74,8 @@ class SgnsConfig:
             raise ConfigurationError("min_count must be >= 1")
         if not (math.isfinite(self.subsample_t) and self.subsample_t >= 0):
             raise ConfigurationError("subsample_t must be finite and >= 0")
+        if self.rng_seed < 0:
+            raise ConfigurationError("rng_seed must be >= 0")
 
 
 def _sigmoid(x):

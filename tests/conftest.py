@@ -10,6 +10,7 @@ from crosslex import (
     LabeledDataset,
     fit_hub_alignment,
 )
+from crosslex.embedding_store import unit_rows
 from crosslex.rules import HATE, NON_HATE
 
 
@@ -60,7 +61,8 @@ def build_trilingual(n_words=500, dim=50, noise=0.01, n_align=150, n_val=100,
     for li, lang in enumerate(LANGS):
         q = random_orthogonal(dim, seed=100 + li)
         noisy = proto @ q + rng.normal(scale=noise, size=(n_words, dim))
-        spaces[lang] = EmbeddingSpace(lang, words, noisy).normalized()
+        spaces[lang] = EmbeddingSpace(lang, words,
+                                      unit_rows(noisy.astype(np.float32)))
     align_words = words[:n_align]
     val_words = words[n_align:n_align + n_val]
     lexicons = [
@@ -138,7 +140,7 @@ def duplicate_space_pair():
     rng = np.random.default_rng(5)
     words = [f"w{i}" for i in range(40)]
     vecs = rng.normal(size=(40, 8)).astype(np.float32)
-    en = EmbeddingSpace("en", words, vecs).normalized()
-    xx = EmbeddingSpace("xx", words, vecs).normalized()
+    en = EmbeddingSpace("en", words, unit_rows(vecs))
+    xx = EmbeddingSpace("xx", words, unit_rows(vecs))
     lex = BilingualLexicon("en", "xx", [(w, w) for w in words])
     return {"en": en, "xx": xx}, lex

@@ -227,7 +227,8 @@ def test_model_normalizes_raw_spaces_pivot_included(trilingual_labeled):
     with normalize=False, down to the classifier's counts."""
     tri = trilingual_labeled
     raw = _raw_spaces(tri)
-    prenormalized = {lang: space.normalized() for lang, space in raw.items()}
+    prenormalized = {lang: EmbeddingSpace(lang, space.words, unit_rows(space.vectors))
+                     for lang, space in raw.items()}
     lexicons = [BilingualLexicon("en", lang, [(w, w) for w in tri.align_words])
                 for lang in ("es", "it")]
     own = fit_hub_alignment(raw, lexicons, "en", lam=1e-3, kept_ratio=1.0)
@@ -382,7 +383,7 @@ def test_mat_invalid_utf8_reports_line(tmp_path, trilingual):
     with pytest.raises(FormatError) as exc:
         load_alignment(tmp_path / "model")
     assert exc.value.line_number == 4
-    assert str(exc.value).startswith(f"{path}: non-numeric matrix cell")
+    assert str(exc.value).startswith(f"{path}: invalid UTF-8 bytes")
 
 
 def _mat_lines(*shapes):

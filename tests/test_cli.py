@@ -671,3 +671,106 @@ def test_unused_embeddings_are_not_read(mini_pipeline_inputs, tmp_path):
     manifest = json.loads((model_dir / "manifest.json").read_text())
     assert set(manifest["inputs"]) == {
         str(inp["en"]), str(inp["es"]), str(inp["lexicon"])}
+
+
+def _bad_value_argv(inp, model_dir, emb):
+    """Per override, argv on valid inputs that the value alone makes fail."""
+    common = ["--model", str(model_dir), *emb]
+    en_tsv, es_tsv = (str(inp["datasets"][lang]) for lang in ("en", "es"))
+    corpus = inp["dir"] / "corpus.txt"
+    corpus.write_text("a b c a b\nb c a\n" * 5)
+    context_sim = ["context-sim", *common, "--dataset", f"en={en_tsv}",
+                   "--dataset", f"es={es_tsv}", "--seed-terms", "en1",
+                   "--source-lang", "en"]
+    return {
+        "sgns.rng_seed=-1": ["train-embeddings", "--corpus", str(corpus),
+                             "--language", "en", "--output",
+                             str(inp["dir"] / "out.vec")],
+        "alignment.split_seed=-1": ["align", "--pivot", "en", *emb, "--lexicon",
+                                    f"es={inp['lexicon']}", "--holdout",
+                                    "--output", str(inp["dir"] / "out_model")],
+        "classify.split_seed=-1": ["classify", *common, "--monolingual",
+                                   "--train", f"en={en_tsv}", "--test",
+                                   f"en={en_tsv}"],
+        "similarity.top_m=-1": context_sim,
+        "similarity.top_m=0": context_sim,
+        "similarity.variant=foo": context_sim,
+    }
+
+
+@pytest.mark.parametrize("override,message", [
+    ("alignment.split_seed=-1", "split seed must be >= 0"),
+    ("classify.split_seed=-1", "split seed must be >= 0"),
+    ("sgns.rng_seed=-1", "rng_seed must be >= 0"),
+    ("similarity.top_m=-1", "top_m must be >= 1"),
+    ("similarity.top_m=0", "top_m must be >= 1"),
+    ("similarity.variant=foo", "unknown variant 'foo'"),
+])
+def test_bad_config_value_exits_1(mini_pipeline_inputs, tmp_path, capsys,
+                                  override, message):
+    model_dir = tmp_path / "model"
+    emb = _aligned_model(mini_pipeline_inputs, model_dir)
+    argv = _bad_value_argv(mini_pipeline_inputs, model_dir, emb)[override]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main([*argv, "--set", override]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"crosslex: configuration error: {message}" in captured.err
+    assert "Traceback" not in captured.err
+
+
+_REPORT_LINE = {"seed": "s1", "target_lang": "es", "no_context": False,
+                "results": [{"word": "w", "score": 0.9}]}
+
+# case -> (file, 1-based line, the bytes that replace that line, exit code,
+# message); the file is read by knn on an aligned model, or by report.
+MALFORMED = {
+    ".vec scan": ("es.vec", 5, b"es3 \xff 0.5\n", 2, "invalid UTF-8 bytes"),
+    "metadata.json": ("model/metadata.json", 3, b'  "\xff": 1,\n', 2,
+                      "invalid UTF-8 bytes"),
+    ".mat": ("model/es.mat", 4, b"0.5 \xff\n", 2, "invalid UTF-8 bytes"),
+    "--config": ("run.ini", 2, b"top_n = \xff\n", 1,
+                 "invalid UTF-8 bytes"),
+    "report not UTF-8": ("report.jsonl", 2, b'{"seed": "\xff"}\n', 2,
+                         "invalid UTF-8 bytes"),
+    "report lone surrogate": (
+        "report.jsonl", 2,
+        b'{"seed": "\\ud800", "target_lang": "es", "results": []}\n', 2,
+        "malformed record: 'utf-8' codec can't encode character '\\ud800'"),
+    "report truncated line": ("report.jsonl", 2, b'{"seed": "s2", "target_',
+                              2, "invalid JSON: Unterminated string"),
+    "report record without results": (
+        "report.jsonl", 2, b'{"seed": "s2", "target_lang": "es"}\n', 2,
+        "record lacks key 'results'"),
+    "report result without score": (
+        "report.jsonl", 2,
+        b'{"seed": "s2", "target_lang": "es", "results": [{"word": "w"}]}\n',
+        2, "record lacks key 'score'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_names_file_and_line(mini_pipeline_inputs, tmp_path,
+                                             capsys, case):
+    emb = _aligned_model(mini_pipeline_inputs, tmp_path / "model")
+    config = tmp_path / "run.ini"
+    config.write_text("[mining]\ntop_n = 1\n")
+    report = tmp_path / "report.jsonl"
+    report.write_text((json.dumps(_REPORT_LINE) + "\n") * 2)
+    argv = (["report", "--input", str(report)] if case.startswith("report")
+            else ["knn", "--model", str(tmp_path / "model"), *emb, "--config",
+                  str(config), "--word", "en3", "--lang", "en", "--target", "es"])
+    assert main(argv) == 0
+    name, line, bad, code, message = MALFORMED[case]
+    path = tmp_path / name
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[line - 1] = bad
+    path.write_bytes(b"".join(lines))
+    capsys.readouterr()
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    prefix = "configuration error: cannot parse config file" if code == 1 else "error"
+    assert f"crosslex: {prefix}: {path}: {message}" in err
+    assert f"(line {line})" in err
+    assert "Traceback" not in err

@@ -12,6 +12,7 @@ from crosslex import (
     mine_rules,
     project,
 )
+from crosslex.embedding_store import unit_rows
 from crosslex.errors import ConfigurationError, NotFoundError
 from crosslex.rules import HATE, NON_HATE, LabeledDataset
 
@@ -38,8 +39,9 @@ def planted_bilingual():
     ]
     q = random_orthogonal(12, seed=22)
     spaces = {
-        "en": EmbeddingSpace("en", en_words, proto).normalized(),
-        "es": EmbeddingSpace("es", es_words, proto @ q).normalized(),
+        "en": EmbeddingSpace("en", en_words, unit_rows(proto.astype(np.float32))),
+        "es": EmbeddingSpace("es", es_words,
+                             unit_rows((proto @ q).astype(np.float32))),
     }
     lex = BilingualLexicon("en", "es", list(zip(en_words, es_words)))
     model = fit_hub_alignment(spaces, [lex], "en", lam=1e-3, kept_ratio=1.0)

@@ -8,6 +8,7 @@ from crosslex import (
     cosine,
     fit_hub_alignment,
     knn,
+    knn_batch,
     project,
 )
 from crosslex import retrieval
@@ -161,6 +162,17 @@ def test_bli_excludes_oov_targets(duplicate_space_pair):
     res = bli_precision_at_k(model, spaces, val, k=1)
     assert res.evaluated == 3
     assert res.excluded == 1
+
+
+def test_bli_ranks_every_in_vocabulary_source_word_once(duplicate_space_pair):
+    spaces, lex = duplicate_space_pair
+    model = fit_hub_alignment(spaces, [lex], "en", lam=1e-3, kept_ratio=1.0)
+    pairs = lex.pairs[:3] + [(lex.pairs[3][0], "notavector"),
+                             ("ghost", lex.pairs[4][1])]
+    res = bli_precision_at_k(model, spaces, BilingualLexicon("en", "xx", pairs), k=2)
+    assert (res.evaluated, res.excluded) == (3, 2)
+    queries = [s for s, _ in pairs[:4]]  # the OOV-target word too, not "ghost"
+    assert res.rankings == knn_batch(model, spaces, queries, "en", "xx", 2)
 
 
 def test_bli_empty_after_restriction(duplicate_space_pair):
