@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +28,7 @@ from .errors import (
     SingularityError,
     in_file,
     text_lines,
+    write_text,
 )
 
 _PINV_RCOND = 1e-10
@@ -239,11 +241,12 @@ def project_space(model, language, spaces):
     return _shared_rows(model, language, spaces, slice(None))
 
 
-def _write_matrix(fh, mat):
-    mat = np.atleast_2d(np.asarray(mat, dtype=np.float64))
-    fh.write(f"{mat.shape[0]} {mat.shape[1]}\n")
-    for row in mat:
-        fh.write(" ".join(f"{x:.12e}" for x in row) + "\n")
+def _matrix_lines(*mats):
+    for mat in mats:
+        mat = np.atleast_2d(np.asarray(mat, dtype=np.float64))
+        yield f"{mat.shape[0]} {mat.shape[1]}\n"
+        for row in mat:
+            yield " ".join(f"{x:.12e}" for x in row) + "\n"
 
 
 def _read_matrix(lines, start):
@@ -280,10 +283,22 @@ def _read_matrix(lines, start):
 _FORMAT = 2
 
 
+def is_language_name(name):
+    """Whether ``name`` can name a language: one or more letters, digits,
+    ``_`` or ``-``, so that it is also a file name inside a directory."""
+    return isinstance(name, str) and re.fullmatch(r"[\w-]+", name) is not None
+
+
 def save_alignment(model, dirpath):
-    """Persist a model as a directory: metadata JSON + one matrix file per
-    non-pivot language (``W`` and ``b`` blocks)."""
+    """Persist a model as a directory: one matrix file per non-pivot
+    language (``W`` and ``b`` blocks), then the metadata JSON."""
+    bad = [lang for lang in (model.pivot_lang, *model.maps)
+           if not is_language_name(lang)]
+    if bad:
+        raise ConfigurationError(f"invalid language name {bad[0]!r}")
     os.makedirs(dirpath, exist_ok=True)
+    for lang, lmap in sorted(model.maps.items()):
+        write_text(os.path.join(dirpath, f"{lang}.mat"), _matrix_lines(lmap.W, lmap.b))
     meta = {
         "format": _FORMAT,
         "pivot_lang": model.pivot_lang,
@@ -295,13 +310,8 @@ def save_alignment(model, dirpath):
         "correlations": {lang: lmap.correlations.tolist()
                          for lang, lmap in sorted(model.maps.items())},
     }
-    with open(os.path.join(dirpath, "metadata.json"), "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    for lang, lmap in sorted(model.maps.items()):
-        with open(os.path.join(dirpath, f"{lang}.mat"), "w", encoding="utf-8") as fh:
-            _write_matrix(fh, lmap.W)
-            _write_matrix(fh, lmap.b)
+    write_text(os.path.join(dirpath, "metadata.json"),
+               [json.dumps(meta, indent=2, sort_keys=True), "\n"])
 
 
 _META_KEYS = ("pivot_lang", "shared_dim", "regularization", "kept_ratio",
@@ -321,6 +331,10 @@ def _read_metadata(path):
     if not isinstance(meta["languages"], list) or not all(
             isinstance(lang, str) for lang in meta["languages"]):
         raise FormatError("metadata 'languages' must be a list of strings")
+    bad = [lang for lang in (meta["pivot_lang"], *meta["languages"])
+           if not is_language_name(lang)]
+    if bad:
+        raise FormatError(f"metadata names an invalid language {bad[0]!r}")
     if meta.get("format", _FORMAT) != _FORMAT:
         raise FormatError(f"unsupported model format {meta['format']!r}")
     correlations = meta.get("correlations", {})

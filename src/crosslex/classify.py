@@ -30,6 +30,16 @@ class ClassifyConfig:
     l2: float = 1e-4
     threshold: float = 0.5
 
+    def validate(self):
+        if self.epochs < 1:
+            raise ConfigurationError("epochs must be >= 1")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigurationError("learning_rate must be positive and finite")
+        if not (math.isfinite(self.l2) and self.l2 >= 0):
+            raise ConfigurationError("l2 must be finite and >= 0")
+        if not 0 < self.threshold < 1:
+            raise ConfigurationError("threshold must be in (0, 1)")
+
 
 @dataclass
 class ClassifierModel:
@@ -123,7 +133,7 @@ def metrics_from_counts(tp, fp, fn, tn):
 def evaluate(clf, features, labels, threshold=ClassifyConfig.threshold):
     """Confusion counts and rates with hate as the positive class."""
     if not 0 < threshold < 1:
-        raise ProtocolError("threshold must be in (0, 1)")
+        raise ConfigurationError("threshold must be in (0, 1)")
     preds = clf.scores(features) >= threshold
     labels = np.asarray(labels, dtype=bool)
     tp = int(np.sum(preds & labels))
@@ -162,6 +172,7 @@ def zero_shot_eval(train_ds, test_ds, model, spaces, cfg=ClassifyConfig(),
     influence the classifier. Same-language evaluation requires the
     explicit monolingual flag.
     """
+    cfg.validate()
     if train_ds.language == test_ds.language and not allow_same_language:
         raise ProtocolError(
             "train and test language coincide; pass the monolingual flag "

@@ -15,7 +15,12 @@ import os
 import sys
 
 from . import __version__
-from .alignment import fit_hub_alignment, load_alignment, save_alignment
+from .alignment import (
+    fit_hub_alignment,
+    is_language_name,
+    load_alignment,
+    save_alignment,
+)
 from .classify import ClassifyConfig, split_dataset, zero_shot_eval
 from .config import load_config
 from .contextsim import cross_lingual_report
@@ -34,6 +39,7 @@ from .errors import (
     ProtocolError,
     in_file,
     text_lines,
+    write_text,
 )
 from .lexicon import load_lexicon, restrict_to_vocab, split_lexicon
 from .manifest import write_manifest
@@ -58,11 +64,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _language(value):
+    if not is_language_name(value):
+        raise argparse.ArgumentTypeError(
+            f"invalid language name {value!r}: expected letters, digits, _ or -")
+    return value
+
+
 def _lang_path_pair(value):
     if "=" not in value:
         raise argparse.ArgumentTypeError(f"expected LANG=PATH, got {value!r}")
     lang, path = value.split("=", 1)
-    return lang, path
+    return _language(lang), path
 
 
 class _LangPaths(argparse.Action):
@@ -105,13 +118,8 @@ def _write_output_manifest(output, command, config, inputs, seeds=None):
 
 
 def _write_jsonl(path_or_stdout, records):
-    if path_or_stdout is None:
-        for rec in records:
-            print(json.dumps(rec, sort_keys=True))
-    else:
-        with open(path_or_stdout, "w", encoding="utf-8") as fh:
-            for rec in records:
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    write_text(path_or_stdout,
+               (json.dumps(rec, sort_keys=True) + "\n" for rec in records))
 
 
 def _cmd_filter_corpus(args):
@@ -119,10 +127,7 @@ def _cmd_filter_corpus(args):
     seeds = load_seed_terms(args.seeds)
     lines = read_lines(args.input)
     kept = list(filter_corpus(lines, seeds, TokenizerConfig(**cfg["tokenizer"])))
-    os.makedirs(os.path.dirname(os.path.abspath(args.output)), exist_ok=True)
-    with open(args.output, "w", encoding="utf-8") as fh:
-        for line in kept:
-            fh.write(line + "\n")
+    write_text(args.output, (line + "\n" for line in kept))
     _write_output_manifest(
         args.output, "filter-corpus",
         {"tokenizer": cfg["tokenizer"], "kept": len(kept), "total": len(lines)},
@@ -138,7 +143,6 @@ def _cmd_train_embeddings(args):
     corpus = [tokenize(line, tok) for line in read_lines(args.corpus)]
     space = train_sgns(corpus, SgnsConfig(**cfg["sgns"]))
     space.language = args.language
-    os.makedirs(os.path.dirname(os.path.abspath(args.output)), exist_ok=True)
     save_embeddings(space, args.output)
     _write_output_manifest(
         args.output, "train-embeddings",
@@ -178,10 +182,8 @@ def _cmd_align(args):
     )
     save_alignment(model, args.output)
     for lang, val in heldout.items():
-        with open(os.path.join(args.output, f"validation_{lang}.tsv"), "w",
-                  encoding="utf-8") as fh:
-            for s, t in val.pairs:
-                fh.write(f"{s}\t{t}\n")
+        write_text(os.path.join(args.output, f"validation_{lang}.tsv"),
+                   (f"{s}\t{t}\n" for s, t in val.pairs))
     write_manifest(
         args.output,
         "align",
@@ -390,12 +392,7 @@ def _cmd_report(args):
         lines.append(
             seed + "\t" + "\t".join(cells.get((seed, lang), "") for lang in langs)
         )
-    out = "\n".join(lines) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(out)
-    else:
-        sys.stdout.write(out)
+    write_text(args.output, (line + "\n" for line in lines))
     return EXIT_OK
 
 
@@ -436,7 +433,7 @@ def build_parser():
     p = sub.add_parser("train-embeddings", parents=[config],
                        help="train SGNS vectors on a corpus")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--language", required=True)
+    p.add_argument("--language", required=True, type=_language)
     p.add_argument("--output", required=True)
     p.set_defaults(func=_cmd_train_embeddings)
 
@@ -444,7 +441,7 @@ def build_parser():
                        help="fit CCA hub alignment from lexicons")
     _add_lang_paths(p, "--embeddings")
     _add_lang_paths(p, "--lexicon", help="pivot-to-LANG lexicon TSV")
-    p.add_argument("--pivot")
+    p.add_argument("--pivot", type=_language)
     p.add_argument("--holdout", action="store_true",
                    help="split off a validation lexicon per language")
     p.add_argument("--output", required=True)
@@ -453,8 +450,8 @@ def build_parser():
     p = sub.add_parser("knn", parents=[with_model],
                        help="nearest neighbors in the shared space")
     p.add_argument("--word", required=True)
-    p.add_argument("--lang", required=True)
-    p.add_argument("--target", required=True)
+    p.add_argument("--lang", required=True, type=_language)
+    p.add_argument("--target", required=True, type=_language)
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--output")
     p.set_defaults(func=_cmd_knn)
@@ -471,7 +468,7 @@ def build_parser():
     p = sub.add_parser("mine-rules", parents=[config],
                        help="mine association rules from a dataset")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--language", required=True)
+    p.add_argument("--language", required=True, type=_language)
     p.add_argument("--class", dest="class_filter", default="all",
                    choices=["hate", "non-hate", "all"])
     p.add_argument("--output")
@@ -482,7 +479,7 @@ def build_parser():
     _add_lang_paths(p, "--dataset")
     p.add_argument("--seed-terms", required=True,
                    help="comma-separated seed words")
-    p.add_argument("--source-lang", required=True)
+    p.add_argument("--source-lang", required=True, type=_language)
     p.add_argument("--class", dest="class_filter", default="hate",
                    choices=["hate", "non-hate"])
     p.add_argument("--output")
@@ -516,6 +513,8 @@ def main(argv=None):
         parser.print_help(sys.stderr)
         return EXIT_USAGE
     try:
+        if getattr(args, "output", None):
+            os.makedirs(os.path.dirname(os.path.abspath(args.output)), exist_ok=True)
         return args.func(args)
     except ConfigurationError as err:
         print(f"crosslex: configuration error: {err}", file=sys.stderr)

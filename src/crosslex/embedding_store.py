@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import os
+import itertools
 
 import numpy as np
 
@@ -13,6 +13,7 @@ from .errors import (
     InsufficientDataError,
     in_file,
     text_lines,
+    write_text,
 )
 
 
@@ -202,13 +203,11 @@ def _parse_lines(path):
 
 def save_embeddings(space, path):
     """Write a space in word2vec text format with 6 decimal digits."""
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(f"{len(space)} {space.dim}\n")
-        row_fmt = " ".join(["%.6f"] * space.dim)
-        for word, row in zip(space.words, space.vectors):
-            fh.write(f"{word} {row_fmt % tuple(row.tolist())}\n")
-    os.replace(tmp, path)
+    row_fmt = " ".join(["%.6f"] * space.dim)
+    write_text(path, itertools.chain(
+        [f"{len(space)} {space.dim}\n"],
+        (f"{word} {row_fmt % tuple(row.tolist())}\n"
+         for word, row in zip(space.words, space.vectors))))
 
 
 def cosine(u, v):

@@ -1,7 +1,9 @@
-"""Exception hierarchy shared by all crosslex modules, and the one checked
-reader of text inputs, which turns undecodable text into format errors."""
+"""Exception hierarchy shared by all crosslex modules, the one checked reader
+of text inputs (undecodable text is a format error) and the one writer."""
 
 import os
+import shutil
+import sys
 from contextlib import contextmanager
 
 
@@ -49,6 +51,31 @@ def text_lines(path):
             except UnicodeEncodeError:
                 raise FormatError("invalid UTF-8 bytes", lineno) from None
             yield lineno, line
+
+
+def write_text(path, chunks):
+    """Write the strings of ``chunks`` to ``path`` as UTF-8, or to stdout when
+    ``path`` is None. A pipe or device is written in place; any other path (a
+    symlink's target) is replaced only once the new file is complete, with
+    the old file's permission bits. Makes no directory."""
+    if path is None:
+        sys.stdout.writelines(chunks)
+        return
+    path = os.path.realpath(path)
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+        return
+    tmp = f"{path}.tmp.{os.getpid()}"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+        if os.path.exists(path):
+            shutil.copymode(path, tmp)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 class DimensionError(CrosslexError):

@@ -8,6 +8,7 @@ import os
 import time
 
 from . import __version__
+from .errors import write_text
 
 
 def _sha256(path):
@@ -30,9 +31,6 @@ def write_manifest(out_dir, command, config, inputs, seeds=None,
         "version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
-    os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_text(path, [json.dumps(manifest, indent=2, sort_keys=True), "\n"])
     return path

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -306,13 +307,24 @@ def test_legacy_four_block_model_loads_folded(tmp_path, trilingual):
         lmap = tri.model.maps[lang]
         with open(tmp_path / "model" / f"{lang}.mat", "w") as fh:
             for block in (np.zeros(50), lmap.W, np.eye(50), lmap.b):
-                alignment._write_matrix(fh, block)
+                fh.writelines(alignment._matrix_lines(block))
     again = load_alignment(tmp_path / "model")
     assert again.legacy and again.normalize
     assert len(again.maps["es"].correlations) == 0
     for lang in ("es", "it"):
         assert np.max(np.abs(again.maps[lang].W - tri.model.maps[lang].W)) < 1e-12
         assert np.max(np.abs(again.maps[lang].b - tri.model.maps[lang].b)) < 1e-12
+
+
+@pytest.mark.parametrize("pivot,lang", [("en", "../x"), ("../x", "es"),
+                                        ("en", "\ud800")])
+def test_save_alignment_rejects_bad_language_before_writing(tmp_path, trilingual,
+                                                            pivot, lang):
+    model = dataclasses.replace(trilingual.model, pivot_lang=pivot,
+                                maps={lang: trilingual.model.maps["es"]})
+    with pytest.raises(ConfigurationError, match="invalid language name"):
+        save_alignment(model, tmp_path / "model")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_alignment_model_roundtrip(tmp_path, trilingual):

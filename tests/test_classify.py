@@ -13,7 +13,12 @@ from crosslex import (
     zero_shot_eval,
 )
 from crosslex.classify import metrics_from_counts
-from crosslex.errors import DegenerateDataError, DimensionError, ProtocolError
+from crosslex.errors import (
+    ConfigurationError,
+    DegenerateDataError,
+    DimensionError,
+    ProtocolError,
+)
 from crosslex.rules import HATE, NON_HATE, LabeledDataset
 
 CFG = ClassifyConfig(epochs=500, learning_rate=2.0, l2=1e-5)
@@ -128,6 +133,13 @@ def test_evaluate_dimension_mismatch():
     model = ClassifierModel(weights=np.zeros(3), bias=0.0)
     with pytest.raises(DimensionError):
         evaluate(model, np.zeros((2, 4)), np.zeros(2))
+
+
+@pytest.mark.parametrize("threshold", [0.0, 1.0, 2.0, float("nan")])
+def test_evaluate_threshold_outside_unit_interval(threshold):
+    model = ClassifierModel(weights=np.zeros(3), bias=0.0)
+    with pytest.raises(ConfigurationError, match=r"threshold must be in \(0, 1\)"):
+        evaluate(model, np.zeros((2, 3)), np.zeros(2), threshold=threshold)
 
 
 def test_zero_shot_same_language_rejected(trilingual_labeled):

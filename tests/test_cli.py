@@ -232,7 +232,7 @@ def test_align_records_preparation_and_config_must_agree(mini_pipeline_inputs,
 
 def test_legacy_model_normalizes_by_metadata_or_config(mini_pipeline_inputs,
                                                        tmp_path, capsys):
-    from crosslex.alignment import _write_matrix, load_alignment
+    from crosslex.alignment import _matrix_lines, load_alignment
 
     model_dir = tmp_path / "model"
     emb = _aligned_model(mini_pipeline_inputs, model_dir)
@@ -248,7 +248,7 @@ def test_legacy_model_normalizes_by_metadata_or_config(mini_pipeline_inputs,
     lmap = load_alignment(model_dir).maps["es"]
     with open(model_dir / "es.mat", "w", encoding="utf-8") as fh:
         for block in (np.zeros(10), lmap.W, np.eye(10), lmap.b):
-            _write_matrix(fh, block)
+            fh.writelines(_matrix_lines(block))
     meta_path = model_dir / "metadata.json"
     meta = json.loads(meta_path.read_text())
     del meta["format"], meta["correlations"]
@@ -682,6 +682,8 @@ def _bad_value_argv(inp, model_dir, emb):
     context_sim = ["context-sim", *common, "--dataset", f"en={en_tsv}",
                    "--dataset", f"es={es_tsv}", "--seed-terms", "en1",
                    "--source-lang", "en"]
+    classify = ["classify", *common, "--train", f"es={es_tsv}", "--test",
+                f"en={en_tsv}"]
     return {
         "sgns.rng_seed=-1": ["train-embeddings", "--corpus", str(corpus),
                              "--language", "en", "--output",
@@ -695,6 +697,11 @@ def _bad_value_argv(inp, model_dir, emb):
         "similarity.top_m=-1": context_sim,
         "similarity.top_m=0": context_sim,
         "similarity.variant=foo": context_sim,
+        "classify.epochs=0": classify,
+        "classify.epochs=-3": classify,
+        "classify.learning_rate=0": classify,
+        "classify.l2=-1": classify,
+        "classify.threshold=2": classify,
     }
 
 
@@ -705,6 +712,11 @@ def _bad_value_argv(inp, model_dir, emb):
     ("similarity.top_m=-1", "top_m must be >= 1"),
     ("similarity.top_m=0", "top_m must be >= 1"),
     ("similarity.variant=foo", "unknown variant 'foo'"),
+    ("classify.epochs=0", "epochs must be >= 1"),
+    ("classify.epochs=-3", "epochs must be >= 1"),
+    ("classify.learning_rate=0", "learning_rate must be positive and finite"),
+    ("classify.l2=-1", "l2 must be finite and >= 0"),
+    ("classify.threshold=2", "threshold must be in (0, 1)"),
 ])
 def test_bad_config_value_exits_1(mini_pipeline_inputs, tmp_path, capsys,
                                   override, message):
@@ -774,3 +786,107 @@ def test_malformed_input_names_file_and_line(mini_pipeline_inputs, tmp_path,
     assert f"crosslex: {prefix}: {path}: {message}" in err
     assert f"(line {line})" in err
     assert "Traceback" not in err
+
+
+def _bad_language_argv(inp, model_dir, emb):
+    """Per flag, argv that gives it the language name ``../x``."""
+    common = ["--model", str(model_dir), *emb]
+    tsv = str(inp["datasets"]["en"])
+    out = str(model_dir.parent / "bad_model")
+    knn = ["knn", *common, "--word", "en3", "--lang", "en", "--target", "es"]
+    context_sim = ["context-sim", *common, "--dataset", f"en={tsv}",
+                   "--seed-terms", "en1", "--source-lang", "en"]
+    return {
+        "--embeddings": ["align", "--pivot", "en", *emb, "--embeddings",
+                         f"../x={inp['es']}", "--lexicon",
+                         f"es={inp['lexicon']}", "--output", out],
+        "--lexicon": ["align", "--pivot", "en", *emb, "--lexicon",
+                      f"../x={inp['lexicon']}", "--output", out],
+        "--pivot": ["align", "--pivot", "../x", *emb, "--lexicon",
+                    f"es={inp['lexicon']}", "--output", out],
+        "--validation": ["bli", *common, "--validation", f"../x={inp['lexicon']}"],
+        "--dataset": [*context_sim, "--dataset", f"../x={tsv}"],
+        "--source-lang": [*context_sim, "--source-lang", "../x"],
+        "--train": ["classify", *common, "--train", f"../x={tsv}", "--test",
+                    f"es={tsv}"],
+        "--test": ["classify", *common, "--train", f"en={tsv}", "--test",
+                   f"../x={tsv}"],
+        "--lang": [*knn, "--lang", "../x"],
+        "--target": [*knn, "--target", "../x"],
+        "--language": ["mine-rules", "--dataset", tsv, "--language", "../x"],
+    }
+
+
+@pytest.mark.parametrize("flag", [
+    "--dataset", "--embeddings", "--lang", "--language", "--lexicon", "--pivot",
+    "--source-lang", "--target", "--test", "--train", "--validation",
+])
+def test_bad_language_name_exits_1_naming_flag(mini_pipeline_inputs, tmp_path,
+                                               capsys, flag):
+    model_dir = tmp_path / "model"
+    emb = _aligned_model(mini_pipeline_inputs, model_dir)
+    capsys.readouterr()
+    argv = _bad_language_argv(mini_pipeline_inputs, model_dir, emb)[flag]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (f"error: argument {flag}: invalid language name '../x'"
+            in captured.err)
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "bad_model").exists()
+    assert not (tmp_path / "x.mat").exists()
+
+
+@pytest.mark.parametrize("key,value", [
+    ("languages", ["es", "\ud800"]),
+    ("languages", ["../x"]),
+    ("pivot_lang", "../x"),
+])
+def test_bad_language_in_metadata_exits_2(mini_pipeline_inputs, tmp_path,
+                                          capsys, key, value):
+    model_dir = tmp_path / "model"
+    emb = _aligned_model(mini_pipeline_inputs, model_dir)
+    meta_path = model_dir / "metadata.json"
+    meta = json.loads(meta_path.read_text())
+    meta[key] = value
+    meta_path.write_text(json.dumps(meta))
+    capsys.readouterr()
+    assert _knn(model_dir, emb) == 2
+    err = capsys.readouterr().err
+    assert f"crosslex: error: {meta_path}: metadata names an invalid language" in err
+    assert "Traceback" not in err
+
+
+def _output_argv(inp, model_dir, emb):
+    """Per command, argv on valid inputs without ``--output``."""
+    common = ["--model", str(model_dir), *emb]
+    en_tsv, es_tsv = (str(inp["datasets"][lang]) for lang in ("en", "es"))
+    report = inp["dir"] / "report.jsonl"
+    report.write_text(json.dumps(_REPORT_LINE) + "\n")
+    return {
+        "knn": ["knn", *common, "--word", "en3", "--lang", "en", "--target", "es"],
+        "bli": ["bli", *common, "--validation", f"es={inp['lexicon']}"],
+        "mine-rules": ["mine-rules", "--dataset", en_tsv, "--language", "en"],
+        "context-sim": ["context-sim", *common, "--dataset", f"en={en_tsv}",
+                        "--dataset", f"es={es_tsv}", "--seed-terms", "en1",
+                        "--source-lang", "en"],
+        "classify": ["classify", *common, "--train", f"es={es_tsv}", "--test",
+                     f"en={en_tsv}"],
+        "report": ["report", "--input", str(report)],
+    }
+
+
+@pytest.mark.parametrize("command", ["bli", "classify", "context-sim", "knn",
+                                     "mine-rules", "report"])
+def test_output_into_missing_directory(mini_pipeline_inputs, tmp_path, capsys,
+                                       command):
+    model_dir = tmp_path / "model"
+    emb = _aligned_model(mini_pipeline_inputs, model_dir)
+    argv = _output_argv(mini_pipeline_inputs, model_dir, emb)[command]
+    capsys.readouterr()
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    out = tmp_path / "new" / "dir" / "out.txt"
+    assert main([*argv, "--output", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text(encoding="utf-8") == expected
