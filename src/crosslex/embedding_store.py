@@ -146,6 +146,8 @@ def _parse_bulk(path):
         raise ValueError("row or column count differs from the header")
     vectors = np.ascontiguousarray(table[:, 1:dim + 1])
     del table  # before the norm's temporary, to keep the peak at two matrices
+    if not np.isfinite(vectors).all():
+        raise ValueError("non-finite component")
     if not np.all(np.linalg.norm(vectors, axis=1) > 0):
         raise ValueError("all-zero row")
     first_row = {}
@@ -162,7 +164,8 @@ def _parse_lines(path):
     """(words, vectors, duplicates) by the per-line scan.
 
     Raises the error of the first bad line in file order: a wrong field
-    count, a non-numeric or all-zero vector, or bytes that are not UTF-8.
+    count, a non-numeric, non-finite or all-zero vector, or bytes that are
+    not UTF-8. A number beyond the float32 range is non-finite.
     """
     words = []
     rows = []
@@ -182,9 +185,12 @@ def _parse_lines(path):
             )
         word = fields[0]
         try:
-            vec = np.array(fields[1:], dtype=np.float32)
+            with np.errstate(over="ignore"):  # 1e39 becomes inf, refused below
+                vec = np.array(fields[1:], dtype=np.float32)
         except ValueError:
             raise FormatError("non-numeric vector component", lineno) from None
+        if not np.isfinite(vec).all():
+            raise FormatError("non-finite vector component", lineno)
         if not np.linalg.norm(vec) > 0:
             raise FormatError(f"all-zero vector for word {word!r}", lineno)
         if word in seen:

@@ -6,7 +6,7 @@ import pytest
 
 from crosslex.cli import main
 
-from conftest import write_embedding_file
+from conftest import planted_pair_corpus, write_embedding_file
 
 
 @pytest.fixture
@@ -308,6 +308,23 @@ def test_sgns_workers_key_is_gone(tmp_path, capsys):
     assert code == 1
     assert "unknown configuration key [sgns] workers" in capsys.readouterr().err
     assert not (tmp_path / "en.vec").exists()
+
+
+def test_divergent_learning_rate_exits_1(tmp_path, capsys):
+    corpus = tmp_path / "c.txt"
+    corpus.write_text("".join(" ".join(line) + "\n"
+                              for line in planted_pair_corpus(20, 30)[0]))
+    out = tmp_path / "en.vec"
+    code = main([
+        "train-embeddings", "--corpus", str(corpus), "--language", "en",
+        "--output", str(out), "--set", "sgns.learning_rate=1000",
+        "--set", "sgns.dim=8", "--set", "sgns.epochs=2",
+        "--set", "sgns.min_count=1", "--set", "sgns.subsample_t=0",
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "crosslex: configuration error: [sgns] learning_rate 1000" in err
+    assert list(tmp_path.iterdir()) == [corpus]
 
 
 @pytest.mark.parametrize("section,key,raw", [
@@ -739,6 +756,14 @@ _REPORT_LINE = {"seed": "s1", "target_lang": "es", "no_context": False,
 # message); the file is read by knn on an aligned model, or by report.
 MALFORMED = {
     ".vec scan": ("es.vec", 5, b"es3 \xff 0.5\n", 2, "invalid UTF-8 bytes"),
+    ".vec nan": ("es.vec", 5, b"es3" + b" 0.5" * 9 + b" nan\n", 2,
+                 "non-finite vector component"),
+    ".vec inf": ("es.vec", 5, b"es3 inf" + b" 0.5" * 9 + b"\n", 2,
+                 "non-finite vector component"),
+    ".vec -inf": ("es.vec", 5, b"es3 0.5 -inf" + b" 0.5" * 8 + b"\n", 2,
+                  "non-finite vector component"),
+    ".vec float32 overflow": ("es.vec", 5, b"es3" + b" 0.5" * 9 + b" 1e39\n",
+                              2, "non-finite vector component"),
     "metadata.json": ("model/metadata.json", 3, b'  "\xff": 1,\n', 2,
                       "invalid UTF-8 bytes"),
     ".mat": ("model/es.mat", 4, b"0.5 \xff\n", 2, "invalid UTF-8 bytes"),

@@ -119,6 +119,8 @@ def _scalar_load_embeddings(path, language):
                 vec = np.array(fields[1:], dtype=np.float32)
             except ValueError:
                 raise FormatError("non-numeric vector component", lineno) from None
+            if not np.isfinite(vec).all():
+                raise FormatError("non-finite vector component", lineno)
             if not np.linalg.norm(vec) > 0:
                 raise FormatError(f"all-zero vector for word {word!r}", lineno)
             if word in seen:
@@ -160,7 +162,7 @@ BULK_CASES = {
     "bare cr": "2 2\ra 1 0\rb 0 1\r",
     "tab inside word": "2 2\na\tb 1 0\nb 0 1\n",
     "tab around numbers": "2 2\na 1\t 0\nb \t0 1\x0c\n",
-    "inf": "2 2\na inf 1\nb -Infinity 1\n",
+    "finite 1e30": "2 2\na 1e30 1\nb -1e30 1\n",
     "spellings": "2 3\na +1e5 .5 5.\nb -0 1E-3 0.0\n",
     "duplicate keeps first": "4 2\na 1 0\nb 0 1\na 9 9\nc 1 1\n",
     "subnormal square survives": "2 2\na 1e-20 0\nb 3e-23 0\n",
@@ -168,7 +170,7 @@ BULK_CASES = {
         "4 3\n"
         "a 1.000000059604644775390625 1.00000005960464477539062500001 1\n"
         "b 1.0000001788139343 1.00000017881393432617187499999 1\n"
-        "c 3.4028235677973366e38 3.4028235677973362e38 1\n"
+        "c 3.4028235677973362e38 -3.4028235677973362e38 1\n"
         "d 0.1234565 -0.1234565 16777217\n"
     ),
     "dim one": "2 1\na 1\nb -2\n",
@@ -201,6 +203,9 @@ SCAN_CASES = {
     "underscore digits": "2 2\na 1_0 0\nb 0 1\n",
     "non-ascii digits": "2 2\na \u0661 0\nb 0 \u0663\n",
     "nan row": "2 2\na nan 1\nb 0 1\n",
+    "inf": "2 2\na inf 1\nb -Infinity 1\n",
+    "float32 overflow": "2 2\na 1 1\nb 1e39 1\n",
+    "float32 half-way overflow": "2 2\na 3.4028235677973366e38 1\nb 0 1\n",
     "all-zero row": "2 2\na 0 0\nb 0 1\n",
     "negative zero row": "2 2\na -0 0.0\nb 0 1\n",
     "only nonzero is 1e-45": "2 2\na 1e-45 0\nb 0 1\n",
@@ -311,6 +316,23 @@ def test_invalid_utf8_reports_line(tmp_path):
     with pytest.raises(FormatError) as exc:
         load_embeddings(path, "en")
     assert exc.value.line_number == 2
+
+
+@pytest.mark.parametrize("sep", [" ", "  "], ids=["bulk", "scan"])
+@pytest.mark.parametrize("number", ["nan", "inf", "-inf", "1e39", "-1e39"])
+def test_non_finite_component_names_line(tmp_path, sep, number):
+    path = tmp_path / "e.vec"
+    path.write_text(f"3 2\na 1 0\nb{sep}1 {number}\nc 0 1\n")
+    with pytest.raises(FormatError, match="non-finite vector component") as exc:
+        load_embeddings(path, "en")
+    assert exc.value.line_number == 3
+
+
+def test_finite_1e30_component_loads(tmp_path):
+    path = tmp_path / "e.vec"
+    path.write_text("2 2\na 1e30 0\nb -3e38 1\n")
+    space = load_embeddings(path, "en")
+    assert space.vectors.tolist() == [[np.float32(1e30), 0], [np.float32(-3e38), 1]]
 
 
 def test_cli_invalid_utf8_exits_2_with_line(tmp_path, capsys):

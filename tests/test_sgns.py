@@ -1,14 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from crosslex import SgnsConfig, build_vocab, cosine, train_sgns
+from crosslex import SgnsConfig, build_vocab, cosine, sgns, train_sgns
 from crosslex.errors import ConfigurationError, InsufficientDataError
 from crosslex.sgns import (
     _BLOCK_CENTERS,
     _LR_FLOOR_FACTOR,
     _SUPER_BLOCKS,
+    _bucket_starts,
     _block_pairs,
     _block_update,
+    _draw_noise,
+    _Workspace,
     subsample,
 )
 
@@ -170,17 +175,85 @@ def test_block_update_sums_scalar_pair_gradients():
     expected_in = w_in + grad_in
     expected_out = w_out + grad_out
 
-    _block_update(w_in, w_out, centers, contexts, negs, lr,
-                  np.empty(nvocab, dtype=np.intp))
+    _block_update(w_in, w_out, centers, np.column_stack([contexts, negs]), lr,
+                  _Workspace(nvocab, dim, len(centers), 1, negs.shape[1]))
     assert np.max(np.abs(w_in - expected_in)) < 1e-6
     assert np.max(np.abs(w_out - expected_out)) < 1e-6
     assert np.max(np.abs(grad_out[1])) > 1e-3  # the summed rows really moved
 
 
-def _per_block_reference(corpus, cfg):
+def _sigmoid32(x):
+    return 1.0 / (1.0 + np.exp(-x))
+
+
+def _distinct_reference(ids, slot):
+    flat = ids.ravel()
+    entry = np.arange(len(flat))
+    slot[flat] = entry
+    last = slot[flat]
+    is_last = last == entry
+    return flat[is_last], (np.cumsum(is_last) - 1)[last].reshape(ids.shape)
+
+
+def _block_update_reference(w_in, w_out, centers, contexts, negs, lr, slot):
+    """The block step as it was written before the workspace: every array
+    allocated per call."""
+    targets = np.concatenate([contexts[:, None], negs], axis=1)
+    rows, t = _distinct_reference(targets, slot)
+    cols, c = _distinct_reference(centers[:, None], slot)
+    u = w_out[rows]
+    v = w_in[cols]
+    g = -_sigmoid32((u @ v.T)[t, c])
+    g[:, 0] += 1.0
+    g *= lr[:, None]
+    coef = np.zeros((len(rows), len(cols)), dtype=w_out.dtype)
+    np.add.at(coef.reshape(-1), (t * len(cols) + c).ravel(), g.ravel())
+    w_out[rows] += coef @ v
+    w_in[cols] += coef.T @ u
+
+
+def _random_blocks(rng, nvocab, dim, sizes, negatives):
+    """Weights and a list of (centers, contexts, negs, lr) blocks of the
+    given pair counts, drawn at random from ``nvocab`` words; each center
+    position has up to 10 pairs, as with a window of 5."""
+    w_in = (rng.normal(size=(nvocab, dim)) * 0.3).astype(np.float32)
+    w_out = (rng.normal(size=(nvocab, dim)) * 0.3).astype(np.float32)
+    blocks = [(np.repeat(rng.integers(0, nvocab, size=-(-n // 10)), 10)[:n],
+               rng.integers(0, nvocab, size=n),
+               rng.integers(0, nvocab, size=(n, negatives)),
+               rng.uniform(0.01, 0.1, size=n).astype(np.float32))
+              for n in sizes]
+    return w_in, w_out, blocks
+
+
+@pytest.mark.parametrize("nvocab,sizes,negatives", [
+    (6, [40, 3, 40], 5),          # every target and center repeats
+    (50, [1], 1),                 # a single pair
+    (50, [1, 640, 2, 640], 5),    # fewer words than the row bound
+    (20_000, [640, 17, 640], 5),  # a vocabulary past the row bound
+], ids=["repeated targets", "single pair", "small vocabulary", "V=20k"])
+def test_workspace_step_equals_allocating_step(nvocab, sizes, negatives):
+    rng = np.random.default_rng(nvocab + len(sizes))
+    dim = 16
+    w_in, w_out, blocks = _random_blocks(rng, nvocab, dim, sizes, negatives)
+    ref_in, ref_out = w_in.copy(), w_out.copy()
+    # 64 centers and a window of 5 bound a block at 640 pairs
+    ws = _Workspace(nvocab, dim, 64, 5, negatives)
+    slot = np.empty(nvocab, dtype=np.intp)
+    for centers, contexts, negs, lr in blocks:
+        _block_update_reference(ref_in, ref_out, centers, contexts, negs, lr, slot)
+        _block_update(w_in, w_out, centers, np.column_stack([contexts, negs]),
+                      lr, ws)
+        assert np.array_equal(w_in, ref_in)
+        assert np.array_equal(w_out, ref_out)
+    assert not np.array_equal(w_out, np.zeros_like(w_out))
+
+
+def _per_block_reference(corpus, cfg, block):
     """``train_sgns`` as it ran before superblocks: pairs, rates and noise
-    drawn for each block of ``_BLOCK_CENTERS`` centers just before its
-    step. Returns (words, vectors)."""
+    drawn for each block of ``block`` centers just before its step, with
+    ``np.searchsorted`` for the noise and the allocating block step.
+    Returns (words, vectors)."""
     vocab = build_vocab(corpus, cfg.min_count)
     words = sorted(vocab, key=lambda w: (-vocab[w], w))
     index = {w: i for i, w in enumerate(words)}
@@ -210,15 +283,15 @@ def _per_block_reference(corpus, cfg):
         kept = subsample(positions, token_keep, rng)
         ids, sent = tokens[kept], sentence[kept]
         win = rng.integers(1, cfg.window + 1, size=len(ids), dtype=np.int32)
-        for lo in range(0, len(ids), _BLOCK_CENTERS):
-            c, x = _block_pairs(ids, sent, win, lo,
-                                min(lo + _BLOCK_CENTERS, len(ids)), cfg.window)
+        for lo in range(0, len(ids), block):
+            c, x = _block_pairs(ids, sent, win, lo, min(lo + block, len(ids)),
+                                cfg.window)
             if not len(c):
                 continue
             lr = np.maximum(lr0 * (1.0 - (done + c + 1) / total_tokens),
                             lr0 * _LR_FLOOR_FACTOR).astype(np.float32)
             negs = np.searchsorted(noise_cdf, rng.random((len(c), cfg.negatives)))
-            _block_update(w_in, w_out, ids[c], ids[x], negs, lr, slot)
+            _block_update_reference(w_in, w_out, ids[c], ids[x], negs, lr, slot)
         done += len(ids)
     return words, w_in
 
@@ -263,7 +336,80 @@ def test_superblocks_equal_per_block_training(corpus, subsample_t, window,
                                               negatives):
     cfg = SgnsConfig(dim=12, window=window, negatives=negatives, epochs=2,
                      min_count=1, subsample_t=subsample_t, rng_seed=4)
-    words, vectors = _per_block_reference(_CORPORA[corpus], cfg)
+    words, vectors = _per_block_reference(_CORPORA[corpus], cfg, _BLOCK_CENTERS)
     space = train_sgns(_CORPORA[corpus], cfg)
     assert space.words == words
     assert np.array_equal(space.vectors, vectors)
+
+
+@pytest.mark.parametrize("block", [32, 128])
+@pytest.mark.parametrize("corpus", sorted(_CORPORA))
+@pytest.mark.parametrize("window,negatives", [(1, 5), (5, 5)])
+def test_superblocks_equal_per_block_training_at_block_size(
+        monkeypatch, corpus, window, negatives, block):
+    monkeypatch.setattr(sgns, "_BLOCK_CENTERS", block)
+    cfg = SgnsConfig(dim=12, window=window, negatives=negatives, epochs=2,
+                     min_count=1, subsample_t=1e-2, rng_seed=5)
+    words, vectors = _per_block_reference(_CORPORA[corpus], cfg, block)
+    space = train_sgns(_CORPORA[corpus], cfg)
+    assert space.words == words
+    assert np.array_equal(space.vectors, vectors)
+
+
+def _noise_cdf(counts):
+    noise = np.asarray(counts, dtype=np.float64) ** 0.75
+    cdf = np.cumsum(noise / noise.sum())
+    cdf[-1] = 1.0
+    return cdf
+
+
+def _check_draws(cdf, r):
+    r = np.asarray(r, dtype=np.float64)
+    got = _draw_noise(cdf, _bucket_starts(cdf), r)
+    assert np.array_equal(got, np.searchsorted(cdf, r))
+
+
+def test_noise_lookup_edges():
+    cdf = _noise_cdf([50, 20, 20, 7, 3, 1, 1, 1])
+    n = len(_bucket_starts(cdf))
+    assert n >= 2 * len(cdf) and n & (n - 1) == 0
+    edges = np.arange(n) / n
+    _check_draws(cdf, [0.0, np.nextafter(1.0, 0.0), 0.5])
+    _check_draws(cdf, edges)                        # exactly on a bucket edge
+    _check_draws(cdf, np.nextafter(edges[1:], 0))   # just below one
+    _check_draws(cdf, cdf[:-1])                     # exactly on a CDF step
+    _check_draws(cdf, np.nextafter(cdf[:-1], 1))    # just past one
+
+
+def test_noise_lookup_two_words():
+    cdf = _noise_cdf([3, 1])
+    rng = np.random.default_rng(0)
+    _check_draws(cdf, np.concatenate([[0.0, cdf[0], np.nextafter(1.0, 0.0)],
+                                      rng.random(1000)]))
+
+
+def test_noise_lookup_zipf_tail():
+    # V=20k with counts down to 1: the tail buckets hold several CDF steps
+    counts = np.maximum(1, 1e7 / np.arange(1, 20_001) ** 1.5).astype(int)
+    cdf = _noise_cdf(counts)
+    starts = _bucket_starts(cdf)
+    assert np.max(np.diff(starts)) >= 4
+    rng = np.random.default_rng(1)
+    tail = cdf[-2000]
+    _check_draws(cdf, rng.random(100_000))
+    _check_draws(cdf, tail + (1 - tail) * rng.random(100_000))
+    _check_draws(cdf, cdf[-2000:-1])
+
+
+@given(st.lists(st.integers(1, 10**6), min_size=2, max_size=300),
+       st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=50))
+def test_noise_lookup_equals_searchsorted(counts, r):
+    _check_draws(_noise_cdf(counts), r)
+
+
+def test_divergent_learning_rate_rejected():
+    corpus, _ = planted_pair_corpus(n_pairs=20, reps=30)
+    cfg = SgnsConfig(dim=8, window=2, negatives=3, epochs=2, min_count=1,
+                     learning_rate=1000.0, subsample_t=0.0, rng_seed=1)
+    with pytest.raises(ConfigurationError, match=r"\[sgns\] learning_rate"):
+        train_sgns(corpus, cfg)
