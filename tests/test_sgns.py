@@ -182,10 +182,6 @@ def test_block_update_sums_scalar_pair_gradients():
     assert np.max(np.abs(grad_out[1])) > 1e-3  # the summed rows really moved
 
 
-def _sigmoid32(x):
-    return 1.0 / (1.0 + np.exp(-x))
-
-
 def _distinct_reference(ids, slot):
     flat = ids.ravel()
     entry = np.arange(len(flat))
@@ -203,7 +199,7 @@ def _block_update_reference(w_in, w_out, centers, contexts, negs, lr, slot):
     cols, c = _distinct_reference(centers[:, None], slot)
     u = w_out[rows]
     v = w_in[cols]
-    g = -_sigmoid32((u @ v.T)[t, c])
+    g = -(1.0 / (1.0 + np.exp(-(u @ v.T)[t, c])))
     g[:, 0] += 1.0
     g *= lr[:, None]
     coef = np.zeros((len(rows), len(cols)), dtype=w_out.dtype)
