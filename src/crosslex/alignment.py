@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import check
 from .embedding_store import unit_rows
 from .errors import (
     ConfigurationError,
@@ -99,10 +100,8 @@ def fit_cca(X, Y, lam=1e-3, kept_ratio=0.8):
     n = X.shape[0]
     if n < 2:
         raise InsufficientDataError("CCA needs at least 2 paired samples")
-    if lam < 0:
-        raise ConfigurationError("lambda must be >= 0")
-    if not 0 < kept_ratio <= 1:
-        raise ConfigurationError("kept_ratio must be in (0, 1]")
+    check("alignment", "lambda", lam)
+    check("alignment", "kept_ratio", kept_ratio)
 
     mx = X.mean(axis=0)
     my = Y.mean(axis=0)

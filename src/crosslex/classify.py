@@ -13,32 +13,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .alignment import project_space
+from .config import ClassifyConfig, check
 from .errors import (
-    ConfigurationError,
     DegenerateDataError,
     DimensionError,
     InsufficientDataError,
     ProtocolError,
 )
 from .rules import HATE, LabeledDataset
-
-
-@dataclass(frozen=True)
-class ClassifyConfig:
-    epochs: int = 300
-    learning_rate: float = 0.5
-    l2: float = 1e-4
-    threshold: float = 0.5
-
-    def validate(self):
-        if self.epochs < 1:
-            raise ConfigurationError("epochs must be >= 1")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ConfigurationError("learning_rate must be positive and finite")
-        if not (math.isfinite(self.l2) and self.l2 >= 0):
-            raise ConfigurationError("l2 must be finite and >= 0")
-        if not 0 < self.threshold < 1:
-            raise ConfigurationError("threshold must be in (0, 1)")
 
 
 @dataclass
@@ -132,8 +114,7 @@ def metrics_from_counts(tp, fp, fn, tn):
 
 def evaluate(clf, features, labels, threshold=ClassifyConfig.threshold):
     """Confusion counts and rates with hate as the positive class."""
-    if not 0 < threshold < 1:
-        raise ConfigurationError("threshold must be in (0, 1)")
+    check("classify", "threshold", threshold)
     preds = clf.scores(features) >= threshold
     labels = np.asarray(labels, dtype=bool)
     tp = int(np.sum(preds & labels))
@@ -147,8 +128,7 @@ def split_dataset(ds, fractions=(0.7, 0.1, 0.2), seed=0):
     """Deterministic train/dev/test split of a labeled dataset."""
     if not math.isclose(sum(fractions), 1.0):
         raise ProtocolError("split fractions must sum to 1")
-    if seed < 0:
-        raise ConfigurationError("split seed must be >= 0")
+    check("classify", "split_seed", seed)
     order = np.random.default_rng(seed).permutation(len(ds.docs))
     n = len(ds.docs)
     n_train = int(round(fractions[0] * n))

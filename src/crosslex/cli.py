@@ -21,16 +21,10 @@ from .alignment import (
     load_alignment,
     save_alignment,
 )
-from .classify import ClassifyConfig, split_dataset, zero_shot_eval
-from .config import load_config
+from .classify import split_dataset, zero_shot_eval
+from .config import ClassifyConfig, SgnsConfig, TokenizerConfig, load_config
 from .contextsim import cross_lingual_report
-from .corpus import (
-    TokenizerConfig,
-    filter_corpus,
-    load_seed_terms,
-    read_lines,
-    tokenize,
-)
+from .corpus import filter_corpus, load_seed_terms, read_lines, tokenize
 from .embedding_store import load_embeddings, save_embeddings
 from .errors import (
     ConfigurationError,
@@ -51,7 +45,7 @@ from .rules import (
     load_stopwords,
     mine_rules,
 )
-from .sgns import SgnsConfig, train_sgns
+from .sgns import train_sgns
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -69,6 +63,12 @@ def _language(value):
         raise argparse.ArgumentTypeError(
             f"invalid language name {value!r}: expected letters, digits, _ or -")
     return value
+
+
+def _seed_terms(value):
+    if "" in value.split(","):
+        raise argparse.ArgumentTypeError(f"empty seed term in {value!r}")
+    return value.split(",")
 
 
 def _lang_path_pair(value):
@@ -303,13 +303,12 @@ def _cmd_context_sim(args):
         lang: load_labeled_dataset(path, lang, tok)
         for lang, path in args.dataset.items()
     }
-    seeds = args.seed_terms.split(",")
     stopword_map = (
         {lang: load_stopwords(lang) for lang in datasets}
         if mcfg["use_stopwords"] else {}
     )
     records = cross_lingual_report(
-        seeds, args.source_lang, datasets, _class_filter(args.class_filter),
+        args.seed_terms, args.source_lang, datasets, _class_filter(args.class_filter),
         model, spaces, {**_mining_args(mcfg), "stopwords": stopword_map},
         top_m=scfg["top_m"], variant=scfg["variant"],
     )
@@ -372,6 +371,8 @@ def _cmd_report(args):
                 continue
             try:
                 rec = json.loads(line)
+                if not isinstance(rec, dict):
+                    raise FormatError("record is not a JSON object", lineno)
                 if "seed" in rec:
                     key = str(rec["seed"]), str(rec["target_lang"])
                     cells[key] = ("(no context)" if rec.get("no_context") else
@@ -477,7 +478,7 @@ def build_parser():
     p = sub.add_parser("context-sim", parents=[with_model],
                        help="cross-lingual context similarity report")
     _add_lang_paths(p, "--dataset")
-    p.add_argument("--seed-terms", required=True,
+    p.add_argument("--seed-terms", required=True, type=_seed_terms,
                    help="comma-separated seed words")
     p.add_argument("--source-lang", required=True, type=_language)
     p.add_argument("--class", dest="class_filter", default="hate",

@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .alignment import project_space
+from .config import VARIANTS, check
 from .embedding_store import cosine
 from .errors import (
     ConfigurationError,
@@ -26,9 +27,7 @@ from .errors import (
 )
 from .rules import build_context, mine_rules
 
-LITERAL = "literal"
-BOUNDED = "bounded"
-VARIANTS = (LITERAL, BOUNDED)
+LITERAL, BOUNDED = VARIANTS
 
 
 def _check_metrics(entries):
@@ -52,8 +51,7 @@ def _agreement(d_supp, d_conf, variant):
 
 def met_sim(entry_u, entry_v, variant=LITERAL):
     """Agreement of two (support, confidence) pairs. Symmetric."""
-    if variant not in VARIANTS:
-        raise DomainError(f"unknown variant {variant!r}")
+    check("similarity", "variant", variant)
     _check_metrics([entry_u, entry_v])
     (supp_u, conf_u), (supp_v, conf_v) = entry_u, entry_v
     return _agreement(abs(supp_u - supp_v), abs(conf_u - conf_v), variant)
@@ -92,8 +90,7 @@ def context_sim(context_x, context_y, vectors_x, vectors_y, variant=LITERAL):
     norms = np.linalg.norm(rows, axis=1, keepdims=True)
     if not norms.all():
         raise DomainError("cosine undefined for zero vectors")
-    if variant not in VARIANTS:
-        raise DomainError(f"unknown variant {variant!r}")
+    check("similarity", "variant", variant)
     metrics = [context_x.entries[u] for u in xs] + [context_y.entries[v] for v in ys]
     _check_metrics(metrics)
     n = len(xs)
@@ -133,10 +130,8 @@ def cross_lingual_report(seed_terms, source_lang, datasets, class_filter,
         raise ConfigurationError(
             f"source language {source_lang!r} has no dataset; pass one with "
             f"--dataset {source_lang}=PATH")
-    if top_m < 1:
-        raise ConfigurationError("top_m must be >= 1")
-    if variant not in VARIANTS:
-        raise ConfigurationError(f"unknown variant {variant!r}")
+    check("similarity", "top_m", top_m)
+    check("similarity", "variant", variant)
     stopword_map = mining.get("stopwords", {})
     kwargs = {k: v for k, v in mining.items() if k != "stopwords"}
     contexts, vectors = {}, {}

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
 
+from .config import TokenizerConfig, check
 from .errors import ConfigurationError, text_lines
 
 _URL_RE = re.compile(r"https?://\S+|www\.\S+")
@@ -13,14 +13,6 @@ _MENTION_RE = re.compile(r"@\w+")
 _HASHTAG_RE = re.compile(r"#(\w+)")
 # unicode letter/digit runs; underscore excluded
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
-
-
-@dataclass(frozen=True)
-class TokenizerConfig:
-    lowercase: bool = True
-    strip_urls: bool = True
-    strip_mentions: bool = True
-    keep_hashtag_body: bool = True
 
 
 def tokenize(text, cfg=TokenizerConfig()):
@@ -55,8 +47,7 @@ def filter_corpus(lines, seeds, cfg=TokenizerConfig()):
 def build_vocab(corpus, min_count=1):
     """Count tokens over a corpus of token lists, keeping words with
     frequency >= min_count."""
-    if min_count < 1:
-        raise ConfigurationError("min_count must be >= 1")
+    check("sgns", "min_count", min_count)
     counts = Counter()
     for doc in corpus:
         counts.update(doc)

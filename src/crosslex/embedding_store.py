@@ -55,10 +55,19 @@ class EmbeddingSpace:
 
 def unit_rows(mat):
     """The rows of a 2-d matrix scaled to unit Euclidean norm, computed in
-    the matrix's own dtype; zero rows stay zero."""
-    norms = np.linalg.norm(mat, axis=1, keepdims=True)
-    norms[norms == 0] = 1
-    return mat / norms
+    the matrix's own dtype; zero rows stay zero. A row whose norm under- or
+    overflows that dtype is divided by its largest magnitude first."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(mat, axis=1, keepdims=True)
+    rescale = np.flatnonzero((norms == 0) | (norms == np.inf))
+    norms[rescale] = 1
+    unit = mat / norms
+    if len(rescale):
+        peak = np.abs(mat[rescale]).max(axis=1, keepdims=True)
+        rows = mat[rescale] / np.where(peak == 0, 1, peak)
+        norms = np.linalg.norm(rows, axis=1, keepdims=True)
+        unit[rescale] = rows / np.where(norms == 0, 1, norms)
+    return unit
 
 
 def load_embeddings(path, language):
@@ -145,10 +154,10 @@ def _parse_bulk(path):
     if table.shape != (count, dim + 1 + trailing) or len(words) != count:
         raise ValueError("row or column count differs from the header")
     vectors = np.ascontiguousarray(table[:, 1:dim + 1])
-    del table  # before the norm's temporary, to keep the peak at two matrices
+    del table  # before the checks' temporaries, to keep the peak at two matrices
     if not np.isfinite(vectors).all():
         raise ValueError("non-finite component")
-    if not np.all(np.linalg.norm(vectors, axis=1) > 0):
+    if not vectors.any(axis=1).all():
         raise ValueError("all-zero row")
     first_row = {}
     for i, w in enumerate(words):
@@ -191,7 +200,7 @@ def _parse_lines(path):
             raise FormatError("non-numeric vector component", lineno) from None
         if not np.isfinite(vec).all():
             raise FormatError("non-finite vector component", lineno)
-        if not np.linalg.norm(vec) > 0:
+        if not vec.any():
             raise FormatError(f"all-zero vector for word {word!r}", lineno)
         if word in seen:
             duplicates += 1

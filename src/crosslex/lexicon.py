@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import check
 from .errors import (
     ConfigurationError,
     FormatError,
@@ -106,10 +107,8 @@ def split_lexicon(lex, train_fraction, rng_seed):
     All pairs sharing a source word land on the same side, so validation
     translations never leak into the alignment dictionary.
     """
-    if not 0 < train_fraction < 1:
-        raise ConfigurationError("train_fraction must be in (0, 1)")
-    if rng_seed < 0:
-        raise ConfigurationError("split seed must be >= 0")
+    check("alignment", "train_fraction", train_fraction)
+    check("alignment", "split_seed", rng_seed)
     sources = lex.source_words()
     if len(sources) < 2:
         raise InsufficientDataError("need >= 2 distinct source words to split")

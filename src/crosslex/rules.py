@@ -14,9 +14,9 @@ import logging
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .corpus import TokenizerConfig, tokenize
+from .config import TokenizerConfig, check
+from .corpus import tokenize
 from .errors import (
-    ConfigurationError,
     FormatError,
     InsufficientDataError,
     in_file,
@@ -101,14 +101,13 @@ def mine_rules(docs, top_n_antecedents=100, min_support=0.01,
     with support >= min_support and confidence >= min_confidence, sorted
     by antecedent, then descending confidence, then consequent.
     """
+    check("mining", "top_n", top_n_antecedents)
+    check("mining", "min_support", min_support)
+    check("mining", "min_confidence", min_confidence)
     docs = [set(d) for d in docs]
     docs = [d for d in docs if d]
     if not docs:
         raise InsufficientDataError("no nonempty documents to mine")
-    if not 0 < min_support <= 1 or not 0 < min_confidence <= 1:
-        raise ConfigurationError("thresholds must be in (0, 1]")
-    if top_n_antecedents < 1:
-        raise ConfigurationError("top_n_antecedents must be >= 1")
 
     n = len(docs)
     df = Counter()

@@ -32,11 +32,9 @@ axis is sized to a superblock, never to the epoch.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
+from .config import SgnsConfig  # noqa: F401 (re-exported)
 from .corpus import build_vocab
 from .embedding_store import EmbeddingSpace
 from .errors import ConfigurationError, InsufficientDataError
@@ -54,40 +52,6 @@ _BLOCK_CENTERS = 128
 # drawn in one call each. Their arrays take about 8 * (2 * negatives + 6)
 # bytes per pair, under 1 MB for 1024 centers at the defaults.
 _SUPER_BLOCKS = 8
-
-
-@dataclass(frozen=True)
-class SgnsConfig:
-    dim: int = 100
-    window: int = 5
-    negatives: int = 5
-    epochs: int = 5
-    learning_rate: float = 0.025
-    min_count: int = 5
-    subsample_t: float = 1e-4
-    rng_seed: int = 1
-
-    def validate(self):
-        if self.dim < 2:
-            raise ConfigurationError("dim must be >= 2")
-        if self.window < 1:
-            raise ConfigurationError("window must be >= 1")
-        if self.negatives < 1:
-            raise ConfigurationError("negatives must be >= 1")
-        if self.epochs < 1:
-            raise ConfigurationError("epochs must be >= 1")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ConfigurationError("learning_rate must be positive and finite")
-        if self.min_count < 1:
-            raise ConfigurationError("min_count must be >= 1")
-        if not (math.isfinite(self.subsample_t) and self.subsample_t >= 0):
-            raise ConfigurationError("subsample_t must be finite and >= 0")
-        if self.rng_seed < 0:
-            raise ConfigurationError("rng_seed must be >= 0")
-
-
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
 
 
 def subsample(ids, keep_prob, rng):

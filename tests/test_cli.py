@@ -4,7 +4,9 @@ import json
 import numpy as np
 import pytest
 
+import crosslex
 from crosslex.cli import main
+from crosslex.errors import ConfigurationError
 
 from conftest import planted_pair_corpus, write_embedding_file
 
@@ -343,7 +345,10 @@ def test_non_finite_float_key_exits_1(tmp_path, capsys, section, key, raw):
         "--language", "en", "--output", str(tmp_path / "en.vec"),
     ])
     assert code == 1
-    assert f"[{section}] {key}: expected a finite number" in capsys.readouterr().err
+    assert capsys.readouterr().err.endswith(
+        f"[{section}] {key} must be finite and >= 0, got {raw}\n"
+        if key != "learning_rate" else
+        f"[{section}] {key} must be finite and > 0, got {raw}\n")
     assert not (tmp_path / "en.vec").exists()
 
 
@@ -690,63 +695,134 @@ def test_unused_embeddings_are_not_read(mini_pipeline_inputs, tmp_path):
         str(inp["en"]), str(inp["es"]), str(inp["lexicon"])}
 
 
-def _bad_value_argv(inp, model_dir, emb):
-    """Per override, argv on valid inputs that the value alone makes fail."""
-    common = ["--model", str(model_dir), *emb]
-    en_tsv, es_tsv = (str(inp["datasets"][lang]) for lang in ("en", "es"))
-    corpus = inp["dir"] / "corpus.txt"
-    corpus.write_text("a b c a b\nb c a\n" * 5)
-    context_sim = ["context-sim", *common, "--dataset", f"en={en_tsv}",
-                   "--dataset", f"es={es_tsv}", "--seed-terms", "en1",
-                   "--source-lang", "en"]
-    classify = ["classify", *common, "--train", f"es={es_tsv}", "--test",
-                f"en={en_tsv}"]
+def _missing_input_argv(tmp_path):
+    """Per command that reads a run config, argv whose inputs do not exist."""
+    gone, out = str(tmp_path / "missing"), str(tmp_path / "out")
+    emb = ["--embeddings", f"en={gone}", "--embeddings", f"es={gone}"]
+    with_model = ["--model", gone, *emb]
     return {
-        "sgns.rng_seed=-1": ["train-embeddings", "--corpus", str(corpus),
-                             "--language", "en", "--output",
-                             str(inp["dir"] / "out.vec")],
-        "alignment.split_seed=-1": ["align", "--pivot", "en", *emb, "--lexicon",
-                                    f"es={inp['lexicon']}", "--holdout",
-                                    "--output", str(inp["dir"] / "out_model")],
-        "classify.split_seed=-1": ["classify", *common, "--monolingual",
-                                   "--train", f"en={en_tsv}", "--test",
-                                   f"en={en_tsv}"],
-        "similarity.top_m=-1": context_sim,
-        "similarity.top_m=0": context_sim,
-        "similarity.variant=foo": context_sim,
-        "classify.epochs=0": classify,
-        "classify.epochs=-3": classify,
-        "classify.learning_rate=0": classify,
-        "classify.l2=-1": classify,
-        "classify.threshold=2": classify,
+        "filter-corpus": ["filter-corpus", "--input", gone, "--seeds", gone,
+                          "--output", out],
+        "train-embeddings": ["train-embeddings", "--corpus", gone, "--language",
+                             "en", "--output", out],
+        "align": ["align", "--pivot", "en", *emb, "--lexicon", f"es={gone}",
+                  "--holdout", "--output", out],
+        "knn": ["knn", *with_model, "--word", "w", "--lang", "en", "--target", "es"],
+        "bli": ["bli", *with_model, "--validation", f"es={gone}"],
+        "mine-rules": ["mine-rules", "--dataset", gone, "--language", "en"],
+        "context-sim": ["context-sim", *with_model, "--dataset", f"en={gone}",
+                        "--dataset", f"es={gone}", "--seed-terms", "w",
+                        "--source-lang", "en"],
+        "classify": ["classify", *with_model, "--train", f"en={gone}", "--test",
+                     f"es={gone}"],
     }
 
 
-@pytest.mark.parametrize("override,message", [
-    ("alignment.split_seed=-1", "split seed must be >= 0"),
-    ("classify.split_seed=-1", "split seed must be >= 0"),
+# Per ranged config key, a value outside its range and "<key> must be <range>"
+# as the error states it.
+BAD_VALUES = [
+    ("sgns.dim=1", "dim must be >= 2"),
+    ("sgns.window=0", "window must be >= 1"),
+    ("sgns.negatives=0", "negatives must be >= 1"),
+    ("sgns.epochs=0", "epochs must be >= 1"),
+    ("sgns.learning_rate=-0.5", "learning_rate must be finite and > 0"),
+    ("sgns.min_count=0", "min_count must be >= 1"),
+    ("sgns.subsample_t=-1e-4", "subsample_t must be finite and >= 0"),
     ("sgns.rng_seed=-1", "rng_seed must be >= 0"),
+    ("alignment.lambda=-1", "lambda must be finite and >= 0"),
+    ("alignment.kept_ratio=2", "kept_ratio must be in (0, 1]"),
+    ("alignment.train_fraction=1", "train_fraction must be in (0, 1)"),
+    ("alignment.split_seed=-1", "split_seed must be >= 0"),
+    ("mining.top_n=0", "top_n must be >= 1"),
+    ("mining.min_support=0", "min_support must be in (0, 1]"),
+    ("mining.min_confidence=1.5", "min_confidence must be in (0, 1]"),
     ("similarity.top_m=-1", "top_m must be >= 1"),
     ("similarity.top_m=0", "top_m must be >= 1"),
-    ("similarity.variant=foo", "unknown variant 'foo'"),
+    ("similarity.variant=foo", "variant must be one of literal, bounded"),
     ("classify.epochs=0", "epochs must be >= 1"),
     ("classify.epochs=-3", "epochs must be >= 1"),
-    ("classify.learning_rate=0", "learning_rate must be positive and finite"),
+    ("classify.learning_rate=0", "learning_rate must be finite and > 0"),
     ("classify.l2=-1", "l2 must be finite and >= 0"),
     ("classify.threshold=2", "threshold must be in (0, 1)"),
+    ("classify.split_seed=-1", "split_seed must be >= 0"),
+]
+
+
+@pytest.mark.parametrize("override,message", BAD_VALUES)
+def test_bad_config_value_exits_1(tmp_path, capsys, override, message):
+    """On every command, whether it uses the section or not, the value exits
+    1 before an input is read: without it, the missing inputs exit 2."""
+    section = override.split(".", 1)[0]
+    for command, argv in _missing_input_argv(tmp_path).items():
+        assert main(argv) == 2, command
+        capsys.readouterr()
+        assert main([*argv, "--set", override]) == 1, command
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"crosslex: configuration error: [{section}] {message}, got "), command
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert not (tmp_path / "out").exists()
+
+
+def _library_guards():
+    """Per guard, a library call that passes it one value out of range."""
+    lex = crosslex.BilingualLexicon("en", "es", [("a", "b"), ("c", "d")])
+    ds = crosslex.LabeledDataset("en", [(["a"], "hate"), (["b"], "non-hate")])
+    clf = crosslex.ClassifierModel(weights=np.zeros(2), bias=0.0)
+    xy = np.eye(3)
+    report = (["a"], "en", {"en": ds}, "hate", None, {}, {})
+    return {
+        "SgnsConfig.validate": lambda: crosslex.SgnsConfig(window=0).validate(),
+        "ClassifyConfig.validate": lambda: crosslex.ClassifyConfig(
+            l2=float("inf")).validate(),
+        "evaluate": lambda: crosslex.evaluate(clf, xy[:, :2], [1, 0, 1], 1.0),
+        "split_dataset": lambda: crosslex.split_dataset(ds, seed=-1),
+        "split_lexicon fraction": lambda: crosslex.split_lexicon(lex, 0.0, 0),
+        "split_lexicon seed": lambda: crosslex.split_lexicon(lex, 0.5, -1),
+        "mine_rules top_n": lambda: crosslex.mine_rules(ds.token_lists(),
+                                                        top_n_antecedents=0),
+        "mine_rules min_support": lambda: crosslex.mine_rules(
+            ds.token_lists(), min_support=float("nan")),
+        "mine_rules min_confidence": lambda: crosslex.mine_rules(
+            ds.token_lists(), min_confidence=1.5),
+        "cross_lingual_report top_m": lambda: crosslex.cross_lingual_report(
+            *report, top_m=0),
+        "cross_lingual_report variant": lambda: crosslex.cross_lingual_report(
+            *report, variant="loose"),
+        "fit_cca lambda": lambda: crosslex.fit_cca(xy, xy, lam=-1.0),
+        "fit_cca kept_ratio": lambda: crosslex.fit_cca(xy, xy, kept_ratio=0.0),
+        "build_vocab": lambda: crosslex.build_vocab([["a"]], min_count=0),
+    }
+
+
+@pytest.mark.parametrize("guard", sorted(_library_guards()))
+def test_library_guard_raises_the_config_message(guard):
+    with pytest.raises(ConfigurationError,
+                       match=r"^\[(sgns|classify|alignment|mining|similarity)\] "
+                             r"\w+ must be .+, got "):
+        _library_guards()[guard]()
+
+
+@pytest.mark.parametrize("override,command", [
+    ("alignment.train_fraction=1", "align"),  # read only with --holdout
+    ("similarity.variant=foo", "mine-rules"),  # a section it does not use
 ])
-def test_bad_config_value_exits_1(mini_pipeline_inputs, tmp_path, capsys,
-                                  override, message):
-    model_dir = tmp_path / "model"
-    emb = _aligned_model(mini_pipeline_inputs, model_dir)
-    argv = _bad_value_argv(mini_pipeline_inputs, model_dir, emb)[override]
-    assert main(argv) == 0
-    capsys.readouterr()
+def test_bad_value_of_an_unused_key_exits_1(mini_pipeline_inputs, tmp_path,
+                                            capsys, override, command):
+    inp = mini_pipeline_inputs
+    out = tmp_path / "out"
+    argv = {
+        "align": ["align", "--pivot", "en", "--embeddings", f"en={inp['en']}",
+                  "--embeddings", f"es={inp['es']}", "--lexicon",
+                  f"es={inp['lexicon']}", "--output", str(out)],
+        "mine-rules": ["mine-rules", "--dataset", str(inp["datasets"]["en"]),
+                       "--language", "en", "--output", str(out)],
+    }[command]
     assert main([*argv, "--set", override]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert f"crosslex: configuration error: {message}" in captured.err
-    assert "Traceback" not in captured.err
+    assert "crosslex: configuration error: [" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(argv) == 0
 
 
 _REPORT_LINE = {"seed": "s1", "target_lang": "es", "no_context": False,
@@ -780,6 +856,12 @@ MALFORMED = {
     "report record without results": (
         "report.jsonl", 2, b'{"seed": "s2", "target_lang": "es"}\n', 2,
         "record lacks key 'results'"),
+    "report array line": ("report.jsonl", 2, b"[1, 2]\n", 2,
+                          "record is not a JSON object"),
+    "report string line": ("report.jsonl", 2, b'"x"\n', 2,
+                           "record is not a JSON object"),
+    "report string that contains seed": ("report.jsonl", 2, b'"seedling"\n', 2,
+                                         "record is not a JSON object"),
     "report result without score": (
         "report.jsonl", 2,
         b'{"seed": "s2", "target_lang": "es", "results": [{"word": "w"}]}\n',
@@ -811,6 +893,18 @@ def test_malformed_input_names_file_and_line(mini_pipeline_inputs, tmp_path,
     assert f"crosslex: {prefix}: {path}: {message}" in err
     assert f"(line {line})" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("seeds", ["", "a,,b", "a,", ",a"])
+def test_empty_seed_term_exits_1_naming_flag(tmp_path, capsys, seeds):
+    gone = str(tmp_path / "missing")
+    assert main(["context-sim", "--model", gone, "--embeddings", f"en={gone}",
+                 "--dataset", f"en={gone}", "--seed-terms", seeds,
+                 "--source-lang", "en", "--output", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --seed-terms: empty seed term in {seeds!r}" in captured.err
+    assert not (tmp_path / "out").exists()
 
 
 def _bad_language_argv(inp, model_dir, emb):

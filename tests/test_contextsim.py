@@ -4,7 +4,12 @@ from hypothesis import given, strategies as st
 
 from crosslex import context_sim, met_sim, word_sim
 from crosslex.contextsim import BOUNDED, LITERAL
-from crosslex.errors import DimensionError, DomainError, InsufficientDataError
+from crosslex.errors import (
+    ConfigurationError,
+    DimensionError,
+    DomainError,
+    InsufficientDataError,
+)
 from crosslex.rules import WordContext
 
 metric = st.floats(0.0, 1.0, allow_nan=False)
@@ -198,7 +203,8 @@ ERROR_CASES = {
     "empty first context": ({"cx": {}}, InsufficientDataError,
                             "'x' has an empty context"),
     "no pair with vectors": ({"vy": {}}, InsufficientDataError, "no context pair"),
-    "unknown variant": ({"variant": "loose"}, DomainError, "unknown variant"),
+    "unknown variant": ({"variant": "loose"}, ConfigurationError,
+                        r"\[similarity\] variant must be one of literal, bounded"),
     "support above 1": ({"cy": {"v": (1.2, 0.5)}}, DomainError, "support must be in"),
     "negative confidence": ({"cx": {"u": (0.2, -0.1), "w": (0.1, 0.1)}},
                             DomainError, "confidence must be in"),

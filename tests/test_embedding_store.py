@@ -121,7 +121,7 @@ def _scalar_load_embeddings(path, language):
                 raise FormatError("non-numeric vector component", lineno) from None
             if not np.isfinite(vec).all():
                 raise FormatError("non-finite vector component", lineno)
-            if not np.linalg.norm(vec) > 0:
+            if not vec.any():
                 raise FormatError(f"all-zero vector for word {word!r}", lineno)
             if word in seen:
                 duplicates += 1
@@ -163,6 +163,8 @@ BULK_CASES = {
     "tab inside word": "2 2\na\tb 1 0\nb 0 1\n",
     "tab around numbers": "2 2\na 1\t 0\nb \t0 1\x0c\n",
     "finite 1e30": "2 2\na 1e30 1\nb -1e30 1\n",
+    "norm overflows float32": "2 2\na 1e30 0\nb 3e19 1\n",
+    "norm underflows float32": "2 2\na 1e-30 0\nb 0 1\n",
     "spellings": "2 3\na +1e5 .5 5.\nb -0 1E-3 0.0\n",
     "duplicate keeps first": "4 2\na 1 0\nb 0 1\na 9 9\nc 1 1\n",
     "subnormal square survives": "2 2\na 1e-20 0\nb 3e-23 0\n",
@@ -208,8 +210,11 @@ SCAN_CASES = {
     "float32 half-way overflow": "2 2\na 3.4028235677973366e38 1\nb 0 1\n",
     "all-zero row": "2 2\na 0 0\nb 0 1\n",
     "negative zero row": "2 2\na -0 0.0\nb 0 1\n",
+    # rows that load: their norm underflows float32, but they are not zero
     "only nonzero is 1e-45": "2 2\na 1e-45 0\nb 0 1\n",
     "square underflows": "2 2\na 2e-23 0\nb 0 1\n",
+    "norm underflows, double spaces": "2 2\na  1e-30 0\nb 0  1\n",
+    "norm overflows, double spaces": "2 2\na  1e30 0\nb 3e19  1\n",
     "duplicate with malformed second row": "3 2\na 1 0\nb 0 1\na x 1\n",
     "duplicate with short second row": "3 2\na 1 0\nb 0 1\na 1\n",
     "duplicate with zero second row": "3 2\na 1 0\nb 0 1\na 0 0\n",
@@ -422,6 +427,28 @@ def test_unit_rows_keeps_dtype_and_zero_rows():
         assert np.array_equal(unit_rows(mat[i:i + 1])[0], unit[i])
     assert np.array_equal(unit_rows(mat[[3, 9, 3]]), unit[[3, 9, 3]])
     assert unit_rows(mat.astype(np.float64)).dtype == np.float64
+
+
+def test_unit_rows_rescales_norms_that_overflow_or_underflow():
+    mat = np.array([[1e30, 0], [3e19, 1], [1e-30, 0], [0, -0.0], [3, 4]],
+                   dtype=np.float32)
+    unit = unit_rows(mat)  # an overflow warning fails the test
+    assert unit.dtype == np.float32
+    assert unit[[0, 2, 3]].tolist() == [[1, 0], [1, 0], [0, 0]]
+    assert np.allclose(unit[1], [1, 1 / 3e19], rtol=1e-6, atol=0)
+    assert np.array_equal(unit[4], mat[4] / np.linalg.norm(mat[4]))
+
+
+@pytest.mark.parametrize("sep", [" ", "  "], ids=["bulk", "scan"])
+def test_rows_whose_norm_overflows_or_underflows_load(tmp_path, monkeypatch, sep):
+    path = tmp_path / "e.vec"
+    path.write_text(f"3 2\na{sep}1e30 0\nb 3e19{sep}1\nc 1e-30{sep}0\n")
+    if sep == " ":
+        monkeypatch.setattr(embedding_store, "_parse_lines", None)  # no fallback
+    space = load_embeddings(path, "en")
+    assert space.words == ["a", "b", "c"]
+    norms = np.linalg.norm(unit_rows(space.vectors).astype(np.float64), axis=1)
+    assert np.allclose(norms, 1, rtol=0, atol=1e-6)
 
 
 def test_cosine_values():

@@ -56,3 +56,11 @@ def test_only_the_checked_reader_opens_text_inputs():
 def test_only_the_one_writer_opens_outputs():
     found = {where for where, reads in _source_opens() if not reads}
     assert found == WRITERS
+
+
+def test_config_imports_only_errors():
+    """The module that declares the run config depends on no other layer."""
+    tree = ast.parse((SRC / "config.py").read_text(encoding="utf-8"))
+    local = {node.module for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.level == 1}
+    assert local == {"errors"}
