@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import check
+from .config import check, default
 from .embedding_store import unit_rows
 from .errors import (
     ConfigurationError,
@@ -86,7 +86,8 @@ def _inv_sqrt(cov):
     return eigvecs @ np.diag(eigvals ** -0.5) @ eigvecs.T
 
 
-def fit_cca(X, Y, lam=1e-3, kept_ratio=0.8):
+def fit_cca(X, Y, lam=default("alignment", "lambda"),
+            kept_ratio=default("alignment", "kept_ratio")):
     """Fit canonical correlation projections for paired rows of X and Y.
 
     Covariances are regularized with lam*I, whitened by symmetric
@@ -144,8 +145,10 @@ def _fold(mean, projection, back_map, pivot_mean):
     return W, pivot_mean - mean @ W
 
 
-def fit_hub_alignment(spaces, lexicons, pivot, lam=1e-3, kept_ratio=0.8,
-                      normalize=True):
+def fit_hub_alignment(spaces, lexicons, pivot,
+                      lam=default("alignment", "lambda"),
+                      kept_ratio=default("alignment", "kept_ratio"),
+                      normalize=default("alignment", "normalize")):
     """Fit one CCA per non-pivot language against the pivot and fold each
     into one affine map.
 

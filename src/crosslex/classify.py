@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .alignment import project_space
-from .config import ClassifyConfig, check
+from .config import ClassifyConfig, check, default
 from .errors import (
     DegenerateDataError,
     DimensionError,
@@ -124,7 +124,8 @@ def evaluate(clf, features, labels, threshold=ClassifyConfig.threshold):
     return metrics_from_counts(tp, fp, fn, tn)
 
 
-def split_dataset(ds, fractions=(0.7, 0.1, 0.2), seed=0):
+def split_dataset(ds, fractions=(0.7, 0.1, 0.2),
+                  seed=default("classify", "split_seed")):
     """Deterministic train/dev/test split of a labeled dataset."""
     if not math.isclose(sum(fractions), 1.0):
         raise ProtocolError("split fractions must sum to 1")

@@ -65,6 +65,16 @@ def _language(value):
     return value
 
 
+def _k(value):
+    try:
+        k = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {value!r}") from None
+    if k < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {k}")
+    return k
+
+
 def _seed_terms(value):
     if "" in value.split(","):
         raise argparse.ArgumentTypeError(f"empty seed term in {value!r}")
@@ -110,26 +120,29 @@ def _load_spaces(args, needed):
     return spaces, list(paths.values())
 
 
-def _write_output_manifest(output, command, config, inputs, seeds=None):
-    """The manifest of a file output, as ``<output>.manifest.json`` beside it."""
-    write_manifest(os.path.dirname(os.path.abspath(output)), command, config,
-                   inputs, seeds=seeds,
-                   name=os.path.basename(output) + ".manifest.json")
+def _rounded(value):
+    """``value`` with every float in it rounded to 6 decimals."""
+    if isinstance(value, float):
+        return round(value, 6)
+    if isinstance(value, dict):
+        return {key: _rounded(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_rounded(item) for item in value]
+    return value
 
 
 def _write_jsonl(path_or_stdout, records):
-    write_text(path_or_stdout,
-               (json.dumps(rec, sort_keys=True) + "\n" for rec in records))
+    write_text(path_or_stdout, (json.dumps(_rounded(rec), sort_keys=True) + "\n"
+                                for rec in records))
 
 
-def _cmd_filter_corpus(args):
-    cfg = load_config(args.config, args.overrides)
+def _cmd_filter_corpus(args, cfg):
     seeds = load_seed_terms(args.seeds)
     lines = read_lines(args.input)
     kept = list(filter_corpus(lines, seeds, TokenizerConfig(**cfg["tokenizer"])))
     write_text(args.output, (line + "\n" for line in kept))
-    _write_output_manifest(
-        args.output, "filter-corpus",
+    write_manifest(
+        args.output + ".manifest.json", "filter-corpus",
         {"tokenizer": cfg["tokenizer"], "kept": len(kept), "total": len(lines)},
         [args.input, args.seeds],
     )
@@ -137,15 +150,14 @@ def _cmd_filter_corpus(args):
     return EXIT_OK
 
 
-def _cmd_train_embeddings(args):
-    cfg = load_config(args.config, args.overrides)
+def _cmd_train_embeddings(args, cfg):
     tok = TokenizerConfig(**cfg["tokenizer"])
     corpus = [tokenize(line, tok) for line in read_lines(args.corpus)]
     space = train_sgns(corpus, SgnsConfig(**cfg["sgns"]))
     space.language = args.language
     save_embeddings(space, args.output)
-    _write_output_manifest(
-        args.output, "train-embeddings",
+    write_manifest(
+        args.output + ".manifest.json", "train-embeddings",
         {"tokenizer": cfg["tokenizer"], "sgns": cfg["sgns"],
          "language": args.language},
         [args.corpus],
@@ -156,8 +168,8 @@ def _cmd_train_embeddings(args):
     return EXIT_OK
 
 
-def _cmd_align(args):
-    acfg = load_config(args.config, args.overrides)["alignment"]
+def _cmd_align(args, cfg):
+    acfg = cfg["alignment"]
     pivot = args.pivot or acfg["pivot"]
     spaces, read = _load_spaces(
         args, {pivot: "pivot", **{lang: "--lexicon" for lang in args.lexicon}})
@@ -185,7 +197,7 @@ def _cmd_align(args):
         write_text(os.path.join(args.output, f"validation_{lang}.tsv"),
                    (f"{s}\t{t}\n" for s, t in val.pairs))
     write_manifest(
-        args.output,
+        os.path.join(args.output, "manifest.json"),
         "align",
         {"alignment": acfg, "pivot": pivot},
         read + list(args.lexicon.values()),
@@ -215,13 +227,13 @@ def _load_model(args, cfg):
     return model
 
 
-def _cmd_knn(args):
-    model = _load_model(args, load_config(args.config, args.overrides))
+def _cmd_knn(args, cfg):
+    model = _load_model(args, cfg)
     spaces, _ = _load_spaces(args, {args.lang: "--lang", args.target: "--target"})
     result = knn(model, spaces, args.word, args.lang, args.target, args.k)
     records = [
         {"query": result.query_word, "query_lang": result.query_lang,
-         "rank": i + 1, "word": w, "language": lang, "score": round(s, 6)}
+         "rank": i + 1, "word": w, "language": lang, "score": s}
         for i, (w, lang, s) in enumerate(result.neighbors)
     ]
     if result.truncated:
@@ -230,8 +242,8 @@ def _cmd_knn(args):
     return EXIT_OK
 
 
-def _cmd_bli(args):
-    model = _load_model(args, load_config(args.config, args.overrides))
+def _cmd_bli(args, cfg):
+    model = _load_model(args, cfg)
     spaces, read = _load_spaces(args, {
         model.pivot_lang: "pivot",
         **{lang: "--validation" for lang in args.validation}})
@@ -243,23 +255,19 @@ def _cmd_bli(args):
             records.extend({
                 "query": result.query_word, "query_lang": lex.src_lang,
                 "target_lang": lang,
-                "neighbors": [{"word": w, "score": round(s, 6)}
+                "neighbors": [{"word": w, "score": s}
                               for w, _, s in result.neighbors],
             } for result in res.rankings)
         records.append({
             "source_lang": lex.src_lang, "target_lang": lang,
-            "k": args.k, "precision": round(res.precision, 6),
+            "k": args.k, "precision": res.precision,
             "evaluated": res.evaluated, "excluded": res.excluded,
         })
     _write_jsonl(args.output, records)
     if args.output:
-        _write_output_manifest(args.output, "bli", {"k": args.k},
-                               list(args.validation.values()) + read)
+        write_manifest(args.output + ".manifest.json", "bli", {"k": args.k},
+                       list(args.validation.values()) + read)
     return EXIT_OK
-
-
-def _class_filter(name):
-    return {"hate": HATE, "non-hate": NON_HATE}[name]
 
 
 def _mining_args(mcfg):
@@ -268,32 +276,25 @@ def _mining_args(mcfg):
             "min_confidence": mcfg["min_confidence"]}
 
 
-def _cmd_mine_rules(args):
-    cfg = load_config(args.config, args.overrides)
+def _cmd_mine_rules(args, cfg):
     mcfg = cfg["mining"]
     ds = load_labeled_dataset(args.dataset, args.language,
                               TokenizerConfig(**cfg["tokenizer"]))
     docs = (
-        ds.partition(_class_filter(args.class_filter))
+        ds.partition(args.class_filter)
         if args.class_filter != "all"
         else ds.token_lists()
     )
     stop = load_stopwords(args.language) if mcfg["use_stopwords"] else frozenset()
     rules = mine_rules(docs, stopwords=stop, **_mining_args(mcfg))
-    records = [
-        {"antecedent": r.antecedent, "consequent": r.consequent,
-         "support": round(r.support, 6), "confidence": round(r.confidence, 6)}
-        for r in rules
-    ]
-    _write_jsonl(args.output, records)
+    _write_jsonl(args.output, (dataclasses.asdict(r) for r in rules))
     counts = ds.class_counts()
     print(f"classes: hate={counts.get(HATE, 0)} non-hate={counts.get(NON_HATE, 0)}; "
           f"{len(rules)} rules", file=sys.stderr)
     return EXIT_OK
 
 
-def _cmd_context_sim(args):
-    cfg = load_config(args.config, args.overrides)
+def _cmd_context_sim(args, cfg):
     tok = TokenizerConfig(**cfg["tokenizer"])
     mcfg, scfg = cfg["mining"], cfg["similarity"]
     model = _load_model(args, cfg)
@@ -308,21 +309,15 @@ def _cmd_context_sim(args):
         if mcfg["use_stopwords"] else {}
     )
     records = cross_lingual_report(
-        args.seed_terms, args.source_lang, datasets, _class_filter(args.class_filter),
+        args.seed_terms, args.source_lang, datasets, args.class_filter,
         model, spaces, {**_mining_args(mcfg), "stopwords": stopword_map},
         top_m=scfg["top_m"], variant=scfg["variant"],
     )
-    for rec in records:
-        rec["results"] = [
-            {"word": r["word"], "score": round(r["score"], 6)}
-            for r in rec["results"]
-        ]
     _write_jsonl(args.output, records)
     return EXIT_OK
 
 
-def _cmd_classify(args):
-    cfg = load_config(args.config, args.overrides)
+def _cmd_classify(args, cfg):
     tok = TokenizerConfig(**cfg["tokenizer"])
     ccfg = dict(cfg["classify"])
     split_seed = ccfg.pop("split_seed")
@@ -342,18 +337,14 @@ def _cmd_classify(args):
         allow_same_language=args.monolingual,
     )
     record = {"train_lang": train_lang, "test_lang": test_lang,
-              "monolingual": args.monolingual}
-    record.update(
-        {k: (round(v, 6) if isinstance(v, float) else v)
-         for k, v in dataclasses.asdict(metrics).items()}
-    )
+              "monolingual": args.monolingual, **dataclasses.asdict(metrics)}
     _write_jsonl(args.output, [record])
     tsv = (f"{train_lang}\t{test_lang}\t{metrics.f1:.4f}\t"
            f"{metrics.precision:.4f}\t{metrics.recall:.4f}\t{metrics.accuracy:.4f}")
     print(tsv, file=sys.stderr)
     if args.output:
-        _write_output_manifest(
-            args.output, "classify",
+        write_manifest(
+            args.output + ".manifest.json", "classify",
             {"classify": cfg["classify"], "train": train_lang, "test": test_lang},
             [train_path, test_path],
             seeds={"split_seed": split_seed},
@@ -361,7 +352,7 @@ def _cmd_classify(args):
     return EXIT_OK
 
 
-def _cmd_report(args):
+def _cmd_report(args, cfg):
     """Flatten a context-sim JSON-lines report into a TSV table:
     rows = seed terms, columns = target languages."""
     cells = {}
@@ -453,14 +444,14 @@ def build_parser():
     p.add_argument("--word", required=True)
     p.add_argument("--lang", required=True, type=_language)
     p.add_argument("--target", required=True, type=_language)
-    p.add_argument("--k", type=int, default=5)
+    p.add_argument("--k", type=_k, default=5)
     p.add_argument("--output")
     p.set_defaults(func=_cmd_knn)
 
     p = sub.add_parser("bli", parents=[with_model],
                        help="precision@k against validation lexicons")
     _add_lang_paths(p, "--validation")
-    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--k", type=_k, default=1)
     p.add_argument("--detailed", action="store_true",
                    help="emit per-word neighbor records before the summary")
     p.add_argument("--output")
@@ -471,7 +462,7 @@ def build_parser():
     p.add_argument("--dataset", required=True)
     p.add_argument("--language", required=True, type=_language)
     p.add_argument("--class", dest="class_filter", default="all",
-                   choices=["hate", "non-hate", "all"])
+                   choices=[HATE, NON_HATE, "all"])
     p.add_argument("--output")
     p.set_defaults(func=_cmd_mine_rules)
 
@@ -482,7 +473,7 @@ def build_parser():
                    help="comma-separated seed words")
     p.add_argument("--source-lang", required=True, type=_language)
     p.add_argument("--class", dest="class_filter", default="hate",
-                   choices=["hate", "non-hate"])
+                   choices=[HATE, NON_HATE])
     p.add_argument("--output")
     p.set_defaults(func=_cmd_context_sim)
 
@@ -514,9 +505,11 @@ def main(argv=None):
         parser.print_help(sys.stderr)
         return EXIT_USAGE
     try:
+        cfg = (load_config(args.config, args.overrides)
+               if hasattr(args, "overrides") else None)
         if getattr(args, "output", None):
             os.makedirs(os.path.dirname(os.path.abspath(args.output)), exist_ok=True)
-        return args.func(args)
+        return args.func(args, cfg)
     except ConfigurationError as err:
         print(f"crosslex: configuration error: {err}", file=sys.stderr)
         return EXIT_USAGE

@@ -85,6 +85,11 @@ _SCHEMA = {
 }
 
 
+def default(section, key):
+    """The default value of ``[section] key``, for library signatures."""
+    return _SCHEMA[section][key][1]
+
+
 def _describe(kind, valid):
     """A valid range as the error messages and the README state it."""
     if isinstance(valid, tuple):

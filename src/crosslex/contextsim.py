@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .alignment import project_space
-from .config import VARIANTS, check
+from .config import VARIANTS, check, default
 from .embedding_store import cosine
 from .errors import (
     ConfigurationError,
@@ -117,7 +117,8 @@ def _language_contexts(rules, model, language, spaces):
 
 
 def cross_lingual_report(seed_terms, source_lang, datasets, class_filter,
-                         model, spaces, mining, top_m=3, variant=LITERAL):
+                         model, spaces, mining,
+                         top_m=default("similarity", "top_m"), variant=LITERAL):
     """Most context-similar terms for each seed, per other language.
 
     ``mining`` is a dict of mine_rules keyword arguments (top_n_antecedents,

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import time
 
 from . import __version__
@@ -19,10 +18,9 @@ def _sha256(path):
     return h.hexdigest()
 
 
-def write_manifest(out_dir, command, config, inputs, seeds=None,
-                   name="manifest.json"):
-    """Write a JSON manifest: command, config snapshot, input checksums,
-    seeds, package version, and a timestamp."""
+def write_manifest(path, command, config, inputs, seeds=None):
+    """Write the JSON manifest at ``path``: command, config snapshot, input
+    checksums, seeds, package version, and a timestamp."""
     manifest = {
         "command": command,
         "config": config,
@@ -31,6 +29,4 @@ def write_manifest(out_dir, command, config, inputs, seeds=None,
         "version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
-    path = os.path.join(out_dir, name)
     write_text(path, [json.dumps(manifest, indent=2, sort_keys=True), "\n"])
-    return path

@@ -14,7 +14,7 @@ import logging
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .config import TokenizerConfig, check
+from .config import TokenizerConfig, check, default
 from .corpus import tokenize
 from .errors import (
     FormatError,
@@ -92,8 +92,10 @@ def load_labeled_dataset(path, language, cfg=TokenizerConfig()):
     return LabeledDataset(language=language, docs=docs, dropped_empty=dropped)
 
 
-def mine_rules(docs, top_n_antecedents=100, min_support=0.01,
-               min_confidence=0.1, stopwords=frozenset()):
+def mine_rules(docs, top_n_antecedents=default("mining", "top_n"),
+               min_support=default("mining", "min_support"),
+               min_confidence=default("mining", "min_confidence"),
+               stopwords=frozenset()):
     """Mine {x} => {u} rules for the most document-frequent antecedents.
 
     Antecedents are the top_n_antecedents words by document frequency

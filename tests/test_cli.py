@@ -765,6 +765,17 @@ def test_bad_config_value_exits_1(tmp_path, capsys, override, message):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", sorted(set(FLAG_TABLE) - {"report"}))
+def test_bad_config_makes_no_output_directory(tmp_path, capsys, command):
+    """The run config is read before the parent of ``--output`` is made."""
+    argv = _missing_input_argv(tmp_path)[command]
+    new_dir = tmp_path / "new"
+    assert main([*argv, "--output", str(new_dir / "x"),
+                 "--set", "mining.top_n=0"]) == 1
+    assert "configuration error: [mining] top_n" in capsys.readouterr().err
+    assert not new_dir.exists()
+
+
 def _library_guards():
     """Per guard, a library call that passes it one value out of range."""
     lex = crosslex.BilingualLexicon("en", "es", [("a", "b"), ("c", "d")])
@@ -1009,3 +1020,40 @@ def test_output_into_missing_directory(mini_pipeline_inputs, tmp_path, capsys,
     assert main([*argv, "--output", str(out)]) == 0
     assert capsys.readouterr().out == ""
     assert out.read_text(encoding="utf-8") == expected
+
+
+def _floats(value):
+    if isinstance(value, float):
+        yield value
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from _floats(item)
+    elif isinstance(value, list):
+        for item in value:
+            yield from _floats(item)
+
+
+@pytest.mark.parametrize("command", ["bli", "classify", "context-sim", "knn",
+                                     "mine-rules"])
+def test_jsonl_floats_are_rounded_to_6_decimals(mini_pipeline_inputs, tmp_path,
+                                                capsys, command):
+    model_dir = tmp_path / "model"
+    emb = _aligned_model(mini_pipeline_inputs, model_dir)
+    argv = _output_argv(mini_pipeline_inputs, model_dir, emb)[command]
+    capsys.readouterr()
+    assert main([*argv, *(["--detailed"] if command == "bli" else [])]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    floats = list(_floats(records))
+    assert floats and all(x == round(x, 6) for x in floats)
+
+
+@pytest.mark.parametrize("command", ["bli", "knn"])
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_k_below_1_exits_1_before_reading(tmp_path, capsys, command, k):
+    """``--k`` is checked when parsed: the missing model would exit 2."""
+    argv = _missing_input_argv(tmp_path)[command]
+    assert main([*argv, "--k", k]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: argument --k: must be >= 1, got {k}" in captured.err
+    assert "Traceback" not in captured.err

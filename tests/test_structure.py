@@ -1,9 +1,13 @@
 """Structural rules of the source tree that no behavioral test pins down."""
 
 import ast
+import inspect
 from pathlib import Path
 
+import pytest
+
 import crosslex
+from crosslex import config
 
 SRC = Path(crosslex.__file__).resolve().parent
 
@@ -24,16 +28,16 @@ def _read_mode(call):
     return not (isinstance(mode, ast.Constant) and set(mode.value) & set("wax+"))
 
 
-def _opens(tree, module):
-    """``(module.function, reads)`` of every ``open(...)`` call in ``tree``."""
+def _calls(tree, module, name):
+    """``(module.function, call)`` of every call of ``name`` in ``tree``."""
     found = []
 
     def visit(node, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             where = f"{where}.{node.name}"
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                and node.func.id == "open"):
-            found.append((where, _read_mode(node)))
+        if isinstance(node, ast.Call) and name in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            found.append((where, node))
         for child in ast.iter_child_nodes(node):
             visit(child, where)
 
@@ -41,11 +45,17 @@ def _opens(tree, module):
     return found
 
 
-def _source_opens():
+def _source_calls(name):
     found = []
     for path in sorted(SRC.glob("*.py")):
-        found += _opens(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+        found += _calls(ast.parse(path.read_text(encoding="utf-8")), path.stem, name)
     return found
+
+
+def _source_opens():
+    """``(module.function, reads)`` of every ``open(...)`` call."""
+    return [(where, _read_mode(call)) for where, call in _source_calls("open")
+            if isinstance(call.func, ast.Name)]
 
 
 def test_only_the_checked_reader_opens_text_inputs():
@@ -64,3 +74,38 @@ def test_config_imports_only_errors():
     local = {node.module for node in ast.walk(tree)
              if isinstance(node, ast.ImportFrom) and node.level == 1}
     assert local == {"errors"}
+
+
+def test_only_main_loads_the_run_config():
+    """Every command gets the run config from ``main``, which reads it before
+    it makes any directory."""
+    assert [where for where, _ in _source_calls("load_config")] == ["cli.main"]
+
+
+# (function, keyword, section, key): each library default that is a run-config
+# value, and the ``config._SCHEMA`` entry it must equal.
+LIBRARY_DEFAULTS = [
+    (crosslex.fit_cca, "lam", "alignment", "lambda"),
+    (crosslex.fit_cca, "kept_ratio", "alignment", "kept_ratio"),
+    (crosslex.fit_hub_alignment, "lam", "alignment", "lambda"),
+    (crosslex.fit_hub_alignment, "kept_ratio", "alignment", "kept_ratio"),
+    (crosslex.fit_hub_alignment, "normalize", "alignment", "normalize"),
+    (crosslex.mine_rules, "top_n_antecedents", "mining", "top_n"),
+    (crosslex.mine_rules, "min_support", "mining", "min_support"),
+    (crosslex.mine_rules, "min_confidence", "mining", "min_confidence"),
+    (crosslex.cross_lingual_report, "top_m", "similarity", "top_m"),
+    (crosslex.cross_lingual_report, "variant", "similarity", "variant"),
+    (crosslex.split_dataset, "seed", "classify", "split_seed"),
+    (crosslex.train_logreg, "epochs", "classify", "epochs"),
+    (crosslex.train_logreg, "learning_rate", "classify", "learning_rate"),
+    (crosslex.train_logreg, "l2", "classify", "l2"),
+    (crosslex.evaluate, "threshold", "classify", "threshold"),
+]
+
+
+@pytest.mark.parametrize("func,keyword,section,key", LIBRARY_DEFAULTS,
+                         ids=lambda v: getattr(v, "__name__", v))
+def test_library_defaults_are_the_run_config_defaults(func, keyword, section,
+                                                      key):
+    default = inspect.signature(func).parameters[keyword].default
+    assert default == config._SCHEMA[section][key][1]
