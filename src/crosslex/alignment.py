@@ -76,13 +76,15 @@ class AlignmentModel:
     legacy: bool = False
 
 
-def _inv_sqrt(cov):
-    """Inverse square root of a symmetric positive definite matrix."""
+def _inv_sqrt(cov, name, lam):
+    """Inverse square root of the covariance of ``name`` (X or Y), regularized
+    by ``lam``. Its smallest eigenvalue must be positive, and at ``lam`` 0
+    above 1e-12 times its largest (or 1e-12 when that is below 1)."""
     eigvals, eigvecs = np.linalg.eigh(cov)
-    if eigvals[0] <= 0:
+    if eigvals[0] <= (0 if lam else max(eigvals[-1], 1.0) * 1e-12):
         raise SingularityError(
-            "covariance is rank-deficient; pass a positive regularization lambda"
-        )
+            f"covariance of {name} is rank-deficient with lambda={lam}; "
+            "pass a larger regularization lambda")
     return eigvecs @ np.diag(eigvals ** -0.5) @ eigvecs.T
 
 
@@ -112,17 +114,8 @@ def fit_cca(X, Y, lam=default("alignment", "lambda"),
     cyy = Yc.T @ Yc / (n - 1) + lam * np.eye(Y.shape[1])
     cxy = Xc.T @ Yc / (n - 1)
 
-    if lam == 0:
-        for cov, name in ((cxx, "X"), (cyy, "Y")):
-            eigvals = np.linalg.eigvalsh(cov)
-            if eigvals[0] <= max(eigvals[-1], 1.0) * 1e-12:
-                raise SingularityError(
-                    f"covariance of {name} is rank-deficient with lambda=0; "
-                    "pass a positive regularization lambda"
-                )
-
-    wx = _inv_sqrt(cxx)
-    wy = _inv_sqrt(cyy)
+    wx = _inv_sqrt(cxx, "X", lam)
+    wy = _inv_sqrt(cyy, "Y", lam)
     u, s, vt = np.linalg.svd(wx @ cxy @ wy)
     k = min(math.ceil(kept_ratio * min(X.shape[1], Y.shape[1])), n)
     return CcaResult(

@@ -7,7 +7,6 @@ the shared space so no target-language labels are ever consumed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -124,16 +123,16 @@ def evaluate(clf, features, labels, threshold=ClassifyConfig.threshold):
     return metrics_from_counts(tp, fp, fn, tn)
 
 
-def split_dataset(ds, fractions=(0.7, 0.1, 0.2),
-                  seed=default("classify", "split_seed")):
-    """Deterministic train/dev/test split of a labeled dataset."""
-    if not math.isclose(sum(fractions), 1.0):
-        raise ProtocolError("split fractions must sum to 1")
+_SPLIT_FRACTIONS = (0.7, 0.1, 0.2)  # train, dev, test
+
+
+def split_dataset(ds, seed=default("classify", "split_seed")):
+    """Deterministic 70/10/20 train/dev/test split of a labeled dataset."""
     check("classify", "split_seed", seed)
     order = np.random.default_rng(seed).permutation(len(ds.docs))
     n = len(ds.docs)
-    n_train = int(round(fractions[0] * n))
-    n_dev = int(round(fractions[1] * n))
+    n_train = int(round(_SPLIT_FRACTIONS[0] * n))
+    n_dev = int(round(_SPLIT_FRACTIONS[1] * n))
     parts = (
         order[:n_train],
         order[n_train:n_train + n_dev],

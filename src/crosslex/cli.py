@@ -136,16 +136,23 @@ def _write_jsonl(path_or_stdout, records):
                                 for rec in records))
 
 
+def _manifest(args, config, inputs, seeds=None):
+    """Write the run manifest of a command given ``--output``: align's as
+    ``manifest.json`` in the model directory, any other's beside its output
+    as ``<output>.manifest.json``."""
+    if args.output:
+        path = (os.path.join(args.output, "manifest.json") if args.command == "align"
+                else args.output + ".manifest.json")
+        write_manifest(path, args.command, config, inputs, seeds=seeds)
+
+
 def _cmd_filter_corpus(args, cfg):
     seeds = load_seed_terms(args.seeds)
     lines = read_lines(args.input)
     kept = list(filter_corpus(lines, seeds, TokenizerConfig(**cfg["tokenizer"])))
     write_text(args.output, (line + "\n" for line in kept))
-    write_manifest(
-        args.output + ".manifest.json", "filter-corpus",
-        {"tokenizer": cfg["tokenizer"], "kept": len(kept), "total": len(lines)},
-        [args.input, args.seeds],
-    )
+    _manifest(args, {"tokenizer": cfg["tokenizer"], "kept": len(kept),
+                     "total": len(lines)}, [args.input, args.seeds])
     print(f"kept {len(kept)} of {len(lines)} lines", file=sys.stderr)
     return EXIT_OK
 
@@ -153,16 +160,13 @@ def _cmd_filter_corpus(args, cfg):
 def _cmd_train_embeddings(args, cfg):
     tok = TokenizerConfig(**cfg["tokenizer"])
     corpus = [tokenize(line, tok) for line in read_lines(args.corpus)]
-    space = train_sgns(corpus, SgnsConfig(**cfg["sgns"]))
+    with in_file(args.corpus):
+        space = train_sgns(corpus, SgnsConfig(**cfg["sgns"]))
     space.language = args.language
     save_embeddings(space, args.output)
-    write_manifest(
-        args.output + ".manifest.json", "train-embeddings",
-        {"tokenizer": cfg["tokenizer"], "sgns": cfg["sgns"],
-         "language": args.language},
-        [args.corpus],
-        seeds={"rng_seed": cfg["sgns"]["rng_seed"]},
-    )
+    _manifest(args, {"tokenizer": cfg["tokenizer"], "sgns": cfg["sgns"],
+                     "language": args.language},
+              [args.corpus], seeds={"rng_seed": cfg["sgns"]["rng_seed"]})
     print(f"trained {len(space)} x {space.dim} vectors for {args.language}",
           file=sys.stderr)
     return EXIT_OK
@@ -176,14 +180,12 @@ def _cmd_align(args, cfg):
     lexicons = []
     heldout = {}
     for lang, path in args.lexicon.items():
-        lex = load_lexicon(path, pivot, lang)
-        lex, dropped = restrict_to_vocab(lex, spaces[pivot], spaces[lang])
-        if args.holdout:
-            train, val = split_lexicon(
-                lex, acfg["train_fraction"], acfg["split_seed"]
-            )
-            heldout[lang] = val
-            lex = train
+        with in_file(path):
+            lex, dropped = restrict_to_vocab(load_lexicon(path, pivot, lang),
+                                             spaces[pivot], spaces[lang])
+            if args.holdout:
+                lex, heldout[lang] = split_lexicon(
+                    lex, acfg["train_fraction"], acfg["split_seed"])
         lexicons.append(lex)
         print(f"{pivot}-{lang}: {len(lex)} alignment pairs ({dropped} dropped)",
               file=sys.stderr)
@@ -196,18 +198,15 @@ def _cmd_align(args, cfg):
     for lang, val in heldout.items():
         write_text(os.path.join(args.output, f"validation_{lang}.tsv"),
                    (f"{s}\t{t}\n" for s, t in val.pairs))
-    write_manifest(
-        os.path.join(args.output, "manifest.json"),
-        "align",
-        {"alignment": acfg, "pivot": pivot},
-        read + list(args.lexicon.values()),
-        seeds={"split_seed": acfg["split_seed"]},
-    )
+    _manifest(args, {"alignment": acfg, "pivot": pivot},
+              read + list(args.lexicon.values()),
+              seeds={"split_seed": acfg["split_seed"]})
     return EXIT_OK
 
 
 def _load_model(args, cfg):
-    """The model as loaded; it prepares the spaces it is given.
+    """The model as loaded, which prepares the spaces it is given, and the
+    files read: its ``metadata.json`` and one ``.mat`` per language.
 
     A run config whose ``alignment.normalize`` disagrees with the model is
     an error. A model without the format marker may understate its
@@ -224,11 +223,12 @@ def _load_model(args, cfg):
         raise ConfigurationError(
             f"{args.model} was fitted with normalize={model.normalize}, "
             f"but alignment.normalize is {normalize}")
-    return model
+    return model, [os.path.join(args.model, name) for name in (
+        "metadata.json", *(f"{lang}.mat" for lang in model.maps))]
 
 
 def _cmd_knn(args, cfg):
-    model = _load_model(args, cfg)
+    model, _ = _load_model(args, cfg)
     spaces, _ = _load_spaces(args, {args.lang: "--lang", args.target: "--target"})
     result = knn(model, spaces, args.word, args.lang, args.target, args.k)
     records = [
@@ -243,14 +243,15 @@ def _cmd_knn(args, cfg):
 
 
 def _cmd_bli(args, cfg):
-    model = _load_model(args, cfg)
+    model, model_files = _load_model(args, cfg)
     spaces, read = _load_spaces(args, {
         model.pivot_lang: "pivot",
         **{lang: "--validation" for lang in args.validation}})
     records = []
     for lang, path in args.validation.items():
-        lex = load_lexicon(path, model.pivot_lang, lang)
-        res = bli_precision_at_k(model, spaces, lex, args.k)
+        with in_file(path):
+            lex = load_lexicon(path, model.pivot_lang, lang)
+            res = bli_precision_at_k(model, spaces, lex, args.k)
         if args.detailed:
             records.extend({
                 "query": result.query_word, "query_lang": lex.src_lang,
@@ -264,9 +265,8 @@ def _cmd_bli(args, cfg):
             "evaluated": res.evaluated, "excluded": res.excluded,
         })
     _write_jsonl(args.output, records)
-    if args.output:
-        write_manifest(args.output + ".manifest.json", "bli", {"k": args.k},
-                       list(args.validation.values()) + read)
+    _manifest(args, {"k": args.k},
+              list(args.validation.values()) + read + model_files)
     return EXIT_OK
 
 
@@ -286,7 +286,8 @@ def _cmd_mine_rules(args, cfg):
         else ds.token_lists()
     )
     stop = load_stopwords(args.language) if mcfg["use_stopwords"] else frozenset()
-    rules = mine_rules(docs, stopwords=stop, **_mining_args(mcfg))
+    with in_file(args.dataset):
+        rules = mine_rules(docs, stopwords=stop, **_mining_args(mcfg))
     _write_jsonl(args.output, (dataclasses.asdict(r) for r in rules))
     counts = ds.class_counts()
     print(f"classes: hate={counts.get(HATE, 0)} non-hate={counts.get(NON_HATE, 0)}; "
@@ -297,7 +298,7 @@ def _cmd_mine_rules(args, cfg):
 def _cmd_context_sim(args, cfg):
     tok = TokenizerConfig(**cfg["tokenizer"])
     mcfg, scfg = cfg["mining"], cfg["similarity"]
-    model = _load_model(args, cfg)
+    model, _ = _load_model(args, cfg)
     spaces, _ = _load_spaces(args, {args.source_lang: "--source-lang",
                                     **{lang: "--dataset" for lang in args.dataset}})
     datasets = {
@@ -321,10 +322,10 @@ def _cmd_classify(args, cfg):
     tok = TokenizerConfig(**cfg["tokenizer"])
     ccfg = dict(cfg["classify"])
     split_seed = ccfg.pop("split_seed")
-    model = _load_model(args, cfg)
+    model, model_files = _load_model(args, cfg)
     train_lang, train_path = args.train
     test_lang, test_path = args.test
-    spaces, _ = _load_spaces(args, {train_lang: "--train", test_lang: "--test"})
+    spaces, read = _load_spaces(args, {train_lang: "--train", test_lang: "--test"})
     train_ds = load_labeled_dataset(train_path, train_lang, tok)
     test_ds = load_labeled_dataset(test_path, test_lang, tok)
     if args.monolingual:
@@ -332,23 +333,21 @@ def _cmd_classify(args, cfg):
             raise ProtocolError("--monolingual requires matching languages")
         if train_path == test_path:
             train_ds, _, test_ds = split_dataset(train_ds, seed=split_seed)
-    metrics = zero_shot_eval(
-        train_ds, test_ds, model, spaces, ClassifyConfig(**ccfg),
-        allow_same_language=args.monolingual,
-    )
+    with in_file(train_path):
+        metrics = zero_shot_eval(
+            train_ds, test_ds, model, spaces, ClassifyConfig(**ccfg),
+            allow_same_language=args.monolingual,
+        )
     record = {"train_lang": train_lang, "test_lang": test_lang,
               "monolingual": args.monolingual, **dataclasses.asdict(metrics)}
     _write_jsonl(args.output, [record])
     tsv = (f"{train_lang}\t{test_lang}\t{metrics.f1:.4f}\t"
            f"{metrics.precision:.4f}\t{metrics.recall:.4f}\t{metrics.accuracy:.4f}")
     print(tsv, file=sys.stderr)
-    if args.output:
-        write_manifest(
-            args.output + ".manifest.json", "classify",
-            {"classify": cfg["classify"], "train": train_lang, "test": test_lang},
-            [train_path, test_path],
-            seeds={"split_seed": split_seed},
-        )
+    _manifest(args, {"classify": cfg["classify"], "train": train_lang,
+                     "test": test_lang},
+              [train_path, test_path] + read + model_files,
+              seeds={"split_seed": split_seed})
     return EXIT_OK
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .alignment import project_space
 from .config import VARIANTS, check, default
-from .embedding_store import cosine
+from .embedding_store import cosine, unit_rows
 from .errors import (
     ConfigurationError,
     DimensionError,
@@ -87,14 +87,13 @@ def context_sim(context_x, context_y, vectors_x, vectors_y, variant=LITERAL):
     if len({np.shape(row) for row in rows}) > 1:
         raise DimensionError("dimension mismatch among context vectors")
     rows = np.array(rows, dtype=np.float64)
-    norms = np.linalg.norm(rows, axis=1, keepdims=True)
-    if not norms.all():
+    if not rows.any(axis=1).all():
         raise DomainError("cosine undefined for zero vectors")
     check("similarity", "variant", variant)
     metrics = [context_x.entries[u] for u in xs] + [context_y.entries[v] for v in ys]
     _check_metrics(metrics)
     n = len(xs)
-    unit, metrics = rows / norms, np.array(metrics)
+    unit, metrics = unit_rows(rows), np.array(metrics)
     diff = np.abs(metrics[:n, None] - metrics[n:])
     met = _agreement(diff[..., 0], diff[..., 1], variant)
     sims = (unit[:n] @ unit[n:].T + met) / 2.0
@@ -137,8 +136,12 @@ def cross_lingual_report(seed_terms, source_lang, datasets, class_filter,
     kwargs = {k: v for k, v in mining.items() if k != "stopwords"}
     contexts, vectors = {}, {}
     for lang, ds in datasets.items():
-        rules = mine_rules(ds.partition(class_filter),
-                           stopwords=stopword_map.get(lang, frozenset()), **kwargs)
+        stopwords = stopword_map.get(lang, frozenset())
+        try:
+            rules = mine_rules(ds.partition(class_filter), stopwords=stopwords,
+                               **kwargs)
+        except InsufficientDataError as err:
+            raise type(err)(f"[{lang}] {err}") from err
         contexts[lang], vectors[lang] = _language_contexts(rules, model, lang, spaces)
     records = []
     for seed in seed_terms:

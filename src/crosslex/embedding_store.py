@@ -49,9 +49,6 @@ class EmbeddingSpace:
     def __len__(self):
         return len(self.words)
 
-    def vector(self, word):
-        return self.vectors[self.vocab[word]]
-
 
 def unit_rows(mat):
     """The rows of a 2-d matrix scaled to unit Euclidean norm, computed in
@@ -85,9 +82,16 @@ def load_embeddings(path, language):
     """
     with in_file(path):
         try:
-            words, vectors, duplicates = _parse_bulk(path)
+            words, vectors = _parse_bulk(path)
         except ValueError:  # undecodable bytes, or a row the bulk parse refuses
-            words, vectors, duplicates = _parse_lines(path)
+            words, vectors = _parse_lines(path)
+    first_row = {}
+    for i, word in enumerate(words):
+        first_row.setdefault(word, i)
+    duplicates = len(words) - len(first_row)
+    if duplicates:
+        words, vectors = list(first_row), vectors[list(first_row.values())]
+    del first_row  # before the space builds its own vocabulary
     space = EmbeddingSpace(language, words, vectors)
     space.duplicates_dropped = duplicates
     return space
@@ -110,7 +114,7 @@ def _read_header(header):
 
 
 def _parse_bulk(path):
-    """(words, vectors, duplicates) of a well-formed file.
+    """(words, vectors) of a well-formed file, one per row.
 
     In a well-formed file each row is the word and its components joined
     by single spaces; when the first row ends in a space, as fastText
@@ -159,18 +163,11 @@ def _parse_bulk(path):
         raise ValueError("non-finite component")
     if not vectors.any(axis=1).all():
         raise ValueError("all-zero row")
-    first_row = {}
-    for i, w in enumerate(words):
-        first_row.setdefault(w, i)
-    duplicates = count - len(first_row)
-    if duplicates:
-        words = list(first_row)
-        vectors = vectors[list(first_row.values())]
-    return words, vectors, duplicates
+    return words, vectors
 
 
 def _parse_lines(path):
-    """(words, vectors, duplicates) by the per-line scan.
+    """(words, vectors) by the per-line scan, one per row.
 
     Raises the error of the first bad line in file order: a wrong field
     count, a non-numeric, non-finite or all-zero vector, or bytes that are
@@ -178,8 +175,6 @@ def _parse_lines(path):
     """
     words = []
     rows = []
-    seen = {}
-    duplicates = 0
     lines = text_lines(path)
     lineno, header = next(lines, (1, ""))
     count, dim = _read_header(header)
@@ -202,18 +197,12 @@ def _parse_lines(path):
             raise FormatError("non-finite vector component", lineno)
         if not vec.any():
             raise FormatError(f"all-zero vector for word {word!r}", lineno)
-        if word in seen:
-            duplicates += 1
-            continue
-        seen[word] = True
         words.append(word)
         rows.append(vec)
-    if len(words) + duplicates != count:
-        raise FormatError(
-            f"header promised {count} rows, found {len(words) + duplicates}",
-            lineno + 1,
-        )
-    return words, np.vstack(rows), duplicates
+    if len(words) != count:
+        raise FormatError(f"header promised {count} rows, found {len(words)}",
+                          lineno + 1)
+    return words, np.vstack(rows)
 
 
 def save_embeddings(space, path):

@@ -8,33 +8,37 @@ from contextlib import contextmanager
 
 
 class CrosslexError(Exception):
-    """Base class for all crosslex errors."""
+    """Base class for all crosslex errors; ``path`` names the file the error
+    is about, when known."""
+
+    path = None
+
+    def __str__(self):
+        text = super().__str__()
+        return text if self.path is None else f"{self.path}: {text}"
 
 
 class FormatError(CrosslexError):
     """Malformed input file. Carries the 1-based line number and the file
-    when known; ``in_file`` names the file for errors raised inside it."""
+    when known."""
 
     def __init__(self, message, line_number=None, path=None):
         super().__init__(message)
-        self.message = message
         self.line_number = line_number
         self.path = path
 
     def __str__(self):
-        text = self.message if self.path is None else f"{self.path}: {self.message}"
-        if self.line_number is not None:
-            text = f"{text} (line {self.line_number})"
-        return text
+        text = super().__str__()
+        return text if self.line_number is None else f"{text} (line {self.line_number})"
 
 
 @contextmanager
 def in_file(path):
-    """Name ``path`` in a FormatError raised inside the block that does not
-    name a file yet."""
+    """Name ``path`` in an error about a file's content (a FormatError or an
+    InsufficientDataError) raised inside the block that names no file yet."""
     try:
         yield
-    except FormatError as err:
+    except (FormatError, InsufficientDataError) as err:
         if err.path is None:
             err.path = os.fspath(path)
         raise

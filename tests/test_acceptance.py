@@ -78,9 +78,10 @@ def test_02_cca_invariance():
 def test_03_identity_alignment(duplicate_space_pair):
     spaces, lex = duplicate_space_pair
     model = fit_hub_alignment(spaces, [lex], "en", lam=1e-3, kept_ratio=1.0)
+    en = spaces["en"]
     worst = max(
         float(np.max(np.abs(project(model, w, "xx", spaces)
-                            - spaces["en"].vector(w))))
+                            - en.vectors[en.vocab[w]])))
         for w in spaces["xx"].words
     )
     p1 = bli_precision_at_k(model, spaces, lex, k=1).precision
@@ -200,18 +201,15 @@ def test_08_sgns_sanity():
                      learning_rate=0.025, min_count=1, subsample_t=0.0,
                      rng_seed=7)
     space = train_sgns(corpus, cfg)
-    planted = np.mean(
-        [cosine(space.vector(p), space.vector(q)) for p, q in pairs]
-    )
+    vec = dict(zip(space.words, space.vectors))
+    planted = np.mean([cosine(vec[p], vec[q]) for p, q in pairs])
     rng = np.random.default_rng(9)
     unplanted = []
     while len(unplanted) < 20:
         i, j = rng.integers(0, len(pairs), size=2)
         if i == j:
             continue
-        unplanted.append(
-            cosine(space.vector(pairs[i][0]), space.vector(pairs[j][0]))
-        )
+        unplanted.append(cosine(vec[pairs[i][0]], vec[pairs[j][0]]))
     gap = planted - np.mean(unplanted)
     rerun = train_sgns(corpus, cfg)
     identical = np.array_equal(space.vectors, rerun.vectors)

@@ -132,6 +132,17 @@ def test_cca_rank_deficient_needs_lambda():
     fit_cca(X, Y, lam=1e-3, kept_ratio=1.0)  # regularized fit succeeds
 
 
+@pytest.mark.parametrize("name", ["X", "Y"])
+def test_cca_rank_check_names_the_covariance(name):
+    rng = np.random.default_rng(10)
+    X, Y = rng.normal(size=(2, 30, 4))
+    bad = X if name == "X" else Y
+    bad[:, 3] = bad[:, 0] + bad[:, 1]
+    with pytest.raises(SingularityError,
+                       match=f"covariance of {name} is rank-deficient with lambda=0"):
+        fit_cca(X, Y, lam=0.0, kept_ratio=1.0)
+
+
 def test_cca_too_few_samples():
     with pytest.raises(InsufficientDataError):
         fit_cca(np.zeros((1, 2)), np.zeros((1, 2)))
@@ -140,9 +151,10 @@ def test_cca_too_few_samples():
 def test_identity_alignment(duplicate_space_pair):
     spaces, lex = duplicate_space_pair
     model = fit_hub_alignment(spaces, [lex], "en", lam=1e-3, kept_ratio=1.0)
+    en = spaces["en"]
     for word in spaces["xx"].words:
         shared = project(model, word, "xx", spaces)
-        assert np.max(np.abs(shared - spaces["en"].vector(word))) < 1e-5
+        assert np.max(np.abs(shared - en.vectors[en.vocab[word]])) < 1e-5
 
 
 def test_pivot_words_unchanged(duplicate_space_pair):
@@ -150,7 +162,7 @@ def test_pivot_words_unchanged(duplicate_space_pair):
     spaces, lex = duplicate_space_pair
     model = fit_hub_alignment(spaces, [lex], "en", lam=1e-3, kept_ratio=1.0)
     word = spaces["en"].words[0]
-    row = spaces["en"].vector(word)
+    row = spaces["en"].vectors[0]
     assert np.array_equal(
         project(model, word, "en", spaces), unit_rows(row[None])[0]
     )

@@ -906,6 +906,80 @@ def test_malformed_input_names_file_and_line(mini_pipeline_inputs, tmp_path,
     assert "Traceback" not in err
 
 
+def _empty_input_cases(inp, model_dir, emb, empty):
+    """Per case, argv that gives one input the empty file ``empty``, and the
+    message that names it: by its file, or in context-sim by its language."""
+    common = ["--model", str(model_dir), *emb]
+    en_tsv = str(inp["datasets"]["en"])
+    return {
+        "train-embeddings --corpus": (
+            ["train-embeddings", "--corpus", empty, "--language", "en",
+             "--output", str(model_dir.parent / "x.vec")],
+            f"{empty}: empty corpus"),
+        "mine-rules --dataset": (
+            ["mine-rules", "--dataset", empty, "--language", "en"],
+            f"{empty}: no nonempty documents to mine"),
+        "context-sim --dataset": (
+            ["context-sim", *common, "--dataset", f"en={en_tsv}", "--dataset",
+             f"es={empty}", "--seed-terms", "en1", "--source-lang", "en"],
+            "[es] no nonempty documents to mine"),
+        "classify --train": (
+            ["classify", *common, "--train", f"es={empty}", "--test",
+             f"en={en_tsv}"],
+            f"{empty}: need at least 2 training examples"),
+        "bli --validation": (
+            ["bli", *common, "--validation", f"es={empty}"],
+            f"{empty}: no validation pair survives vocabulary restriction"),
+        "align --lexicon": (
+            ["align", "--pivot", "en", *emb, "--lexicon", f"es={empty}",
+             "--output", str(model_dir.parent / "model2")],
+            f"{empty}: no en-es lexicon pair is covered"),
+    }
+
+
+@pytest.mark.parametrize("case", [
+    "align --lexicon", "bli --validation", "classify --train",
+    "context-sim --dataset", "mine-rules --dataset", "train-embeddings --corpus",
+])
+def test_empty_input_exits_2_naming_file_or_language(mini_pipeline_inputs,
+                                                     tmp_path, capsys, case):
+    model_dir = tmp_path / "model"
+    emb = _aligned_model(mini_pipeline_inputs, model_dir)
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    capsys.readouterr()
+    argv, message = _empty_input_cases(mini_pipeline_inputs, model_dir, emb,
+                                       str(empty))[case]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"crosslex: error: {message}" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_bli_and_classify_manifests_list_every_file_read(mini_pipeline_inputs,
+                                                         tmp_path):
+    inp = mini_pipeline_inputs
+    model_dir = tmp_path / "model"
+    emb = _aligned_model(inp, model_dir)
+    common = ["--model", str(model_dir), *emb]
+    read = {str(inp["en"]), str(inp["es"]), str(model_dir / "metadata.json"),
+            str(model_dir / "es.mat")}
+    tsv = inp["datasets"]
+    runs = {
+        "bli": (["--validation", f"es={inp['lexicon']}"], {str(inp["lexicon"])}),
+        "classify": (["--train", f"en={tsv['en']}", "--test", f"es={tsv['es']}"],
+                     {str(tsv["en"]), str(tsv["es"])}),
+    }
+    for command, (flags, given) in runs.items():
+        out = tmp_path / f"{command}.jsonl"
+        assert main([command, *common, *flags, "--output", str(out)]) == 0
+        manifest = json.loads((tmp_path / f"{command}.jsonl.manifest.json")
+                              .read_text())
+        assert manifest["command"] == command
+        assert set(manifest["inputs"]) == given | read
+
+
 @pytest.mark.parametrize("seeds", ["", "a,,b", "a,", ",a"])
 def test_empty_seed_term_exits_1_naming_flag(tmp_path, capsys, seeds):
     gone = str(tmp_path / "missing")

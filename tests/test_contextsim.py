@@ -236,3 +236,15 @@ def test_context_sim_errors(case):
                 for v in cb.entries:
                     word_sim(ca.entries[u], cb.entries[v], va[u], vb[v],
                              args["variant"])
+
+
+def test_context_sim_row_whose_norm_underflows_scores_as_its_direction():
+    """A nonzero row whose float64 norm underflows is scaled like any other
+    row, so ``[1e-200, 0]`` scores exactly like ``[1, 0]``."""
+    ca, cb = make_ctx("x", VALID["cx"]), make_ctx("y", VALID["cy"])
+    vb = {"v": np.array([0.6, 0.8])}
+    tiny = context_sim(ca, cb, {"u": np.array([1e-200, 0.0]),
+                                "w": np.array([0.0, 1e-300])}, vb)
+    plain = context_sim(ca, cb, {"u": np.array([1.0, 0.0]),
+                                 "w": np.array([0.0, 1.0])}, vb)
+    assert tiny == plain

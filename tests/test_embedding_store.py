@@ -25,7 +25,7 @@ def test_load_basic(tmp_path):
     space = load_embeddings(path, "en")
     assert space.dim == 2
     assert len(space.vocab) == 3
-    assert np.allclose(space.vector("c"), [1, 1])
+    assert np.allclose(space.vectors[space.vocab["c"]], [1, 1])
 
 
 def test_load_header_row_mismatch(tmp_path):
@@ -50,7 +50,7 @@ def test_load_duplicate_keeps_first(tmp_path):
     space = load_embeddings(path, "en")
     assert len(space.vocab) == 3
     assert space.duplicates_dropped == 1
-    assert np.allclose(space.vector("a"), [1, 0])
+    assert np.allclose(space.vectors[space.vocab["a"]], [1, 0])
 
 
 def test_load_rejects_zero_row(tmp_path):

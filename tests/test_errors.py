@@ -6,7 +6,13 @@ import threading
 
 import pytest
 
-from crosslex.errors import write_text
+from crosslex.errors import (
+    DimensionError,
+    FormatError,
+    InsufficientDataError,
+    in_file,
+    write_text,
+)
 
 
 def _leftovers(directory):
@@ -69,3 +75,15 @@ def test_none_writes_stdout_and_no_directory_is_made(tmp_path, capsys):
     with pytest.raises(FileNotFoundError):
         write_text(tmp_path / "missing" / "out.txt", ["a\n"])
     assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("error,named", [
+    (FormatError("bad row", 3), True),
+    (InsufficientDataError("empty corpus"), True),
+    (DimensionError("the es map takes 5 dimensions"), False),
+])
+def test_in_file_names_errors_about_the_files_content(error, named):
+    with pytest.raises(type(error)) as caught:
+        with in_file("data.tsv"):
+            raise error
+    assert str(caught.value).startswith("data.tsv: ") == named

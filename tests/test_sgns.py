@@ -76,14 +76,15 @@ def test_planted_pairs_closer_than_random():
     cfg = SgnsConfig(dim=16, window=3, negatives=5, epochs=25, min_count=1,
                      subsample_t=0.0, rng_seed=7)
     space = train_sgns(corpus, cfg)
-    planted = np.mean([cosine(space.vector(p), space.vector(q)) for p, q in pairs])
+    vec = dict(zip(space.words, space.vectors))
+    planted = np.mean([cosine(vec[p], vec[q]) for p, q in pairs])
     rng = np.random.default_rng(9)
     unplanted = []
     while len(unplanted) < 10:
         i, j = rng.integers(0, len(pairs), size=2)
         if i == j:
             continue
-        unplanted.append(cosine(space.vector(pairs[i][0]), space.vector(pairs[j][0])))
+        unplanted.append(cosine(vec[pairs[i][0]], vec[pairs[j][0]]))
     assert planted - np.mean(unplanted) >= 0.2
 
 

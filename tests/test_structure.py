@@ -109,3 +109,20 @@ def test_library_defaults_are_the_run_config_defaults(func, keyword, section,
                                                       key):
     default = inspect.signature(func).parameters[keyword].default
     assert default == config._SCHEMA[section][key][1]
+
+
+# rule -> (the calls it makes, the only functions that make them): one
+# manifest writer, one row normalizer, one eigendecomposition with its rank
+# check.
+ONE_HOME = {
+    "manifest path and name": (("write_manifest",), {"cli._manifest"}),
+    "row norms": (("norm",), {"embedding_store.unit_rows",
+                              "embedding_store.cosine"}),
+    "rank check": (("eigh", "eigvalsh"), {"alignment._inv_sqrt"}),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(ONE_HOME))
+def test_each_rule_has_one_home(rule):
+    names, home = ONE_HOME[rule]
+    assert {where for name in names for where, _ in _source_calls(name)} == home
