@@ -270,6 +270,8 @@ def _read_matrix(lines, start):
         if len(row) != cols:
             raise FormatError(f"expected {cols} values, found {len(row)}", lineno)
         data[i] = row
+        if not np.isfinite(data[i]).all():
+            raise FormatError("non-finite matrix cell", lineno)
     return data, start + 1 + rows
 
 

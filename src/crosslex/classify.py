@@ -150,7 +150,7 @@ def zero_shot_eval(train_ds, test_ds, model, spaces, cfg=ClassifyConfig(),
 
     Training consumes only train_ds, so no target-language document can
     influence the classifier. Same-language evaluation requires the
-    explicit monolingual flag.
+    explicit monolingual flag, and an empty test set is an error.
     """
     cfg.validate()
     if train_ds.language == test_ds.language and not allow_same_language:
@@ -158,6 +158,8 @@ def zero_shot_eval(train_ds, test_ds, model, spaces, cfg=ClassifyConfig(),
             "train and test language coincide; pass the monolingual flag "
             "for a monolingual evaluation"
         )
+    if not test_ds.docs:
+        raise InsufficientDataError("no test documents to evaluate")
     train_x, train_y, _ = featurize_dataset(train_ds, model, spaces)
     clf = train_logreg(
         train_x,

@@ -30,6 +30,7 @@ from .errors import (
     ConfigurationError,
     CrosslexError,
     FormatError,
+    InsufficientDataError,
     ProtocolError,
     in_file,
     text_lines,
@@ -270,24 +271,21 @@ def _cmd_bli(args, cfg):
     return EXIT_OK
 
 
-def _mining_args(mcfg):
-    """The ``mine_rules`` keyword arguments of the ``[mining]`` section."""
-    return {"top_n_antecedents": mcfg["top_n"], "min_support": mcfg["min_support"],
-            "min_confidence": mcfg["min_confidence"]}
+def _mine(ds, class_filter, mcfg, path):
+    """The ``[mining]`` rules of the ``class_filter`` documents of ``ds``, or
+    of all its documents for "all"; a too-little-data error names ``path``."""
+    docs = ds.token_lists() if class_filter == "all" else ds.partition(class_filter)
+    stop = load_stopwords(ds.language) if mcfg["use_stopwords"] else frozenset()
+    with in_file(path):
+        return mine_rules(docs, top_n_antecedents=mcfg["top_n"],
+                          min_support=mcfg["min_support"],
+                          min_confidence=mcfg["min_confidence"], stopwords=stop)
 
 
 def _cmd_mine_rules(args, cfg):
-    mcfg = cfg["mining"]
     ds = load_labeled_dataset(args.dataset, args.language,
                               TokenizerConfig(**cfg["tokenizer"]))
-    docs = (
-        ds.partition(args.class_filter)
-        if args.class_filter != "all"
-        else ds.token_lists()
-    )
-    stop = load_stopwords(args.language) if mcfg["use_stopwords"] else frozenset()
-    with in_file(args.dataset):
-        rules = mine_rules(docs, stopwords=stop, **_mining_args(mcfg))
+    rules = _mine(ds, args.class_filter, cfg["mining"], args.dataset)
     _write_jsonl(args.output, (dataclasses.asdict(r) for r in rules))
     counts = ds.class_counts()
     print(f"classes: hate={counts.get(HATE, 0)} non-hate={counts.get(NON_HATE, 0)}; "
@@ -296,24 +294,22 @@ def _cmd_mine_rules(args, cfg):
 
 
 def _cmd_context_sim(args, cfg):
+    if args.source_lang not in args.dataset:
+        raise ConfigurationError(
+            f"source language {args.source_lang!r} has no dataset; pass one with "
+            f"--dataset {args.source_lang}=PATH")
     tok = TokenizerConfig(**cfg["tokenizer"])
-    mcfg, scfg = cfg["mining"], cfg["similarity"]
     model, _ = _load_model(args, cfg)
     spaces, _ = _load_spaces(args, {args.source_lang: "--source-lang",
                                     **{lang: "--dataset" for lang in args.dataset}})
-    datasets = {
-        lang: load_labeled_dataset(path, lang, tok)
-        for lang, path in args.dataset.items()
-    }
-    stopword_map = (
-        {lang: load_stopwords(lang) for lang in datasets}
-        if mcfg["use_stopwords"] else {}
-    )
+    datasets = {lang: load_labeled_dataset(path, lang, tok)
+                for lang, path in args.dataset.items()}
+    rules = {lang: _mine(ds, args.class_filter, cfg["mining"], args.dataset[lang])
+             for lang, ds in datasets.items()}
+    scfg = cfg["similarity"]
     records = cross_lingual_report(
-        args.seed_terms, args.source_lang, datasets, args.class_filter,
-        model, spaces, {**_mining_args(mcfg), "stopwords": stopword_map},
-        top_m=scfg["top_m"], variant=scfg["variant"],
-    )
+        args.seed_terms, args.source_lang, rules, args.class_filter, model, spaces,
+        top_m=scfg["top_m"], variant=scfg["variant"])
     _write_jsonl(args.output, records)
     return EXIT_OK
 
@@ -333,7 +329,8 @@ def _cmd_classify(args, cfg):
             raise ProtocolError("--monolingual requires matching languages")
         if train_path == test_path:
             train_ds, _, test_ds = split_dataset(train_ds, seed=split_seed)
-    with in_file(train_path):
+    # too little data is the --test file's fault when it has no document
+    with in_file(train_path if test_ds.docs else test_path):
         metrics = zero_shot_eval(
             train_ds, test_ds, model, spaces, ClassifyConfig(**ccfg),
             allow_same_language=args.monolingual,
@@ -353,7 +350,8 @@ def _cmd_classify(args, cfg):
 
 def _cmd_report(args, cfg):
     """Flatten a context-sim JSON-lines report into a TSV table:
-    rows = seed terms, columns = target languages."""
+    rows = seed terms, columns = target languages. A file without a
+    context-sim record is an error."""
     cells = {}
     with in_file(args.input):
         for lineno, line in text_lines(args.input):
@@ -376,6 +374,8 @@ def _cmd_report(args, cfg):
                 raise FormatError(f"record lacks key {err}", lineno) from None
             except (TypeError, ValueError) as err:
                 raise FormatError(f"malformed record: {err}", lineno) from None
+        if not cells:
+            raise InsufficientDataError("no context-sim record to tabulate")
     seeds = list(dict.fromkeys(seed for seed, _ in cells))
     langs = list(dict.fromkeys(lang for _, lang in cells))
     lines = ["seed\t" + "\t".join(langs)]

@@ -19,13 +19,12 @@ from .alignment import project_space
 from .config import VARIANTS, check, default
 from .embedding_store import cosine, unit_rows
 from .errors import (
-    ConfigurationError,
     DimensionError,
     DomainError,
     InsufficientDataError,
     NotFoundError,
 )
-from .rules import build_context, mine_rules
+from .rules import build_context
 
 LITERAL, BOUNDED = VARIANTS
 
@@ -115,38 +114,24 @@ def _language_contexts(rules, model, language, spaces):
     return contexts, dict(zip(words, rows))
 
 
-def cross_lingual_report(seed_terms, source_lang, datasets, class_filter,
-                         model, spaces, mining,
-                         top_m=default("similarity", "top_m"), variant=LITERAL):
+def cross_lingual_report(seed_terms, source_lang, rules, class_filter, model,
+                         spaces, top_m=default("similarity", "top_m"),
+                         variant=LITERAL):
     """Most context-similar terms for each seed, per other language.
 
-    ``mining`` is a dict of mine_rules keyword arguments (top_n_antecedents,
-    min_support, min_confidence, optionally per-language stopwords under
-    key "stopwords" as language -> set). Contexts are mined over the
-    class-filtered partition of each dataset. Returns a list of records,
-    one per (seed, target language), ordered by seed then language.
+    ``rules`` maps each language, the source language included, to the
+    rules mined over its ``class_filter`` documents. Returns a list of
+    records, one per (seed, target language), ordered by seed then language.
     """
-    if source_lang not in datasets:
-        raise ConfigurationError(
-            f"source language {source_lang!r} has no dataset; pass one with "
-            f"--dataset {source_lang}=PATH")
     check("similarity", "top_m", top_m)
     check("similarity", "variant", variant)
-    stopword_map = mining.get("stopwords", {})
-    kwargs = {k: v for k, v in mining.items() if k != "stopwords"}
     contexts, vectors = {}, {}
-    for lang, ds in datasets.items():
-        stopwords = stopword_map.get(lang, frozenset())
-        try:
-            rules = mine_rules(ds.partition(class_filter), stopwords=stopwords,
-                               **kwargs)
-        except InsufficientDataError as err:
-            raise type(err)(f"[{lang}] {err}") from err
-        contexts[lang], vectors[lang] = _language_contexts(rules, model, lang, spaces)
+    for lang, mined in rules.items():
+        contexts[lang], vectors[lang] = _language_contexts(mined, model, lang, spaces)
     records = []
     for seed in seed_terms:
         seed_ctx = contexts[source_lang].get(seed) or build_context([], seed)
-        for lang in sorted(datasets):
+        for lang in sorted(rules):
             if lang == source_lang:
                 continue
             record = {

@@ -6,7 +6,7 @@ import re
 from collections import Counter
 
 from .config import TokenizerConfig, check
-from .errors import ConfigurationError, text_lines
+from .errors import ConfigurationError, InsufficientDataError, in_file, text_lines
 
 _URL_RE = re.compile(r"https?://\S+|www\.\S+")
 _MENTION_RE = re.compile(r"@\w+")
@@ -55,15 +55,23 @@ def build_vocab(corpus, min_count=1):
 
 
 def read_lines(path):
-    """Read a UTF-8 corpus file, one document per line."""
-    return [line.rstrip("\n") for _, line in text_lines(path)]
+    """Read a UTF-8 corpus file, one document per line; a file without a
+    line is an empty corpus."""
+    with in_file(path):
+        lines = [line.rstrip("\n") for _, line in text_lines(path)]
+        if not lines:
+            raise InsufficientDataError("empty corpus")
+    return lines
 
 
 def load_seed_terms(path):
-    """Read a seed lexicon: one term per line, '#' comments and blanks skipped."""
+    """Read a seed lexicon: one term per line, '#' comments and blanks
+    skipped. A file without a term is a configuration error."""
     seeds = []
     for _, line in text_lines(path):
         term = line.strip()
         if term and not term.startswith("#"):
             seeds.append(term)
+    if not seeds:
+        raise ConfigurationError(f"{path}: seed set must be nonempty")
     return seeds

@@ -215,13 +215,13 @@ def save_embeddings(space, path):
 
 
 def cosine(u, v):
-    """Cosine similarity of two nonzero vectors of equal dimension."""
+    """Cosine similarity of two nonzero vectors of equal dimension, taken
+    from their ``unit_rows``."""
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     if u.shape != v.shape:
         raise DimensionError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0 or nv == 0:
+    if not (u.any() and v.any()):
         raise DomainError("cosine undefined for zero vectors")
-    return float(np.dot(u, v) / (nu * nv))
+    unit_u, unit_v = unit_rows(np.stack([u, v]))
+    return float(unit_u @ unit_v)

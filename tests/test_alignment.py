@@ -394,6 +394,22 @@ def test_mat_non_numeric_cell_reports_line(tmp_path, trilingual):
     assert "non-numeric" in str(err)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-1e400"])
+@pytest.mark.parametrize("layout", ["two blocks", "four blocks"])
+def test_mat_non_finite_cell_reports_line(tmp_path, trilingual, layout, cell):
+    """A cell that ``float`` reads but that is not finite is refused in both
+    layouts; line 4 is a row of W in each."""
+    lines = _saved_mat_lines(tmp_path, trilingual)
+    if layout == "four blocks":
+        lmap = trilingual.model.maps["it"]
+        lines = list(alignment._matrix_lines(np.zeros(50), lmap.W, np.eye(50),
+                                             lmap.b))
+    lines[3] = cell + lines[3][lines[3].index(" "):]
+    err = _load_error(tmp_path, lines)
+    assert err.line_number == 4
+    assert "non-finite matrix cell" in str(err)
+
+
 def test_mat_bad_block_header_reports_line(tmp_path, trilingual):
     lines = _saved_mat_lines(tmp_path, trilingual)
     lines[2] = "80\n"  # the projection block's "<rows> <cols>"

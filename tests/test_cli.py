@@ -1,5 +1,6 @@
 import argparse
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -13,6 +14,10 @@ from conftest import planted_pair_corpus, write_embedding_file
 
 @pytest.fixture
 def mini_pipeline_inputs(tmp_path):
+    return _write_mini_inputs(tmp_path)
+
+
+def _write_mini_inputs(tmp_path):
     """Tiny aligned en/es fixture on disk: embeddings, lexicon, datasets."""
     rng = np.random.default_rng(77)
     n, dim = 60, 10
@@ -782,7 +787,7 @@ def _library_guards():
     ds = crosslex.LabeledDataset("en", [(["a"], "hate"), (["b"], "non-hate")])
     clf = crosslex.ClassifierModel(weights=np.zeros(2), bias=0.0)
     xy = np.eye(3)
-    report = (["a"], "en", {"en": ds}, "hate", None, {}, {})
+    report = (["a"], "en", {"en": []}, "hate", None, {})
     return {
         "SgnsConfig.validate": lambda: crosslex.SgnsConfig(window=0).validate(),
         "ClassifyConfig.validate": lambda: crosslex.ClassifyConfig(
@@ -854,6 +859,10 @@ MALFORMED = {
     "metadata.json": ("model/metadata.json", 3, b'  "\xff": 1,\n', 2,
                       "invalid UTF-8 bytes"),
     ".mat": ("model/es.mat", 4, b"0.5 \xff\n", 2, "invalid UTF-8 bytes"),
+    ".mat nan": ("model/es.mat", 4, b"0.5" + b" 0.5" * 8 + b" nan\n", 2,
+                 "non-finite matrix cell"),
+    ".mat float overflow": ("model/es.mat", 4, b"1e400" + b" 0.5" * 9 + b"\n", 2,
+                            "non-finite matrix cell"),
     "--config": ("run.ini", 2, b"top_n = \xff\n", 1,
                  "invalid UTF-8 bytes"),
     "report not UTF-8": ("report.jsonl", 2, b'{"seed": "\xff"}\n', 2,
@@ -906,9 +915,195 @@ def test_malformed_input_names_file_and_line(mini_pipeline_inputs, tmp_path,
     assert "Traceback" not in err
 
 
+def _replace_line(number, new):
+    """A form that replaces the 1-based line ``number`` by ``new(line)``."""
+    def form(data):
+        lines = data.splitlines(keepends=True)
+        lines[number - 1] = new(lines[number - 1])
+        return b"".join(lines)
+    return form
+
+
+def _empty(data):
+    return b""
+
+
+_NOT_UTF8 = _replace_line(2, lambda line: b"\xff" + line)
+_SHORT_ROW = _replace_line(3, lambda line: line.rsplit(None, 1)[0] + b"\n")
+
+
+def _half(data):
+    """The first half of the file: it ends inside a count or a nesting that
+    the format states, or inside a row."""
+    return data[:len(data) // 2]
+
+
+def _cut_before_last_tab(data):
+    """The last record cut before its second column; in a format without a
+    row count, a cut after the tab leaves a shorter valid record."""
+    return data[:data.rindex(b"\t")]
+
+
+def _without_first_line(data):
+    """The file without its first line: a config's section header, a
+    ``.vec`` header or a ``.mat`` block header."""
+    return data.split(b"\n", 1)[1]
+
+
+def _without_pivot_lang(data):
+    meta = json.loads(data)
+    del meta["pivot_lang"]
+    return json.dumps(meta).encode()
+
+
+# Per input kind, its malformed forms: functions of the valid file's bytes.
+# A kind lacks a form its format cannot tell from a valid file: a corpus or
+# seed list is free text, one item per line, so any cut of it is text and it
+# has no columns or keys; an empty config sets no key, so the defaults apply;
+# and JSON has keys, not columns.
+MALFORMED_FORMS = {
+    "corpus": {"empty": _empty, "not UTF-8": _NOT_UTF8},
+    "seed list": {"empty": _empty, "not UTF-8": _NOT_UTF8},
+    "config": {
+        "truncated": lambda data: data[:5],  # inside the section header
+        "not UTF-8": _NOT_UTF8,
+        "wrong column count": _replace_line(2, lambda line: line.replace(b" = ", b" ")),
+        "missing key": _without_first_line,
+    },
+    ".vec": {
+        "empty": _empty, "truncated": _half, "not UTF-8": _NOT_UTF8,
+        "wrong column count": _SHORT_ROW,
+        "missing key": _without_first_line,
+    },
+    ".mat": {
+        "empty": _empty, "truncated": _half, "not UTF-8": _NOT_UTF8,
+        "wrong column count": _SHORT_ROW,
+        "missing key": _without_first_line,
+    },
+    "metadata.json": {
+        "empty": _empty, "truncated": _half, "not UTF-8": _NOT_UTF8,
+        "missing key": _without_pivot_lang,
+    },
+    "lexicon": {
+        "empty": _empty, "truncated": _cut_before_last_tab, "not UTF-8": _NOT_UTF8,
+        "wrong column count": _replace_line(3, lambda line: line[:-1] + b"\tx\n"),
+        "missing key": _replace_line(3, lambda line: line[line.index(b"\t"):]),
+    },
+    "dataset": {
+        "empty": _empty, "truncated": _cut_before_last_tab, "not UTF-8": _NOT_UTF8,
+        "wrong column count": _replace_line(3, lambda line: line.replace(b"\t", b" ")),
+        "missing key": _replace_line(3, lambda line: line[1:]),  # no label
+    },
+    "report": {
+        "empty": _empty, "not UTF-8": _NOT_UTF8,
+        # inside the last record
+        "truncated": lambda data: data[:-len(data.splitlines()[-1]) // 2],
+        "missing key": lambda data: data.replace(b'"target_lang"', b'"target"'),
+    },
+}
+
+
+def _probe_argv(base, out):
+    """Per command, argv that reads its inputs from ``base`` and writes any
+    output into ``out``."""
+    emb = ["--embeddings", f"en={base / 'en.vec'}", "--embeddings",
+           f"es={base / 'es.vec'}"]
+    config = ["--config", str(base / "run.ini")]
+    model = ["--model", str(base / "model"), *emb, *config]
+    return {
+        "filter-corpus": ["filter-corpus", "--input", str(base / "corpus.txt"),
+                          "--seeds", str(base / "seeds.txt"), *config,
+                          "--output", str(out / "filtered.txt")],
+        "train-embeddings": ["train-embeddings", "--corpus",
+                             str(base / "corpus.txt"), "--language", "en",
+                             *config, "--output", str(out / "trained.vec")],
+        "align": ["align", "--pivot", "en", *emb, "--lexicon",
+                  f"es={base / 'lex.tsv'}", *config, "--output",
+                  str(out / "model")],
+        "knn": ["knn", *model, "--word", "en3", "--lang", "en", "--target", "es"],
+        "bli": ["bli", *model, "--validation", f"es={base / 'lex.tsv'}"],
+        "mine-rules": ["mine-rules", "--dataset", str(base / "es.tsv"),
+                       "--language", "es", *config],
+        "context-sim": ["context-sim", *model, "--dataset", f"en={base / 'en.tsv'}",
+                        "--dataset", f"es={base / 'es.tsv'}", "--seed-terms",
+                        "en1,en2", "--source-lang", "en"],
+        "classify": ["classify", *model, "--train", f"en={base / 'en.tsv'}",
+                     "--test", f"es={base / 'es.tsv'}"],
+        "report": ["report", "--input", str(base / "report.jsonl")],
+    }
+
+
+_MODEL_INPUTS = [("--model", "model/metadata.json", "metadata.json"),
+                 ("--model", "model/es.mat", ".mat"),
+                 ("--embeddings", "es.vec", ".vec")]
+
+# (command, flag, file, kind): every input of every command.
+PROBE_INPUTS = [
+    ("filter-corpus", "--input", "corpus.txt", "corpus"),
+    ("filter-corpus", "--seeds", "seeds.txt", "seed list"),
+    ("train-embeddings", "--corpus", "corpus.txt", "corpus"),
+    ("align", "--embeddings", "es.vec", ".vec"),
+    ("align", "--lexicon", "lex.tsv", "lexicon"),
+    *(("knn", *read) for read in _MODEL_INPUTS),
+    *(("bli", *read) for read in _MODEL_INPUTS),
+    ("bli", "--validation", "lex.tsv", "lexicon"),
+    ("mine-rules", "--dataset", "es.tsv", "dataset"),
+    *(("context-sim", *read) for read in _MODEL_INPUTS),
+    ("context-sim", "--dataset", "es.tsv", "dataset"),
+    *(("classify", *read) for read in _MODEL_INPUTS),
+    ("classify", "--train", "en.tsv", "dataset"),
+    ("classify", "--test", "es.tsv", "dataset"),
+    ("report", "--input", "report.jsonl", "report"),
+    *((command, "--config", "run.ini", "config")
+      for command in sorted(FLAG_TABLE) if command != "report"),
+]
+
+PROBES = [(command, flag, name, kind, form)
+          for command, flag, name, kind in PROBE_INPUTS
+          for form in MALFORMED_FORMS[kind]]
+
+
+@pytest.fixture(scope="module")
+def probe_inputs(tmp_path_factory):
+    """Valid inputs of every command, in one directory: the mini fixture, a
+    corpus, a seed list, a config, an aligned model and a context-sim
+    report. Every command exits 0 on them."""
+    base = tmp_path_factory.mktemp("probe")
+    _write_mini_inputs(base)
+    rng = np.random.default_rng(5)
+    words = [f"en{i}" for i in range(60)]
+    (base / "corpus.txt").write_text("".join(
+        " ".join(rng.choice(words, size=8)) + "\n" for _ in range(200)))
+    (base / "seeds.txt").write_text("en1\nen2\n")
+    (base / "run.ini").write_text("[sgns]\nepochs = 1\n")
+    assert main(_probe_argv(base, base)["align"]) == 0  # writes base / "model"
+    argv = _probe_argv(base, tmp_path_factory.mktemp("probe_out"))
+    assert main(argv["context-sim"] + ["--output", str(base / "report.jsonl")]) == 0
+    for command in FLAG_TABLE:
+        assert main(argv[command]) == 0, command
+    return base
+
+
+@pytest.mark.parametrize("command,flag,name,kind,form", PROBES,
+                         ids=[f"{c} {f} {k}: {form}" for c, f, _, k, form in PROBES])
+def test_every_command_refuses_each_malformed_input(probe_inputs, tmp_path, capsys,
+                                                    command, flag, name, kind, form):
+    """Each input of each command, in each malformed form its kind has,
+    exits 1 or 2 with a message that names the file."""
+    base = tmp_path / "in"
+    shutil.copytree(probe_inputs, base)
+    path = base / name
+    path.write_bytes(MALFORMED_FORMS[kind][form](path.read_bytes()))
+    code = main(_probe_argv(base, tmp_path)[command])
+    captured = capsys.readouterr()
+    assert code in (1, 2)
+    assert str(path) in captured.err
+    assert "Traceback" not in captured.err
+
+
 def _empty_input_cases(inp, model_dir, emb, empty):
     """Per case, argv that gives one input the empty file ``empty``, and the
-    message that names it: by its file, or in context-sim by its language."""
+    message that names it."""
     common = ["--model", str(model_dir), *emb]
     en_tsv = str(inp["datasets"]["en"])
     return {
@@ -922,11 +1117,15 @@ def _empty_input_cases(inp, model_dir, emb, empty):
         "context-sim --dataset": (
             ["context-sim", *common, "--dataset", f"en={en_tsv}", "--dataset",
              f"es={empty}", "--seed-terms", "en1", "--source-lang", "en"],
-            "[es] no nonempty documents to mine"),
+            f"{empty}: no nonempty documents to mine"),
         "classify --train": (
             ["classify", *common, "--train", f"es={empty}", "--test",
              f"en={en_tsv}"],
             f"{empty}: need at least 2 training examples"),
+        "classify --test": (
+            ["classify", *common, "--train", f"en={en_tsv}", "--test",
+             f"es={empty}"],
+            f"{empty}: no test documents to evaluate"),
         "bli --validation": (
             ["bli", *common, "--validation", f"es={empty}"],
             f"{empty}: no validation pair survives vocabulary restriction"),
@@ -938,7 +1137,7 @@ def _empty_input_cases(inp, model_dir, emb, empty):
 
 
 @pytest.mark.parametrize("case", [
-    "align --lexicon", "bli --validation", "classify --train",
+    "align --lexicon", "bli --validation", "classify --test", "classify --train",
     "context-sim --dataset", "mine-rules --dataset", "train-embeddings --corpus",
 ])
 def test_empty_input_exits_2_naming_file_or_language(mini_pipeline_inputs,

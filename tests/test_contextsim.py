@@ -248,3 +248,15 @@ def test_context_sim_row_whose_norm_underflows_scores_as_its_direction():
     plain = context_sim(ca, cb, {"u": np.array([1.0, 0.0]),
                                  "w": np.array([0.0, 1.0])}, vb)
     assert tiny == plain
+
+
+@pytest.mark.parametrize("u", [[1e-200, 0.0], [1e200, 1e200], [0.3, -0.4]])
+def test_word_sim_agrees_with_one_pair_context_sim(u):
+    """``word_sim`` is the one-pair case of ``context_sim``, rows whose norm
+    under- or overflows included."""
+    v = np.array([0.6, 0.8])
+    ca, cb = make_ctx("x", {"u": (0.2, 0.5)}), make_ctx("y", {"v": (0.3, 0.4)})
+    value, skipped = context_sim(ca, cb, {"u": np.array(u)}, {"v": v})
+    assert skipped == 0
+    assert value == pytest.approx(word_sim((0.2, 0.5), (0.3, 0.4), u, v),
+                                  rel=0, abs=1e-15)

@@ -455,11 +455,16 @@ def test_cosine_values():
     assert cosine([3, 4], [3, 4]) == pytest.approx(1.0)
     assert cosine([1, 0], [0, 1]) == pytest.approx(0.0)
     assert cosine([1, 2], [2, 1]) == pytest.approx(0.8)
+    # rows whose float64 norm overflows or underflows keep their direction
+    assert cosine([1e200, 1e200], [1e200, 0]) == pytest.approx(0.5 ** 0.5)
+    assert cosine([1e-200, 0], [1, 0]) == 1.0
 
 
 def test_cosine_errors():
     with pytest.raises(DomainError):
         cosine([0, 0], [1, 1])
+    with pytest.raises(DomainError):
+        cosine([1, 1], [0.0, -0.0])
     with pytest.raises(DimensionError):
         cosine([1, 0], [1, 0, 0])
 

@@ -13,7 +13,8 @@ from crosslex import (
     project,
 )
 from crosslex.embedding_store import unit_rows
-from crosslex.errors import ConfigurationError, NotFoundError
+from crosslex.cli import main
+from crosslex.errors import NotFoundError
 from crosslex.rules import HATE, NON_HATE, LabeledDataset
 
 from conftest import LANGS, random_orthogonal
@@ -21,6 +22,14 @@ from test_contextsim import _brute_force_context_sim
 
 N_SEEDS = 4
 MINING = {"top_n_antecedents": 30, "min_support": 0.01, "min_confidence": 0.05}
+
+
+def _mined(datasets, mining=MINING, stopwords=None):
+    """Per language, the rules mined over the hate documents of its dataset."""
+    return {lang: mine_rules(ds.partition(HATE),
+                             stopwords=(stopwords or {}).get(lang, frozenset()),
+                             **mining)
+            for lang, ds in datasets.items()}
 
 
 @pytest.fixture(scope="module")
@@ -64,7 +73,7 @@ def test_planted_counterparts_rank_first(planted_bilingual):
     model, spaces, datasets = planted_bilingual
     seeds = [f"x{i}" for i in range(N_SEEDS)]
     records = cross_lingual_report(
-        seeds, "en", datasets, HATE, model, spaces, MINING, top_m=3
+        seeds, "en", _mined(datasets), HATE, model, spaces, top_m=3
     )
     assert len(records) == N_SEEDS
     for i, rec in enumerate(records):
@@ -75,15 +84,15 @@ def test_planted_counterparts_rank_first(planted_bilingual):
 
 def test_empty_seed_list(planted_bilingual):
     model, spaces, datasets = planted_bilingual
-    assert cross_lingual_report([], "en", datasets, HATE, model, spaces,
-                                MINING) == []
+    assert cross_lingual_report([], "en", _mined(datasets), HATE, model,
+                                spaces) == []
 
 
 def test_seed_without_context_marked(planted_bilingual):
     model, spaces, datasets = planted_bilingual
     records = cross_lingual_report(
-        ["c0"], "en", datasets, HATE, model, spaces,
-        dict(MINING, min_support=0.9),
+        ["c0"], "en", _mined(datasets, dict(MINING, min_support=0.9)), HATE,
+        model, spaces,
     )
     assert records[0]["no_context"]
     assert records[0]["results"] == []
@@ -92,7 +101,7 @@ def test_seed_without_context_marked(planted_bilingual):
 def test_scores_sorted_and_variant_recorded(planted_bilingual):
     model, spaces, datasets = planted_bilingual
     records = cross_lingual_report(
-        ["x0"], "en", datasets, HATE, model, spaces, MINING, top_m=5,
+        ["x0"], "en", _mined(datasets), HATE, model, spaces, top_m=5,
         variant="bounded",
     )
     rec = records[0]
@@ -101,18 +110,11 @@ def test_scores_sorted_and_variant_recorded(planted_bilingual):
     assert scores == sorted(scores, reverse=True)
 
 
-def _scalar_report(seed_terms, source_lang, datasets, class_filter, model,
-                   spaces, mining, top_m, variant):
+def _scalar_report(seed_terms, source_lang, mined, class_filter, model,
+                   spaces, top_m, variant):
     """The report computed one pair at a time: each candidate's context is
     collected by scanning every mined rule, each context word is projected
     on its own, and each context pair is scored by the ``word_sim`` table."""
-    kwargs = {k: v for k, v in mining.items() if k != "stopwords"}
-    mined = {
-        lang: mine_rules(ds.partition(class_filter),
-                         stopwords=mining.get("stopwords", {}).get(lang, frozenset()),
-                         **kwargs)
-        for lang, ds in datasets.items()
-    }
 
     def vectors(ctx, lang):
         out = {}
@@ -127,7 +129,7 @@ def _scalar_report(seed_terms, source_lang, datasets, class_filter, model,
     for seed in seed_terms:
         seed_ctx = build_context(mined[source_lang], seed)
         seed_vecs = vectors(seed_ctx, source_lang)
-        for lang in sorted(datasets):
+        for lang in sorted(mined):
             if lang == source_lang:
                 continue
             record = {"seed": seed, "source_lang": source_lang,
@@ -175,11 +177,11 @@ def skewed_datasets(trilingual):
 @pytest.mark.parametrize("variant", ["literal", "bounded"])
 def test_report_matches_scalar_reference(trilingual, skewed_datasets, variant):
     tri = trilingual
-    mining = {"top_n_antecedents": 25, "min_support": 0.02,
-              "min_confidence": 0.1,
-              "stopwords": {"es": frozenset(tri.words[:3])}}
+    mined = _mined(skewed_datasets, {"top_n_antecedents": 25, "min_support": 0.02,
+                                     "min_confidence": 0.1},
+                   stopwords={"es": frozenset(tri.words[:3])})
     seeds = tri.words[:12] + ["enoov0", "never-seen"]
-    args = (seeds, "en", skewed_datasets, HATE, tri.model, tri.spaces, mining)
+    args = (seeds, "en", mined, HATE, tri.model, tri.spaces)
     got = cross_lingual_report(*args, top_m=100, variant=variant)
     want = _scalar_report(*args, top_m=100, variant=variant)
     assert any(rec["no_context"] for rec in want)
@@ -193,8 +195,12 @@ def test_report_matches_scalar_reference(trilingual, skewed_datasets, variant):
             assert abs(r["score"] - q["score"]) < 1e-12
 
 
-def test_source_language_without_dataset(planted_bilingual):
-    model, spaces, datasets = planted_bilingual
-    with pytest.raises(ConfigurationError, match="source language 'fr' has no "
-                       "dataset; pass one with --dataset fr=PATH"):
-        cross_lingual_report(["x0"], "fr", datasets, HATE, model, spaces, MINING)
+def test_source_language_without_dataset(tmp_path, capsys):
+    """context-sim refuses a source language without a dataset before it
+    reads any file: the files named here do not exist."""
+    gone = str(tmp_path / "missing")
+    assert main(["context-sim", "--model", gone, "--embeddings", f"fr={gone}",
+                 "--dataset", f"en={gone}", "--seed-terms", "x0",
+                 "--source-lang", "fr"]) == 1
+    assert ("crosslex: configuration error: source language 'fr' has no "
+            "dataset; pass one with --dataset fr=PATH") in capsys.readouterr().err

@@ -113,12 +113,12 @@ def test_library_defaults_are_the_run_config_defaults(func, keyword, section,
 
 # rule -> (the calls it makes, the only functions that make them): one
 # manifest writer, one row normalizer, one eigendecomposition with its rank
-# check.
+# check, and one association-rule miner of the CLI's datasets.
 ONE_HOME = {
     "manifest path and name": (("write_manifest",), {"cli._manifest"}),
-    "row norms": (("norm",), {"embedding_store.unit_rows",
-                              "embedding_store.cosine"}),
+    "row norms": (("norm",), {"embedding_store.unit_rows"}),
     "rank check": (("eigh", "eigvalsh"), {"alignment._inv_sqrt"}),
+    "rule mining": (("mine_rules",), {"cli._mine"}),
 }
 
 
