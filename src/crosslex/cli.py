@@ -298,6 +298,10 @@ def _cmd_context_sim(args, cfg):
         raise ConfigurationError(
             f"source language {args.source_lang!r} has no dataset; pass one with "
             f"--dataset {args.source_lang}=PATH")
+    if len(args.dataset) == 1:
+        raise ConfigurationError(
+            f"no target language: pass a --dataset in a language other than "
+            f"{args.source_lang!r}")
     tok = TokenizerConfig(**cfg["tokenizer"])
     model, _ = _load_model(args, cfg)
     spaces, _ = _load_spaces(args, {args.source_lang: "--source-lang",

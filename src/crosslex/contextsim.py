@@ -19,6 +19,7 @@ from .alignment import project_space
 from .config import VARIANTS, check, default
 from .embedding_store import cosine, unit_rows
 from .errors import (
+    ConfigurationError,
     DimensionError,
     DomainError,
     InsufficientDataError,
@@ -125,6 +126,8 @@ def cross_lingual_report(seed_terms, source_lang, rules, class_filter, model,
     """
     check("similarity", "top_m", top_m)
     check("similarity", "variant", variant)
+    if source_lang not in rules:
+        raise ConfigurationError(f"no rules for the source language {source_lang!r}")
     contexts, vectors = {}, {}
     for lang, mined in rules.items():
         contexts[lang], vectors[lang] = _language_contexts(mined, model, lang, spaces)

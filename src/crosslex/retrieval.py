@@ -34,38 +34,23 @@ class BliResult:
 _BLOCK_ENTRIES = 1 << 19
 
 
-def _word_rank(words):
-    """Position of each word in ascending word order."""
-    rank = np.empty(len(words), dtype=np.int64)
-    rank[sorted(range(len(words)), key=words.__getitem__)] = np.arange(len(words))
-    return rank
-
-
-def _top_k(queries, target_unit, word_rank, k, exclude):
+def _top_k(queries, target_unit, words, k):
     """Exact cosine top-k of the target rows for each query row.
 
-    Ties are broken by ascending ``word_rank``. ``exclude[i]`` is a target
-    row that query ``i`` may not return, or -1. A zero query scores 0
-    against every row. Returns, per query, the chosen row indices best
-    first and their scores; fewer than ``k`` when fewer rows are available.
+    Ties are broken by ascending word. A zero query scores 0 against every
+    row. Returns, per query, the chosen row indices best first and their
+    scores; every row when there are fewer than ``k``.
     """
     unit = unit_rows(queries)
     n_rows = len(target_unit)
+    take = min(k, n_rows)
     step = max(1, _BLOCK_ENTRIES // n_rows)
     out = []
     for start in range(0, len(unit), step):
-        block = unit[start:start + step] @ target_unit.T
-        for scores, skip in zip(block, exclude[start:start + step]):
-            take = min(k, n_rows - (skip >= 0))
-            if take == 0:
-                out.append((np.empty(0, dtype=np.intp), scores[:0]))
-                continue
-            if skip >= 0:
-                scores[skip] = -np.inf
-            part = np.argpartition(scores, n_rows - take)
-            kth = scores[part[n_rows - take]]
-            tied = np.flatnonzero(scores >= kth)
-            order = tied[np.lexsort((word_rank[tied], -scores[tied]))][:take]
+        for scores in unit[start:start + step] @ target_unit.T:
+            kth = scores[np.argpartition(scores, n_rows - take)[n_rows - take]]
+            tied = np.flatnonzero(scores >= kth).tolist()
+            order = sorted(tied, key=lambda i: (-scores[i], words[i]))[:take]
             out.append((order, scores[order]))
     return out
 
@@ -76,24 +61,19 @@ def knn_batch(model, spaces, query_words, query_lang, target_lang, k):
     if k < 1:
         raise ConfigurationError("k must be >= 1")
     qvecs = [project(model, w, query_lang, spaces) for w in query_words]
-    target_space = spaces[target_lang]
     target_unit = unit_rows(project_space(model, target_lang, spaces))
-    words = target_space.words
-    same = query_lang == target_lang
-    exclude = [target_space.vocab.get(w, -1) if same else -1 for w in query_words]
+    words = spaces[target_lang].words
     queries = np.array(qvecs).reshape(len(qvecs), target_unit.shape[1])
-    ranked = _top_k(queries, target_unit, _word_rank(words), k, exclude)
-    return [
-        NeighborList(
-            query_word=w,
-            query_lang=query_lang,
-            target_lang=target_lang,
-            neighbors=[(words[i], target_lang, float(s))
-                       for i, s in zip(rows, scores)],
-            truncated=k > len(words) - (skip >= 0),
-        )
-        for w, (rows, scores), skip in zip(query_words, ranked, exclude)
-    ]
+    # In its own language a query is left out of its list, so rank one more.
+    same = query_lang == target_lang
+    ranked = _top_k(queries, target_unit, words, k + 1 if same else k)
+    lists = []
+    for w, (rows, scores) in zip(query_words, ranked):
+        neighbors = [(words[i], target_lang, float(s)) for i, s in zip(rows, scores)
+                     if not (same and words[i] == w)][:k]
+        lists.append(NeighborList(w, query_lang, target_lang, neighbors,
+                                  truncated=len(neighbors) < k))
+    return lists
 
 
 def knn(model, spaces, query_word, query_lang, target_lang, k):

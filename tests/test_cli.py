@@ -172,6 +172,19 @@ def _knn(model_dir, emb):
     ])
 
 
+def test_knn_one_word_space_writes_truncated_record(mini_pipeline_inputs, tmp_path):
+    """A query alone in its own language's space has no neighbour."""
+    model_dir = tmp_path / "model"
+    _aligned_model(mini_pipeline_inputs, model_dir)
+    one = tmp_path / "one.vec"
+    write_embedding_file(one, ["en3"], np.ones((1, 10)))
+    out = tmp_path / "knn.jsonl"
+    assert main(["knn", "--model", str(model_dir), "--embeddings", f"en={one}",
+                 "--word", "en3", "--lang", "en", "--target", "en", "--k", "1",
+                 "--output", str(out)]) == 0
+    assert out.read_text() == '{"query": "en3", "truncated": true}\n'
+
+
 def test_knn_corrupt_metadata_exits_2(mini_pipeline_inputs, tmp_path, capsys):
     model_dir = tmp_path / "model"
     emb = _aligned_model(mini_pipeline_inputs, model_dir)

@@ -14,7 +14,7 @@ from crosslex import (
 )
 from crosslex.embedding_store import unit_rows
 from crosslex.cli import main
-from crosslex.errors import NotFoundError
+from crosslex.errors import ConfigurationError, NotFoundError
 from crosslex.rules import HATE, NON_HATE, LabeledDataset
 
 from conftest import LANGS, random_orthogonal
@@ -86,6 +86,15 @@ def test_empty_seed_list(planted_bilingual):
     model, spaces, datasets = planted_bilingual
     assert cross_lingual_report([], "en", _mined(datasets), HATE, model,
                                 spaces) == []
+
+
+def test_source_language_without_rules(planted_bilingual):
+    model, spaces, datasets = planted_bilingual
+    rules = _mined(datasets)
+    del rules["en"]
+    with pytest.raises(ConfigurationError,
+                       match="no rules for the source language 'en'"):
+        cross_lingual_report(["x0"], "en", rules, HATE, model, spaces)
 
 
 def test_seed_without_context_marked(planted_bilingual):
@@ -204,3 +213,14 @@ def test_source_language_without_dataset(tmp_path, capsys):
                  "--source-lang", "fr"]) == 1
     assert ("crosslex: configuration error: source language 'fr' has no "
             "dataset; pass one with --dataset fr=PATH") in capsys.readouterr().err
+
+
+def test_source_language_dataset_alone(tmp_path, capsys):
+    """context-sim refuses a run with no target-language dataset before it
+    reads any file: the files named here do not exist."""
+    gone = str(tmp_path / "missing")
+    assert main(["context-sim", "--model", gone, "--embeddings", f"en={gone}",
+                 "--dataset", f"en={gone}", "--seed-terms", "x0",
+                 "--source-lang", "en"]) == 1
+    assert ("crosslex: configuration error: no target language: pass a "
+            "--dataset in a language other than 'en'") in capsys.readouterr().err

@@ -12,6 +12,7 @@ from crosslex import (
     project,
 )
 from crosslex import retrieval
+from crosslex.alignment import AlignmentModel, LanguageMap, project_space
 from crosslex.errors import ConfigurationError, InsufficientDataError, NotFoundError
 
 
@@ -32,7 +33,8 @@ def _rank(query_vec, target_unit, words, exclude=None, k=None):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_top_k_matches_scalar_oracle(seed, monkeypatch):
-    """The batched kernel ranks like the scalar per-query sort it replaced."""
+    """knn_batch ranks like the scalar per-query sort it replaced, in the
+    query's own language and across languages."""
     rng = np.random.default_rng(seed)
     n_words, dim = 40, 6
     words = [f"w{i:02d}" for i in rng.permutation(n_words)]
@@ -41,30 +43,34 @@ def test_top_k_matches_scalar_oracle(seed, monkeypatch):
     tied = rng.choice(n_words, size=11, replace=False)
     target[tied[1:9]] = target[tied[0]]
     target[tied[10]] = target[tied[9]]
-    target_unit = retrieval.unit_rows(target)
-    queries = np.vstack([
+    cross = np.vstack([
         rng.normal(size=(6, dim)),
         target[tied[[0, 0, 9]]],  # the tie groups rank first
         target[tied[0]] + 0.3 * rng.normal(size=dim),
         np.zeros(dim),
     ])
-    exclude = [-1] * len(queries)
-    exclude[1] = int(rng.integers(n_words))
-    exclude[6] = int(tied[0])  # same-language exclusion inside a tie group
-    exclude[7] = int(tied[10])
-    exclude[9] = int(tied[3])
-    # Three queries per score block, so the queries span four blocks.
+    spaces = {"xx": EmbeddingSpace("xx", words, target),
+              "yy": EmbeddingSpace("yy", [f"q{i}" for i in range(len(cross))], cross)}
+    model = AlignmentModel("xx", dim, 0.0, 1.0, False,
+                           maps={"yy": LanguageMap(np.eye(dim), np.zeros(dim))})
+    target_unit = retrieval.unit_rows(project_space(model, "xx", spaces))
+    # Same-language queries inside both tie groups, and one outside them.
+    own = [words[i] for i in (tied[0], tied[3], tied[10], rng.integers(n_words))]
+    # Three queries per score block, so each batch spans several blocks.
     monkeypatch.setattr(retrieval, "_BLOCK_ENTRIES", 3 * n_words)
-    word_rank = retrieval._word_rank(words)
     for k in (1, 3, 5, 9, n_words - 1, n_words, n_words + 4):
-        ranked = retrieval._top_k(queries, target_unit, word_rank, k, exclude)
-        assert len(ranked) == len(queries)
-        for q, skip, (rows, scores) in zip(queries, exclude, ranked):
-            expected = _rank(q, target_unit, words,
-                             words[skip] if skip >= 0 else None, k)
-            assert [words[i] for i in rows] == [w for w, _ in expected]
-            np.testing.assert_allclose(
-                scores, [s for _, s in expected], rtol=0, atol=1e-12)
+        for lang, queries in (("xx", own), ("yy", spaces["yy"].words)):
+            ranked = knn_batch(model, spaces, queries, lang, "xx", k)
+            assert [r.query_word for r in ranked] == queries
+            for result in ranked:
+                w = result.query_word
+                expected = _rank(project(model, w, lang, spaces), target_unit, words,
+                                 w if lang == "xx" else None, k)
+                assert [n for n, _, _ in result.neighbors] == [n for n, _ in expected]
+                np.testing.assert_allclose(
+                    [s for _, _, s in result.neighbors], [s for _, s in expected],
+                    rtol=0, atol=1e-12)
+                assert result.truncated == (len(expected) < k)
 
 
 def test_knn_self_match_across_duplicate_spaces(duplicate_space_pair):
@@ -86,6 +92,23 @@ def test_knn_truncation_flag(duplicate_space_pair):
     result = knn(model, spaces2, spaces["en"].words[0], "en", "xx", k=3)
     assert len(result.neighbors) == 2
     assert result.truncated
+
+
+def test_knn_same_language_truncation(duplicate_space_pair):
+    """In its own language a query is left out of its list, so a space of
+    n words holds n - 1 neighbours for it."""
+    spaces, lex = duplicate_space_pair
+    model = fit_hub_alignment(spaces, [lex], "en", lam=1e-3, kept_ratio=1.0)
+    n = len(spaces["xx"])
+    word = spaces["xx"].words[0]
+    for k, truncated in ((n - 1, False), (n, True)):
+        result = knn(model, spaces, word, "xx", "xx", k)
+        assert len(result.neighbors) == n - 1
+        assert word not in (w for w, _, _ in result.neighbors)
+        assert result.truncated == truncated
+    one = EmbeddingSpace("xx", [word], spaces["xx"].vectors[:1])
+    result = knn(model, dict(spaces, xx=one), word, "xx", "xx", k=1)
+    assert (result.neighbors, result.truncated) == ([], True)
 
 
 def test_knn_excludes_self_only_same_language(trilingual):

@@ -113,12 +113,14 @@ def test_library_defaults_are_the_run_config_defaults(func, keyword, section,
 
 # rule -> (the calls it makes, the only functions that make them): one
 # manifest writer, one row normalizer, one eigendecomposition with its rank
-# check, and one association-rule miner of the CLI's datasets.
+# check, one association-rule miner of the CLI's datasets, and one batched
+# top-k kernel.
 ONE_HOME = {
     "manifest path and name": (("write_manifest",), {"cli._manifest"}),
     "row norms": (("norm",), {"embedding_store.unit_rows"}),
     "rank check": (("eigh", "eigvalsh"), {"alignment._inv_sqrt"}),
     "rule mining": (("mine_rules",), {"cli._mine"}),
+    "top-k selection": (("argpartition",), {"retrieval._top_k"}),
 }
 
 
