@@ -84,7 +84,7 @@ def train_logreg(features, labels, epochs=ClassifyConfig.epochs,
     b = 0.0
     losses = []
     for _ in range(epochs):
-        p = 1.0 / (1.0 + np.exp(-(features @ w + b)))
+        p = ClassifierModel(w, b).scores(features)
         eps = 1e-12
         loss = -np.mean(
             labels * np.log(p + eps) + (1 - labels) * np.log(1 - p + eps)

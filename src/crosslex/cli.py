@@ -163,7 +163,6 @@ def _cmd_train_embeddings(args, cfg):
     corpus = [tokenize(line, tok) for line in read_lines(args.corpus)]
     with in_file(args.corpus):
         space = train_sgns(corpus, SgnsConfig(**cfg["sgns"]))
-    space.language = args.language
     save_embeddings(space, args.output)
     _manifest(args, {"tokenizer": cfg["tokenizer"], "sgns": cfg["sgns"],
                      "language": args.language},
@@ -304,8 +303,7 @@ def _cmd_context_sim(args, cfg):
             f"{args.source_lang!r}")
     tok = TokenizerConfig(**cfg["tokenizer"])
     model, _ = _load_model(args, cfg)
-    spaces, _ = _load_spaces(args, {args.source_lang: "--source-lang",
-                                    **{lang: "--dataset" for lang in args.dataset}})
+    spaces, _ = _load_spaces(args, {lang: "--dataset" for lang in args.dataset})
     datasets = {lang: load_labeled_dataset(path, lang, tok)
                 for lang, path in args.dataset.items()}
     rules = {lang: _mine(ds, args.class_filter, cfg["mining"], args.dataset[lang])

@@ -34,12 +34,12 @@ class EmbeddingSpace:
             )
         if vectors.shape[1] < 1:
             raise DimensionError("embedding dimension must be >= 1")
-        if len(set(words)) != len(words):
+        self.words = list(words)
+        self.vocab = {w: i for i, w in enumerate(self.words)}
+        if len(self.vocab) != len(self.words):
             raise FormatError("duplicate words in vocabulary")
         self.language = language
-        self.words = list(words)
         self.vectors = vectors
-        self.vocab = {w: i for i, w in enumerate(self.words)}
         self.duplicates_dropped = 0
 
     @property

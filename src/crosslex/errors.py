@@ -19,13 +19,12 @@ class CrosslexError(Exception):
 
 
 class FormatError(CrosslexError):
-    """Malformed input file. Carries the 1-based line number and the file
-    when known."""
+    """Malformed input file. Carries the 1-based line number when known;
+    ``in_file`` adds the file."""
 
-    def __init__(self, message, line_number=None, path=None):
+    def __init__(self, message, line_number=None):
         super().__init__(message)
         self.line_number = line_number
-        self.path = path
 
     def __str__(self):
         text = super().__str__()

@@ -30,28 +30,17 @@ class BilingualLexicon:
     def __post_init__(self):
         if self.src_lang == self.tgt_lang:
             raise ConfigurationError("source and target language must differ")
-        seen = set()
-        deduped = []
-        for src, tgt in self.pairs:
-            if not src or not tgt:
-                raise FormatError("empty word in lexicon pair")
-            if (src, tgt) not in seen:
-                seen.add((src, tgt))
-                deduped.append((src, tgt))
-        self.pairs = deduped
+        pairs = [(src, tgt) for src, tgt in self.pairs]
+        if not all(src and tgt for src, tgt in pairs):
+            raise FormatError("empty word in lexicon pair")
+        self.pairs = list(dict.fromkeys(pairs))
 
     def __len__(self):
         return len(self.pairs)
 
     def source_words(self):
         """Distinct source words in first-appearance order."""
-        out = []
-        seen = set()
-        for src, _ in self.pairs:
-            if src not in seen:
-                seen.add(src)
-                out.append(src)
-        return out
+        return list(dict.fromkeys(src for src, _ in self.pairs))
 
 
 def load_lexicon(path, src, tgt):

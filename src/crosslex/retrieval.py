@@ -41,8 +41,10 @@ def _top_k(queries, target_unit, words, k):
     row. Returns, per query, the chosen row indices best first and their
     scores; every row when there are fewer than ``k``.
     """
-    unit = unit_rows(queries)
     n_rows = len(target_unit)
+    if not n_rows:
+        return [([], np.empty(0))] * len(queries)
+    unit = unit_rows(queries)
     take = min(k, n_rows)
     step = max(1, _BLOCK_ENTRIES // n_rows)
     out = []

@@ -54,14 +54,6 @@ _BLOCK_CENTERS = 128
 _SUPER_BLOCKS = 8
 
 
-def subsample(ids, keep_prob, rng):
-    """Keep each entry ``i`` of ``ids`` with probability ``keep_prob[i]``,
-    in order; ``None`` (a zero threshold) keeps everything."""
-    if keep_prob is None:
-        return ids
-    return ids[rng.random(len(ids)) < keep_prob[ids]]
-
-
 def _block_pairs(ids, sentence, win, lo, hi, window):
     """(center, context) position pairs for the centers ``lo:hi``.
 
@@ -247,10 +239,11 @@ def train_sgns(corpus, cfg):
     noise_cdf = np.cumsum(noise / noise.sum())
     noise_cdf[-1] = 1.0
 
-    keep_prob = None
+    # Each token's chance to survive subsampling; None keeps every token.
+    token_keep = None
     if cfg.subsample_t > 0:
         freq = counts / counts.sum()
-        keep_prob = np.minimum(1.0, np.sqrt(cfg.subsample_t / freq))
+        token_keep = np.minimum(1.0, np.sqrt(cfg.subsample_t / freq))[tokens]
 
     rng = np.random.default_rng(cfg.rng_seed)
     nvocab = len(words)
@@ -259,17 +252,17 @@ def train_sgns(corpus, cfg):
 
     lr0 = cfg.learning_rate
     total_tokens = cfg.epochs * len(tokens)
-    # Subsampling keeps token positions, so each kept id keeps its sentence.
-    positions = np.arange(len(tokens), dtype=np.int32)
-    token_keep = None if keep_prob is None else keep_prob[tokens]
     starts = _bucket_starts(noise_cdf)
     ws = _Workspace(nvocab, cfg.dim, _BLOCK_CENTERS, cfg.window, cfg.negatives)
     span = _BLOCK_CENTERS * _SUPER_BLOCKS
     done = 0  # centers of earlier epochs, for the linear LR decay
     for _ in range(cfg.epochs):
-        kept = subsample(positions, token_keep, rng)
-        ids, sent = tokens[kept], sentence[kept]
-        del kept
+        if token_keep is None:
+            ids, sent = tokens, sentence
+        else:
+            kept = rng.random(len(tokens)) < token_keep
+            ids, sent = tokens[kept], sentence[kept]
+            del kept
         win = rng.integers(1, cfg.window + 1, size=len(ids), dtype=np.int32)
         for lo in range(0, len(ids), span):
             hi = min(lo + span, len(ids))

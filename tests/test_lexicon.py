@@ -41,6 +41,14 @@ def test_load_dedup(tmp_path):
     assert lex.pairs == [("a", "b")]
 
 
+def test_dedup_keeps_first_appearance_order():
+    lex = BilingualLexicon("en", "es", [
+        ("b", "x"), ("a", "y"), ["b", "x"], ("b", "z"), ("a", "y"), ("c", "x"),
+    ])
+    assert lex.pairs == [("b", "x"), ("a", "y"), ("b", "z"), ("c", "x")]
+    assert lex.source_words() == ["b", "a", "c"]
+
+
 def test_load_comment_and_case(tmp_path):
     path = tmp_path / "lex.tsv"
     path.write_text("# header\nFoo\tBar\n")

@@ -111,6 +111,21 @@ def test_knn_same_language_truncation(duplicate_space_pair):
     assert (result.neighbors, result.truncated) == ([], True)
 
 
+def test_knn_empty_target_space():
+    """A target space with no words gives every query an empty, truncated
+    list; an unknown query word is still an error."""
+    model = AlignmentModel("xx", 3, 0.0, 1.0, False,
+                           maps={"en": LanguageMap(np.eye(3), np.zeros(3))})
+    spaces = {"en": EmbeddingSpace("en", ["a"], np.ones((1, 3))),
+              "xx": EmbeddingSpace("xx", [], np.empty((0, 3)))}
+    result = knn(model, spaces, "a", "en", "xx", 1)
+    assert (result.neighbors, result.truncated) == ([], True)
+    ranked = knn_batch(model, spaces, ["a", "a"], "en", "xx", 3)
+    assert [(r.neighbors, r.truncated) for r in ranked] == [([], True)] * 2
+    with pytest.raises(NotFoundError):
+        knn(model, spaces, "b", "en", "xx", 1)
+
+
 def test_knn_excludes_self_only_same_language(trilingual):
     tri = trilingual
     word = tri.words[0]

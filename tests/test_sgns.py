@@ -14,7 +14,6 @@ from crosslex.sgns import (
     _block_update,
     _draw_noise,
     _Workspace,
-    subsample,
 )
 
 from conftest import planted_pair_corpus
@@ -64,11 +63,6 @@ def test_vectors_finite():
                      learning_rate=0.05, subsample_t=0.0, rng_seed=2)
     space = train_sgns(corpus, cfg)
     assert np.all(np.isfinite(space.vectors))
-
-
-def test_subsample_zero_threshold_noop():
-    ids = [3, 1, 4, 1, 5]
-    assert subsample(ids, None, np.random.default_rng(0)) == ids
 
 
 def test_planted_pairs_closer_than_random():
@@ -244,6 +238,16 @@ def test_workspace_step_equals_allocating_step(nvocab, sizes, negatives):
         assert np.array_equal(w_in, ref_in)
         assert np.array_equal(w_out, ref_out)
     assert not np.array_equal(w_out, np.zeros_like(w_out))
+
+
+# The subsample draw as train_sgns made it, over token positions; the
+# superblock tests check the trainer's own draw against it.
+def subsample(ids, keep_prob, rng):
+    """Keep each entry ``i`` of ``ids`` with probability ``keep_prob[i]``,
+    in order; ``None`` (a zero threshold) keeps everything."""
+    if keep_prob is None:
+        return ids
+    return ids[rng.random(len(ids)) < keep_prob[ids]]
 
 
 def _per_block_reference(corpus, cfg, block):

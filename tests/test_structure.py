@@ -113,14 +113,17 @@ def test_library_defaults_are_the_run_config_defaults(func, keyword, section,
 
 # rule -> (the calls it makes, the only functions that make them): one
 # manifest writer, one row normalizer, one eigendecomposition with its rank
-# check, one association-rule miner of the CLI's datasets, and one batched
-# top-k kernel.
+# check, one association-rule miner of the CLI's datasets, one batched top-k
+# kernel, and one place where the CLI loads spaces and one where it loads
+# models, so a check of what a model was fitted on has one place to go.
 ONE_HOME = {
     "manifest path and name": (("write_manifest",), {"cli._manifest"}),
     "row norms": (("norm",), {"embedding_store.unit_rows"}),
     "rank check": (("eigh", "eigvalsh"), {"alignment._inv_sqrt"}),
     "rule mining": (("mine_rules",), {"cli._mine"}),
     "top-k selection": (("argpartition",), {"retrieval._top_k"}),
+    "space loading": (("load_embeddings",), {"cli._load_spaces"}),
+    "model loading": (("load_alignment",), {"cli._load_model"}),
 }
 
 
