@@ -204,15 +204,23 @@ def _cmd_align(args, cfg):
     return EXIT_OK
 
 
-def _load_model(args, cfg):
+def _load_model(args, cfg, languages):
     """The model as loaded, which prepares the spaces it is given, and the
     files read: its ``metadata.json`` and one ``.mat`` per language.
 
-    A run config whose ``alignment.normalize`` disagrees with the model is
-    an error. A model without the format marker may understate its
+    One of the command's ``languages`` that has ``--embeddings`` but is not
+    in the model is an error, raised before any space is read; one without
+    ``--embeddings`` is left to ``_load_spaces``, which names its flag. A
+    run config whose ``alignment.normalize`` disagrees with the model is an
+    error. A model without the format marker may understate its
     preparation, so it normalizes when its metadata or the config says so.
     """
     model = load_alignment(args.model)
+    unknown = [lang for lang in languages if lang in args.embeddings
+               and lang != model.pivot_lang and lang not in model.maps]
+    if unknown:
+        raise ConfigurationError(
+            f"{args.model}: language {unknown[0]!r} not in alignment model")
     normalize = cfg["alignment"]["normalize"]
     if model.legacy:
         model.normalize = model.normalize or normalize
@@ -228,7 +236,7 @@ def _load_model(args, cfg):
 
 
 def _cmd_knn(args, cfg):
-    model, _ = _load_model(args, cfg)
+    model, _ = _load_model(args, cfg, (args.lang, args.target))
     spaces, _ = _load_spaces(args, {args.lang: "--lang", args.target: "--target"})
     result = knn(model, spaces, args.word, args.lang, args.target, args.k)
     records = [
@@ -243,7 +251,7 @@ def _cmd_knn(args, cfg):
 
 
 def _cmd_bli(args, cfg):
-    model, model_files = _load_model(args, cfg)
+    model, model_files = _load_model(args, cfg, args.validation)
     spaces, read = _load_spaces(args, {
         model.pivot_lang: "pivot",
         **{lang: "--validation" for lang in args.validation}})
@@ -302,7 +310,7 @@ def _cmd_context_sim(args, cfg):
             f"no target language: pass a --dataset in a language other than "
             f"{args.source_lang!r}")
     tok = TokenizerConfig(**cfg["tokenizer"])
-    model, _ = _load_model(args, cfg)
+    model, _ = _load_model(args, cfg, args.dataset)
     spaces, _ = _load_spaces(args, {lang: "--dataset" for lang in args.dataset})
     datasets = {lang: load_labeled_dataset(path, lang, tok)
                 for lang, path in args.dataset.items()}
@@ -320,9 +328,9 @@ def _cmd_classify(args, cfg):
     tok = TokenizerConfig(**cfg["tokenizer"])
     ccfg = dict(cfg["classify"])
     split_seed = ccfg.pop("split_seed")
-    model, model_files = _load_model(args, cfg)
     train_lang, train_path = args.train
     test_lang, test_path = args.test
+    model, model_files = _load_model(args, cfg, (train_lang, test_lang))
     spaces, read = _load_spaces(args, {train_lang: "--train", test_lang: "--test"})
     train_ds = load_labeled_dataset(train_path, train_lang, tok)
     test_ds = load_labeled_dataset(test_path, test_lang, tok)

@@ -6,6 +6,7 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import math
+import re
 
 from .errors import ConfigurationError, FormatError, text_lines
 
@@ -137,23 +138,53 @@ def _parse_value(section, key, raw):
     return value
 
 
+def _lines_of(numbered):
+    """Section -> the line of its header, and (section, key) -> the line of
+    the key, in a config file's numbered lines. A key is the text before the
+    first ``=`` or ``:``, stripped and lowercased, as configparser reads it;
+    a comment line's starts with ``#`` or ``;``, which no key does."""
+    lines, section = {}, None
+    for lineno, line in numbered:
+        text = line.strip()
+        header = configparser.ConfigParser.SECTCRE.match(text)
+        if header:
+            section = header.group("header")
+            lines.setdefault(section, lineno)
+        else:
+            key = re.split("[=:]", text, maxsplit=1)[0].strip().lower()
+            lines.setdefault((section, key), lineno)
+    return lines
+
+
 def load_config(path=None, overrides=()):
     """Section -> key -> value: the defaults, overlaid by the INI-style file
     at ``path``, then by the ``(section, key, raw value)`` overrides.
-    Unknown sections or keys, and values outside their range, are errors."""
+    Unknown sections or keys, and values outside their range, are errors;
+    one in the file names the file and line."""
     cfg = {section: {key: default for key, (_, default, _) in keys.items()}
            for section, keys in _SCHEMA.items()}
     if path is not None:
-        parser = configparser.ConfigParser()
+        parser = configparser.ConfigParser(interpolation=None)
         try:
-            parser.read_file((line for _, line in text_lines(path)), source=path)
+            numbered = list(text_lines(path))
+            parser.read_file((line for _, line in numbered), source=path)
         except (configparser.Error, FormatError) as err:
             raise ConfigurationError(f"cannot parse config file: {err}") from err
+        lines = _lines_of(numbered)
         for section in parser.sections():
-            if section not in _SCHEMA:
-                raise ConfigurationError(f"unknown configuration section [{section}]")
-            for key, raw in parser.items(section):
-                cfg[section][key] = _parse_value(section, key, raw)
+            line = lines[section]
+            try:
+                if section not in _SCHEMA:
+                    raise ConfigurationError(
+                        f"unknown configuration section [{section}]")
+                for key, raw in parser.items(section):
+                    # a [DEFAULT] key is read into every section
+                    line = lines.get((section, key),
+                                     lines.get((parser.default_section, key)))
+                    cfg[section][key] = _parse_value(section, key, raw)
+            except ConfigurationError as err:
+                err.path, err.line_number = path, line
+                raise
     for section, key, raw in overrides:
         cfg[section][key] = _parse_value(section, key, raw)
     return cfg

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
+from itertools import chain
 
 from .config import TokenizerConfig, check
 from .errors import ConfigurationError, InsufficientDataError, in_file, text_lines
@@ -48,9 +49,7 @@ def build_vocab(corpus, min_count=1):
     """Count tokens over a corpus of token lists, keeping words with
     frequency >= min_count."""
     check("sgns", "min_count", min_count)
-    counts = Counter()
-    for doc in corpus:
-        counts.update(doc)
+    counts = Counter(chain.from_iterable(corpus))
     return {w: c for w, c in counts.items() if c >= min_count}
 
 

@@ -125,7 +125,7 @@ def _parse_bulk(path):
     A ValueError, undecodable bytes included, means that the per-line scan
     must read the file.
     """
-    with open(path, encoding="utf-8") as fh:  # loadtxt reads a file handle
+    with open(path, encoding="utf-8") as fh:  # streaming text_lines: no faster
         count, dim = _read_header(fh.readline())
         start = fh.tell()
         line = fh.readline()

@@ -9,13 +9,16 @@ from contextlib import contextmanager
 
 class CrosslexError(Exception):
     """Base class for all crosslex errors; ``path`` names the file the error
-    is about, when known."""
+    is about, and ``line_number`` its 1-based line, when known."""
 
     path = None
+    line_number = None
 
     def __str__(self):
         text = super().__str__()
-        return text if self.path is None else f"{self.path}: {text}"
+        if self.path is not None:
+            text = f"{self.path}: {text}"
+        return text if self.line_number is None else f"{text} (line {self.line_number})"
 
 
 class FormatError(CrosslexError):
@@ -25,10 +28,6 @@ class FormatError(CrosslexError):
     def __init__(self, message, line_number=None):
         super().__init__(message)
         self.line_number = line_number
-
-    def __str__(self):
-        text = super().__str__()
-        return text if self.line_number is None else f"{text} (line {self.line_number})"
 
 
 @contextmanager

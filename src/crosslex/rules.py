@@ -13,6 +13,7 @@ import importlib.resources
 import logging
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .config import TokenizerConfig, check, default
 from .corpus import tokenize
@@ -106,25 +107,19 @@ def mine_rules(docs, top_n_antecedents=default("mining", "top_n"),
     check("mining", "top_n", top_n_antecedents)
     check("mining", "min_support", min_support)
     check("mining", "min_confidence", min_confidence)
-    docs = [set(d) for d in docs]
-    docs = [d for d in docs if d]
+    docs = [d for d in map(set, docs) if d]
     if not docs:
         raise InsufficientDataError("no nonempty documents to mine")
 
     n = len(docs)
-    df = Counter()
-    for d in docs:
-        df.update(d)
+    df = Counter(chain.from_iterable(docs))
     candidates = [w for w in df if w not in stopwords]
     candidates.sort(key=lambda w: (-df[w], w))
     antecedents = candidates[:top_n_antecedents]
 
     rules = []
     for x in antecedents:
-        cooc = Counter()
-        for d in docs:
-            if x in d:
-                cooc.update(d)
+        cooc = Counter(chain.from_iterable(d for d in docs if x in d))
         for u, both in cooc.items():
             if u == x:
                 continue

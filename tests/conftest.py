@@ -27,6 +27,41 @@ def write_embedding_file(path, words, vectors):
             fh.write(w + " " + " ".join(f"{x:.6f}" for x in row) + "\n")
 
 
+def write_mini_inputs(tmp_path):
+    """Tiny aligned en/es fixture on disk: embeddings, lexicon, datasets."""
+    rng = np.random.default_rng(77)
+    n, dim = 60, 10
+    proto = rng.normal(size=(n, dim))
+    proto /= np.linalg.norm(proto, axis=1, keepdims=True)
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)))
+    en_words = [f"en{i}" for i in range(n)]
+    es_words = [f"es{i}" for i in range(n)]
+    en_path = tmp_path / "en.vec"
+    es_path = tmp_path / "es.vec"
+    write_embedding_file(en_path, en_words, proto)
+    write_embedding_file(es_path, es_words, proto @ (q * np.sign(np.diag(r))))
+    lex_path = tmp_path / "lex.tsv"
+    lex_path.write_text(
+        "".join(f"{e}\t{s}\n" for e, s in zip(en_words, es_words))
+    )
+    ds = {}
+    for lang, words in (("en", en_words), ("es", es_words)):
+        lines = []
+        for i in range(40):
+            toks = " ".join(rng.choice(words, size=5))
+            lines.append(f"{i % 2}\t{toks}\n")
+        p = tmp_path / f"{lang}.tsv"
+        p.write_text("".join(lines))
+        ds[lang] = p
+    return {
+        "dir": tmp_path,
+        "en": en_path,
+        "es": es_path,
+        "lexicon": lex_path,
+        "datasets": ds,
+    }
+
+
 @dataclass
 class TrilingualFixture:
     """Proto-space mapped per language by a random orthogonal matrix plus

@@ -1,5 +1,6 @@
 import argparse
 import json
+import re
 import shutil
 
 import numpy as np
@@ -9,47 +10,12 @@ import crosslex
 from crosslex.cli import main
 from crosslex.errors import ConfigurationError
 
-from conftest import planted_pair_corpus, write_embedding_file
+from conftest import planted_pair_corpus, write_embedding_file, write_mini_inputs
 
 
 @pytest.fixture
 def mini_pipeline_inputs(tmp_path):
-    return _write_mini_inputs(tmp_path)
-
-
-def _write_mini_inputs(tmp_path):
-    """Tiny aligned en/es fixture on disk: embeddings, lexicon, datasets."""
-    rng = np.random.default_rng(77)
-    n, dim = 60, 10
-    proto = rng.normal(size=(n, dim))
-    proto /= np.linalg.norm(proto, axis=1, keepdims=True)
-    q, r = np.linalg.qr(rng.normal(size=(dim, dim)))
-    en_words = [f"en{i}" for i in range(n)]
-    es_words = [f"es{i}" for i in range(n)]
-    en_path = tmp_path / "en.vec"
-    es_path = tmp_path / "es.vec"
-    write_embedding_file(en_path, en_words, proto)
-    write_embedding_file(es_path, es_words, proto @ (q * np.sign(np.diag(r))))
-    lex_path = tmp_path / "lex.tsv"
-    lex_path.write_text(
-        "".join(f"{e}\t{s}\n" for e, s in zip(en_words, es_words))
-    )
-    ds = {}
-    for lang, words in (("en", en_words), ("es", es_words)):
-        lines = []
-        for i in range(40):
-            toks = " ".join(rng.choice(words, size=5))
-            lines.append(f"{i % 2}\t{toks}\n")
-        p = tmp_path / f"{lang}.tsv"
-        p.write_text("".join(lines))
-        ds[lang] = p
-    return {
-        "dir": tmp_path,
-        "en": en_path,
-        "es": es_path,
-        "lexicon": lex_path,
-        "datasets": ds,
-    }
+    return write_mini_inputs(tmp_path)
 
 
 def test_unknown_subcommand_usage_error(capsys):
@@ -363,10 +329,10 @@ def test_non_finite_float_key_exits_1(tmp_path, capsys, section, key, raw):
         "--language", "en", "--output", str(tmp_path / "en.vec"),
     ])
     assert code == 1
-    assert capsys.readouterr().err.endswith(
-        f"[{section}] {key} must be finite and >= 0, got {raw}\n"
-        if key != "learning_rate" else
-        f"[{section}] {key} must be finite and > 0, got {raw}\n")
+    bound = "> 0" if key == "learning_rate" else ">= 0"
+    assert capsys.readouterr().err == (
+        f"crosslex: configuration error: {cfg}: [{section}] {key} must be finite "
+        f"and {bound}, got {raw} (line 2)\n")
     assert not (tmp_path / "en.vec").exists()
 
 
@@ -506,6 +472,38 @@ def test_missing_language_exits_1_naming_it(mini_pipeline_inputs, tmp_path,
     assert "Traceback" not in err
 
 
+def _model_language_argv(inp, model_dir, emb):
+    """Per command, argv that uses language fr, which has --embeddings (a
+    file that does not exist) but is not in the en-es model."""
+    common = ["--model", str(model_dir), *emb, "--embeddings",
+              f"fr={model_dir.parent / 'missing.vec'}"]
+    en_tsv, es_tsv = (str(inp["datasets"][lang]) for lang in ("en", "es"))
+    return {
+        "knn": ["knn", *common, "--word", "es1", "--lang", "fr", "--target", "en"],
+        "bli": ["bli", *common, "--validation", f"fr={inp['lexicon']}"],
+        "context-sim": ["context-sim", *common, "--dataset", f"en={en_tsv}",
+                        "--dataset", f"fr={es_tsv}", "--seed-terms", "en1",
+                        "--source-lang", "en"],
+        "classify": ["classify", *common, "--train", f"fr={es_tsv}",
+                     "--test", f"en={en_tsv}"],
+    }
+
+
+@pytest.mark.parametrize("command", ["bli", "classify", "context-sim", "knn"])
+def test_language_not_in_model_exits_1_naming_the_model(mini_pipeline_inputs,
+                                                        tmp_path, capsys, command):
+    """The model is checked before any space is read: reading the missing
+    fr space would exit 2."""
+    model_dir = tmp_path / "model"
+    emb = _aligned_model(mini_pipeline_inputs, model_dir)
+    capsys.readouterr()
+    argv = _model_language_argv(mini_pipeline_inputs, model_dir, emb)[command]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"crosslex: configuration error: {model_dir}: language 'fr' not in "
+        "alignment model\n")
+
+
 @pytest.mark.parametrize("section,key,message", [
     ("paths", "output_dir", "unknown configuration section [paths]"),
     ("classify", "seed", "unknown configuration key [classify] seed"),
@@ -517,7 +515,42 @@ def test_removed_config_key_exits_1(tmp_path, capsys, section, key, message):
     ds.write_text("1\ta b\n0\tc d\n")
     assert main(["mine-rules", "--config", str(cfg), "--dataset", str(ds),
                  "--language", "en"]) == 1
-    assert message in capsys.readouterr().err
+    line = 1 if "section" in message else 2  # the header's or the key's
+    assert capsys.readouterr().err == (
+        f"crosslex: configuration error: {cfg}: {message} (line {line})\n")
+
+
+# config file text -> the error it exits 1 with, after "<file>: "; the line
+# counts comments and blank lines, and a key is matched as configparser
+# reads it: before the first "=" or ":", stripped and lowercased.
+CONFIG_FILE_ERRORS = {
+    "[sgns]\ndim = 0\n": "[sgns] dim must be >= 2, got 0 (line 2)",
+    "# run\n\n[bogus]\n": "unknown configuration section [bogus] (line 3)",
+    "[sgns]\nepochs = 2\n\n[Mining]\ntop_n = 2\n":
+        "unknown configuration section [Mining] (line 4)",
+    "[sgns]\n; workers = 1\nwindow = 2\nworkers = 2\n":
+        "unknown configuration key [sgns] workers (line 4)",
+    "[sgns]\n  Dim  : abc\n": "[sgns] dim: expected int, got 'abc' (line 2)",
+    "[mining]\ntop_n = 5\nmin_support = 1.5\n":
+        "[mining] min_support must be in (0, 1], got 1.5 (line 3)",
+    "[mining]\ntop_n = 5%\n": "[mining] top_n: expected int, got '5%' (line 2)",
+    "[tokenizer]\nlowercase = maybe\n":
+        "[tokenizer] lowercase: expected a boolean, got 'maybe' (line 2)",
+    "[DEFAULT]\ndim = 0\n[sgns]\nepochs = 1\n":
+        "[sgns] dim must be >= 2, got 0 (line 2)",
+}
+
+
+@pytest.mark.parametrize("text", sorted(CONFIG_FILE_ERRORS))
+def test_config_file_error_names_file_and_line(filter_inputs, tmp_path, capsys,
+                                               text):
+    argv, manifest = filter_inputs
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(text)
+    assert main([*argv, "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == (
+        f"crosslex: configuration error: {cfg}: {CONFIG_FILE_ERRORS[text]}\n")
+    assert not manifest.exists()
 
 
 _HELP = (["-h", "--help"], False, argparse.SUPPRESS, "help", None)
@@ -1082,13 +1115,14 @@ def probe_inputs(tmp_path_factory):
     corpus, a seed list, a config, an aligned model and a context-sim
     report. Every command exits 0 on them."""
     base = tmp_path_factory.mktemp("probe")
-    _write_mini_inputs(base)
+    write_mini_inputs(base)
     rng = np.random.default_rng(5)
     words = [f"en{i}" for i in range(60)]
     (base / "corpus.txt").write_text("".join(
         " ".join(rng.choice(words, size=8)) + "\n" for _ in range(200)))
     (base / "seeds.txt").write_text("en1\nen2\n")
-    (base / "run.ini").write_text("[sgns]\nepochs = 1\n")
+    (base / "run.ini").write_text("[sgns]\nepochs = 1\nmin_count = 2\n\n"
+                                  "[mining]\ntop_n = 20\nmin_support = 0.05\n")
     assert main(_probe_argv(base, base)["align"]) == 0  # writes base / "model"
     argv = _probe_argv(base, tmp_path_factory.mktemp("probe_out"))
     assert main(argv["context-sim"] + ["--output", str(base / "report.jsonl")]) == 0
@@ -1343,3 +1377,72 @@ def test_k_below_1_exits_1_before_reading(tmp_path, capsys, command, k):
     assert captured.out == ""
     assert f"error: argument --k: must be >= 1, got {k}" in captured.err
     assert "Traceback" not in captured.err
+
+
+# Per input kind of PROBES, the command and the file that the seeded fuzz
+# mutates.
+FUZZ_CASES = {
+    "corpus": ("train-embeddings", "corpus.txt"),
+    "seed list": ("filter-corpus", "seeds.txt"),
+    "config": ("mine-rules", "run.ini"),
+    ".vec": ("knn", "es.vec"),
+    "lexicon": ("bli", "lex.tsv"),
+    "dataset": ("context-sim", "es.tsv"),
+    "metadata.json": ("bli", "model/metadata.json"),
+    ".mat": ("knn", "model/es.mat"),
+    "report": ("report", "report.jsonl"),
+}
+FUZZ_SEED = 0  # with the kind's index, the seed of its mutations
+FUZZ_BUDGET = 16  # mutations per kind
+_INSERTED_LINES = (b"\n", b"x\n", b"1\n", b"x\t1\n", b"x = 1\n", b"[x]\n")
+_SEPARATOR = re.compile(rb"[ \t=:,]")
+_NUMBER = re.compile(rb"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+_NUMBERS = (b"0", b"-1", b"2", b"0.5", b"1e400", b"nan")
+
+
+def _mutate(data, rng):
+    """``data`` with one seeded mutation: a line deleted, inserted,
+    duplicated or cut short, or a separator or a number swapped."""
+    lines = data.splitlines(keepends=True)
+    at = int(rng.integers(len(lines)))
+    kind = int(rng.integers(6))
+    if kind == 0:
+        del lines[at]
+    elif kind == 1:
+        lines.insert(at, _INSERTED_LINES[rng.integers(len(_INSERTED_LINES))])
+    elif kind == 2:
+        lines.insert(at, lines[at])
+    elif kind == 3:
+        lines[at] = lines[at][:rng.integers(len(lines[at]))]
+    else:
+        pattern, swaps = ((_SEPARATOR, (b" ", b"\t", b"=", b":", b",")) if kind == 4
+                          else (_NUMBER, _NUMBERS))
+        found = list(pattern.finditer(data))
+        if found:
+            match = found[rng.integers(len(found))]
+            return (data[:match.start()] + swaps[rng.integers(len(swaps))]
+                    + data[match.end():])
+    return b"".join(lines)
+
+
+@pytest.mark.parametrize("kind", sorted(FUZZ_CASES))
+def test_seeded_mutations_exit_cleanly_naming_the_file(probe_inputs, tmp_path,
+                                                       capsys, kind):
+    """Each mutation exits 0, 1 or 2 without a traceback, and a nonzero exit
+    names the mutated file; a model file's may instead name the --model
+    directory, or the language whose map does not fit."""
+    command, name = FUZZ_CASES[kind]
+    base = tmp_path / "in"
+    shutil.copytree(probe_inputs, base)
+    path = base / name
+    valid = path.read_bytes()
+    names = ((str(base / "model"), "the en map", "the es map")
+             if name.startswith("model/") else (str(path),))
+    rng = np.random.default_rng([FUZZ_SEED, sorted(FUZZ_CASES).index(kind)])
+    for _ in range(FUZZ_BUDGET):
+        mutated = _mutate(valid, rng)
+        path.write_bytes(mutated)
+        code = main(_probe_argv(base, tmp_path)[command])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2) and "Traceback" not in err, mutated
+        assert code == 0 or any(part in err for part in names), (mutated, err)

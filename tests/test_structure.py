@@ -12,9 +12,12 @@ from crosslex import config
 SRC = Path(crosslex.__file__).resolve().parent
 
 # The only functions that open a file for reading: the one checked reader of
-# text inputs, the bulk embedding parse (np.loadtxt needs a file handle, and
-# any decode error there falls back to the checked reader), and the byte
-# hash of the manifests.
+# text inputs, the bulk embedding parse, and the byte hash of the manifests.
+# np.loadtxt takes any iterable of lines, so the bulk parse could stream the
+# checked reader; it opens its own handle because that measured no slower on
+# a 20k x 100 .vec (0.2386 s against 0.2355 s streamed) and faster on a
+# 5k x 50 one (0.0237 s against 0.0274 s). A decode error there falls back
+# to the checked reader.
 READERS = {"errors.text_lines", "embedding_store._parse_bulk", "manifest._sha256"}
 
 # The only function that opens a file for writing: the one writer of outputs.
