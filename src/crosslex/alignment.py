@@ -157,6 +157,8 @@ def fit_hub_alignment(spaces, lexicons, pivot,
     """
     if pivot not in spaces:
         raise ConfigurationError(f"pivot language {pivot!r} has no embedding space")
+    check("alignment", "lambda", lam)
+    check("alignment", "kept_ratio", kept_ratio)
     model = AlignmentModel(
         pivot_lang=pivot,
         shared_dim=spaces[pivot].dim,
@@ -278,6 +280,8 @@ def _read_matrix(lines, start):
 # The metadata marker of a model that records its own input preparation and
 # writes two blocks (W, b) per language; older models have no marker.
 _FORMAT = 2
+# The AlignmentModel fields that metadata.json stores under their own names.
+_STORED = ("pivot_lang", "shared_dim", "regularization", "kept_ratio", "normalize")
 
 
 def is_language_name(name):
@@ -298,11 +302,7 @@ def save_alignment(model, dirpath):
         write_text(os.path.join(dirpath, f"{lang}.mat"), _matrix_lines(lmap.W, lmap.b))
     meta = {
         "format": _FORMAT,
-        "pivot_lang": model.pivot_lang,
-        "shared_dim": model.shared_dim,
-        "regularization": model.regularization,
-        "kept_ratio": model.kept_ratio,
-        "normalize": model.normalize,
+        **{name: getattr(model, name) for name in _STORED},
         "languages": sorted(model.maps),
         "correlations": {lang: lmap.correlations.tolist()
                          for lang, lmap in sorted(model.maps.items())},
@@ -311,8 +311,7 @@ def save_alignment(model, dirpath):
                [json.dumps(meta, indent=2, sort_keys=True), "\n"])
 
 
-_META_KEYS = ("pivot_lang", "shared_dim", "regularization", "kept_ratio",
-              "normalize", "languages")
+_META_KEYS = (*_STORED, "languages")
 
 
 def _read_metadata(path):
@@ -332,6 +331,18 @@ def _read_metadata(path):
            if not is_language_name(lang)]
     if bad:
         raise FormatError(f"metadata names an invalid language {bad[0]!r}")
+    if type(meta["shared_dim"]) is not int or meta["shared_dim"] < 1:
+        raise FormatError("metadata 'shared_dim' must be an integer >= 1")
+    if type(meta["normalize"]) is not bool:
+        raise FormatError("metadata 'normalize' must be true or false")
+    # a stored number lies in the range of its [alignment] key
+    for name, key in (("regularization", "lambda"), ("kept_ratio", "kept_ratio")):
+        if type(meta[name]) not in (int, float):  # a bool is neither
+            raise FormatError(f"metadata {name!r} must be a number")
+        try:
+            check("alignment", key, meta[name])
+        except ConfigurationError as err:
+            raise FormatError(f"metadata {name!r}: {err}") from None
     if meta.get("format", _FORMAT) != _FORMAT:
         raise FormatError(f"unsupported model format {meta['format']!r}")
     correlations = meta.get("correlations", {})
@@ -398,14 +409,8 @@ def load_alignment(dirpath):
     meta_path = os.path.join(dirpath, "metadata.json")
     with in_file(meta_path):
         meta = _read_metadata(meta_path)
-    model = AlignmentModel(
-        pivot_lang=meta["pivot_lang"],
-        shared_dim=meta["shared_dim"],
-        regularization=meta["regularization"],
-        kept_ratio=meta["kept_ratio"],
-        normalize=meta["normalize"],
-        legacy="format" not in meta,
-    )
+    model = AlignmentModel(**{name: meta[name] for name in _STORED},
+                           legacy="format" not in meta)
     correlations = meta.get("correlations", {})
     for lang in meta["languages"]:
         path = os.path.join(dirpath, f"{lang}.mat")

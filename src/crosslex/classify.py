@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .alignment import project_space
-from .config import ClassifyConfig, check, default
+from .config import ClassifyConfig, check
 from .errors import (
     DegenerateDataError,
     DimensionError,
@@ -72,6 +72,9 @@ def train_logreg(features, labels, epochs=ClassifyConfig.epochs,
 
     Weights start at zero, so training is deterministic.
     """
+    for key, value in (("epochs", epochs), ("learning_rate", learning_rate),
+                       ("l2", l2)):
+        check("classify", key, value)
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
     n = features.shape[0]
@@ -126,7 +129,7 @@ def evaluate(clf, features, labels, threshold=ClassifyConfig.threshold):
 _SPLIT_FRACTIONS = (0.7, 0.1, 0.2)  # train, dev, test
 
 
-def split_dataset(ds, seed=default("classify", "split_seed")):
+def split_dataset(ds, seed=ClassifyConfig.split_seed):
     """Deterministic 70/10/20 train/dev/test split of a labeled dataset."""
     check("classify", "split_seed", seed)
     order = np.random.default_rng(seed).permutation(len(ds.docs))

@@ -326,25 +326,23 @@ def _cmd_context_sim(args, cfg):
 
 def _cmd_classify(args, cfg):
     tok = TokenizerConfig(**cfg["tokenizer"])
-    ccfg = dict(cfg["classify"])
-    split_seed = ccfg.pop("split_seed")
+    ccfg = ClassifyConfig(**cfg["classify"])
     train_lang, train_path = args.train
     test_lang, test_path = args.test
     model, model_files = _load_model(args, cfg, (train_lang, test_lang))
     spaces, read = _load_spaces(args, {train_lang: "--train", test_lang: "--test"})
     train_ds = load_labeled_dataset(train_path, train_lang, tok)
-    test_ds = load_labeled_dataset(test_path, test_lang, tok)
+    test_ds = (train_ds if args.test == args.train
+               else load_labeled_dataset(test_path, test_lang, tok))
     if args.monolingual:
         if train_lang != test_lang:
             raise ProtocolError("--monolingual requires matching languages")
         if train_path == test_path:
-            train_ds, _, test_ds = split_dataset(train_ds, seed=split_seed)
+            train_ds, _, test_ds = split_dataset(train_ds, seed=ccfg.split_seed)
     # too little data is the --test file's fault when it has no document
     with in_file(train_path if test_ds.docs else test_path):
-        metrics = zero_shot_eval(
-            train_ds, test_ds, model, spaces, ClassifyConfig(**ccfg),
-            allow_same_language=args.monolingual,
-        )
+        metrics = zero_shot_eval(train_ds, test_ds, model, spaces, ccfg,
+                                 allow_same_language=args.monolingual)
     record = {"train_lang": train_lang, "test_lang": test_lang,
               "monolingual": args.monolingual, **dataclasses.asdict(metrics)}
     _write_jsonl(args.output, [record])
@@ -354,7 +352,7 @@ def _cmd_classify(args, cfg):
     _manifest(args, {"classify": cfg["classify"], "train": train_lang,
                      "test": test_lang},
               [train_path, test_path] + read + model_files,
-              seeds={"split_seed": split_seed})
+              seeds={"split_seed": ccfg.split_seed})
     return EXIT_OK
 
 

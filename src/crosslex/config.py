@@ -47,6 +47,7 @@ class ClassifyConfig:
     learning_rate: float = _field(0.5, "> 0")
     l2: float = _field(1e-4, ">= 0")
     threshold: float = _field(0.5, "(0, 1)")
+    split_seed: int = _field(0, ">= 0")
 
     def validate(self):
         for key, value in vars(self).items():
@@ -82,7 +83,7 @@ _SCHEMA = {
         "variant": (str, VARIANTS[0], VARIANTS),
         "top_m": (int, 3, ">= 1"),
     },
-    "classify": {**_fields(ClassifyConfig), "split_seed": (int, 0, ">= 0")},
+    "classify": _fields(ClassifyConfig),
 }
 
 
@@ -164,7 +165,7 @@ def load_config(path=None, overrides=()):
     cfg = {section: {key: default for key, (_, default, _) in keys.items()}
            for section, keys in _SCHEMA.items()}
     if path is not None:
-        parser = configparser.ConfigParser(interpolation=None)
+        parser = configparser.ConfigParser(interpolation=None, default_section="")
         try:
             numbered = list(text_lines(path))
             parser.read_file((line for _, line in numbered), source=path)
@@ -178,9 +179,7 @@ def load_config(path=None, overrides=()):
                     raise ConfigurationError(
                         f"unknown configuration section [{section}]")
                 for key, raw in parser.items(section):
-                    # a [DEFAULT] key is read into every section
-                    line = lines.get((section, key),
-                                     lines.get((parser.default_section, key)))
+                    line = lines[section, key]
                     cfg[section][key] = _parse_value(section, key, raw)
             except ConfigurationError as err:
                 err.path, err.line_number = path, line

@@ -484,6 +484,32 @@ def test_corrupt_metadata_is_format_error(tmp_path, trilingual, text, message,
     assert str(exc.value).startswith(f"{meta}: {message}")
 
 
+@pytest.mark.parametrize("key,value,message", [
+    ("shared_dim", "100", "'shared_dim' must be an integer >= 1"),
+    ("shared_dim", True, "'shared_dim' must be an integer >= 1"),
+    ("shared_dim", 0, "'shared_dim' must be an integer >= 1"),
+    ("normalize", "true", "'normalize' must be true or false"),
+    ("normalize", 1, "'normalize' must be true or false"),
+    ("regularization", None, "'regularization' must be a number"),
+    ("regularization", False, "'regularization' must be a number"),
+    ("regularization", -1.0, "'regularization': [alignment] lambda must be "
+     "finite and >= 0, got -1.0"),
+    ("kept_ratio", "x", "'kept_ratio' must be a number"),
+    ("kept_ratio", 7, "'kept_ratio': [alignment] kept_ratio must be in (0, 1], "
+     "got 7"),
+])
+def test_metadata_value_of_wrong_type_or_range_is_format_error(
+        tmp_path, trilingual, key, value, message):
+    save_alignment(trilingual.model, tmp_path / "model")
+    meta = tmp_path / "model" / "metadata.json"
+    data = json.loads(meta.read_text())
+    data[key] = value
+    meta.write_text(json.dumps(data))
+    with pytest.raises(FormatError) as exc:
+        load_alignment(tmp_path / "model")
+    assert str(exc.value) == f"{meta}: metadata {message}"
+
+
 def test_metadata_languages_must_be_strings(tmp_path, trilingual):
     save_alignment(trilingual.model, tmp_path / "model")
     meta = tmp_path / "model" / "metadata.json"

@@ -131,6 +131,36 @@ def _aligned_model(inp, model_dir):
     return emb
 
 
+def test_monolingual_classify_reads_its_one_file_once(mini_pipeline_inputs,
+                                                      tmp_path, monkeypatch):
+    """A --train file that is also the --test file is read once and split."""
+    inp = mini_pipeline_inputs
+    model_dir = tmp_path / "model"
+    emb = _aligned_model(inp, model_dir)
+    reads = []
+
+    def counted(path, *args):
+        reads.append(path)
+        return crosslex.load_labeled_dataset(path, *args)
+
+    monkeypatch.setattr(crosslex.cli, "load_labeled_dataset", counted)
+    en = str(inp["datasets"]["en"])
+    out = tmp_path / "mono.jsonl"
+    assert main(["classify", "--model", str(model_dir), *emb, "--train",
+                 f"en={en}", "--test", f"en={en}", "--monolingual",
+                 "--output", str(out)]) == 0
+    assert reads == [en]
+    train, _, test = crosslex.split_dataset(crosslex.load_labeled_dataset(en, "en"))
+    spaces = {"en": crosslex.load_embeddings(inp["en"], "en")}
+    want = crosslex.zero_shot_eval(train, test, crosslex.load_alignment(model_dir),
+                                   spaces, allow_same_language=True)
+    [record] = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [record[key] for key in ("tp", "fp", "fn", "tn")] == [
+        want.tp, want.fp, want.fn, want.tn]
+    manifest = json.loads((tmp_path / "mono.jsonl.manifest.json").read_text())
+    assert manifest["seeds"] == {"split_seed": 0}
+
+
 def _knn(model_dir, emb):
     return main([
         "knn", "--model", str(model_dir), *emb,
@@ -537,7 +567,7 @@ CONFIG_FILE_ERRORS = {
     "[tokenizer]\nlowercase = maybe\n":
         "[tokenizer] lowercase: expected a boolean, got 'maybe' (line 2)",
     "[DEFAULT]\ndim = 0\n[sgns]\nepochs = 1\n":
-        "[sgns] dim must be >= 2, got 0 (line 2)",
+        "unknown configuration section [DEFAULT] (line 1)",
 }
 
 
@@ -833,12 +863,14 @@ def _library_guards():
     ds = crosslex.LabeledDataset("en", [(["a"], "hate"), (["b"], "non-hate")])
     clf = crosslex.ClassifierModel(weights=np.zeros(2), bias=0.0)
     xy = np.eye(3)
+    labels = [1, 0, 1]
     report = (["a"], "en", {"en": []}, "hate", None, {})
+    hub = ({"en": crosslex.EmbeddingSpace("en", ["a", "b"], np.eye(2))}, [], "en")
     return {
         "SgnsConfig.validate": lambda: crosslex.SgnsConfig(window=0).validate(),
         "ClassifyConfig.validate": lambda: crosslex.ClassifyConfig(
             l2=float("inf")).validate(),
-        "evaluate": lambda: crosslex.evaluate(clf, xy[:, :2], [1, 0, 1], 1.0),
+        "evaluate": lambda: crosslex.evaluate(clf, xy[:, :2], labels, 1.0),
         "split_dataset": lambda: crosslex.split_dataset(ds, seed=-1),
         "split_lexicon fraction": lambda: crosslex.split_lexicon(lex, 0.0, 0),
         "split_lexicon seed": lambda: crosslex.split_lexicon(lex, 0.5, -1),
@@ -854,6 +886,14 @@ def _library_guards():
             *report, variant="loose"),
         "fit_cca lambda": lambda: crosslex.fit_cca(xy, xy, lam=-1.0),
         "fit_cca kept_ratio": lambda: crosslex.fit_cca(xy, xy, kept_ratio=0.0),
+        "fit_hub_alignment lambda": lambda: crosslex.fit_hub_alignment(
+            *hub, lam=-1.0),
+        "fit_hub_alignment kept_ratio": lambda: crosslex.fit_hub_alignment(
+            *hub, kept_ratio=7.0),
+        "train_logreg epochs": lambda: crosslex.train_logreg(xy, labels, epochs=0),
+        "train_logreg learning_rate": lambda: crosslex.train_logreg(
+            xy, labels, learning_rate=-1.0),
+        "train_logreg l2": lambda: crosslex.train_logreg(xy, labels, l2=float("nan")),
         "build_vocab": lambda: crosslex.build_vocab([["a"]], min_count=0),
     }
 
@@ -1002,6 +1042,12 @@ def _without_pivot_lang(data):
     return json.dumps(meta).encode()
 
 
+def _shared_dim_as_string(data):
+    meta = json.loads(data)
+    meta["shared_dim"] = str(meta["shared_dim"])
+    return json.dumps(meta).encode()
+
+
 # Per input kind, its malformed forms: functions of the valid file's bytes.
 # A kind lacks a form its format cannot tell from a valid file: a corpus or
 # seed list is free text, one item per line, so any cut of it is text and it
@@ -1028,7 +1074,7 @@ MALFORMED_FORMS = {
     },
     "metadata.json": {
         "empty": _empty, "truncated": _half, "not UTF-8": _NOT_UTF8,
-        "missing key": _without_pivot_lang,
+        "missing key": _without_pivot_lang, "wrong type": _shared_dim_as_string,
     },
     "lexicon": {
         "empty": _empty, "truncated": _cut_before_last_tab, "not UTF-8": _NOT_UTF8,

@@ -26,47 +26,50 @@ def _run(*argv):
     assert main([str(arg) for arg in argv]) == 0, argv
 
 
-def _embeddings(inputs):
-    return [arg for lang in LANGS
+def _embeddings(inputs, langs=LANGS):
+    return [arg for lang in langs
             for arg in ("--embeddings", f"{lang}={inputs / f'{lang}.vec'}")]
 
 
-def _align(inputs, out):
+def _align(inputs, out, langs=LANGS):
     """The model files of ``align`` on the inputs: its directory and each
-    file's bytes, its manifest aside."""
+    file's bytes, its manifest aside. ``langs`` names the fixture's pivot
+    and other language, here and below."""
     model = out / "model"
-    _run("align", "--pivot", "en", *_embeddings(inputs),
-         "--lexicon", f"es={inputs / 'lex.tsv'}", "--output", model)
+    _run("align", "--pivot", langs[0], *_embeddings(inputs, langs),
+         "--lexicon", f"{langs[1]}={inputs / 'lex.tsv'}", "--output", model)
     return model, {path.name: path.read_bytes() for path in sorted(model.iterdir())
                    if path.name != "manifest.json"}
 
 
-def _bli(inputs, model, out):
+def _bli(inputs, model, out, langs=LANGS):
     path = out / "bli.jsonl"
-    _run("bli", "--model", model, *_embeddings(inputs), "--validation",
-         f"es={inputs / 'lex.tsv'}", "--k", "5", "--detailed", "--output", path)
+    _run("bli", "--model", model, *_embeddings(inputs, langs), "--validation",
+         f"{langs[1]}={inputs / 'lex.tsv'}", "--k", "5", "--detailed",
+         "--output", path)
     return path.read_bytes()
 
 
-def _labeled(inputs, model, out):
+def _labeled(inputs, model, out, langs=LANGS):
     """Each output of the commands that read the labeled TSVs: mine-rules
     per language and class, context-sim and zero-shot classify."""
-    datasets = {lang: inputs / f"{lang}.tsv" for lang in LANGS}
+    pivot, other = langs
+    datasets = {lang: inputs / f"{lang}.tsv" for lang in langs}
     outputs = {}
-    for lang in LANGS:
+    for lang in langs:
         for cls in CLASSES:
             outputs[f"rules_{lang}_{cls}"] = out / f"rules_{lang}_{cls}.jsonl"
             _run("mine-rules", "--dataset", datasets[lang], "--language", lang,
                  "--class", cls, "--output", outputs[f"rules_{lang}_{cls}"])
-    common = ["--model", model, *_embeddings(inputs)]
+    common = ["--model", model, *_embeddings(inputs, langs)]
     outputs["context-sim"] = out / "context.jsonl"
     _run("context-sim", *common, *(arg for lang, path in datasets.items()
                                    for arg in ("--dataset", f"{lang}={path}")),
-         "--seed-terms", "en1,en2,en3,en4", "--source-lang", "en",
+         "--seed-terms", "en1,en2,en3,en4", "--source-lang", pivot,
          "--output", outputs["context-sim"])
     outputs["classify"] = out / "classify.jsonl"
-    _run("classify", *common, "--train", f"en={datasets['en']}",
-         "--test", f"es={datasets['es']}", "--output", outputs["classify"])
+    _run("classify", *common, "--train", f"{pivot}={datasets[pivot]}",
+         "--test", f"{other}={datasets[other]}", "--output", outputs["classify"])
     return {name: path.read_bytes() for name, path in outputs.items()}
 
 
@@ -152,6 +155,29 @@ def test_every_document_twice_doubles_counts_only(reference, tmp_path):
     assert got == want
     assert got_metrics == {**want_metrics, **{
         key: 2 * want_metrics[key] for key in ("tp", "fp", "fn", "tn")}}
+
+
+def test_renaming_a_language_changes_only_its_name(reference, tmp_path):
+    """es becomes xx in every flag, file name and model file, and words keep
+    their spelling; once each "xx" field reads "es" again, every output is
+    the reference's. Stopword lists are chosen by language name, and no
+    word of the mini fixture is a stopword, so mining is blind to the name.
+    en sorts first under either name, so record order holds."""
+    inputs = _copy(reference, tmp_path)
+    for suffix in (".vec", ".tsv"):
+        (inputs / f"es{suffix}").rename(inputs / f"xx{suffix}")
+    langs = ("en", "xx")
+
+    def back(data):
+        return data.replace(b'"xx"', b'"es"')
+
+    model, model_files = _align(inputs, tmp_path, langs)
+    assert {name.replace("xx", "es"): back(data)
+            for name, data in model_files.items()} == reference["model_files"]
+    assert back(_bli(inputs, model, tmp_path, langs)) == reference["bli"]
+    labeled = _labeled(inputs, model, tmp_path, langs)
+    assert {name.replace("xx", "es"): back(data)
+            for name, data in labeled.items()} == reference["labeled"]
 
 
 def test_lines_of_words_below_min_count_change_no_vector(tmp_path):

@@ -9,6 +9,8 @@ import pytest
 import crosslex
 from crosslex import config
 
+from test_cli import _library_guards
+
 SRC = Path(crosslex.__file__).resolve().parent
 
 # The only functions that open a file for reading: the one checked reader of
@@ -112,6 +114,13 @@ def test_library_defaults_are_the_run_config_defaults(func, keyword, section,
                                                       key):
     default = inspect.signature(func).parameters[keyword].default
     assert default == config._SCHEMA[section][key][1]
+
+
+def test_every_library_default_has_a_guard():
+    """Each function that takes a run-config value checks it: the guard
+    table of ``test_cli`` names it first in one of its keys."""
+    guarded = {guard.split()[0] for guard in _library_guards()}
+    assert {func.__name__ for func, *_ in LIBRARY_DEFAULTS} - guarded == set()
 
 
 # rule -> (the calls it makes, the only functions that make them): one
