@@ -72,9 +72,9 @@ def train_logreg(features, labels, epochs=ClassifyConfig.epochs,
 
     Weights start at zero, so training is deterministic.
     """
-    for key, value in (("epochs", epochs), ("learning_rate", learning_rate),
-                       ("l2", l2)):
-        check("classify", key, value)
+    check("classify", "epochs", epochs)
+    check("classify", "learning_rate", learning_rate)
+    check("classify", "l2", l2)
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
     n = features.shape[0]

@@ -165,6 +165,7 @@ def load_config(path=None, overrides=()):
     cfg = {section: {key: default for key, (_, default, _) in keys.items()}
            for section, keys in _SCHEMA.items()}
     if path is not None:
+        # no header can name the default section "", so [DEFAULT] is unknown
         parser = configparser.ConfigParser(interpolation=None, default_section="")
         try:
             numbered = list(text_lines(path))

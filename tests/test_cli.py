@@ -870,7 +870,7 @@ def _library_guards():
         "SgnsConfig.validate": lambda: crosslex.SgnsConfig(window=0).validate(),
         "ClassifyConfig.validate": lambda: crosslex.ClassifyConfig(
             l2=float("inf")).validate(),
-        "evaluate": lambda: crosslex.evaluate(clf, xy[:, :2], labels, 1.0),
+        "evaluate": lambda: crosslex.evaluate(clf, xy[:, :2], [1, 0, 1], 1.0),
         "split_dataset": lambda: crosslex.split_dataset(ds, seed=-1),
         "split_lexicon fraction": lambda: crosslex.split_lexicon(lex, 0.0, 0),
         "split_lexicon seed": lambda: crosslex.split_lexicon(lex, 0.5, -1),
