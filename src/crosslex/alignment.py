@@ -290,13 +290,42 @@ def is_language_name(name):
     return isinstance(name, str) and re.fullmatch(r"[\w-]+", name) is not None
 
 
+def _check_stored(values, error):
+    """Raise ``error`` unless the values that ``metadata.json`` stores for
+    ``shared_dim``, ``normalize``, ``regularization`` and ``kept_ratio`` are
+    of their type and in their range, the numbers in that of their
+    ``[alignment]`` key."""
+    if type(values["shared_dim"]) is not int or values["shared_dim"] < 1:
+        raise error("metadata 'shared_dim' must be an integer >= 1")
+    if type(values["normalize"]) is not bool:
+        raise error("metadata 'normalize' must be true or false")
+    for name, key in (("regularization", "lambda"), ("kept_ratio", "kept_ratio")):
+        value = values[name]
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise error(f"metadata {name!r} must be a number")
+        try:
+            check("alignment", key, value)
+        except ConfigurationError as err:
+            raise error(f"metadata {name!r}: {err}") from None
+
+
 def save_alignment(model, dirpath):
     """Persist a model as a directory: one matrix file per non-pivot
-    language (``W`` and ``b`` blocks), then the metadata JSON."""
+    language (``W`` and ``b`` blocks), then the metadata JSON. A model that
+    ``load_alignment`` would refuse, for a language name, a stored value or
+    a map whose ``W`` does not have ``shared_dim`` columns, raises
+    ConfigurationError before anything is written."""
     bad = [lang for lang in (model.pivot_lang, *model.maps)
            if not is_language_name(lang)]
     if bad:
         raise ConfigurationError(f"invalid language name {bad[0]!r}")
+    _check_stored({name: getattr(model, name) for name in _STORED},
+                  ConfigurationError)
+    for lang, lmap in sorted(model.maps.items()):
+        if lmap.W.shape[1] != model.shared_dim:
+            raise ConfigurationError(
+                f"the {lang} map's W has {lmap.W.shape[1]} columns, expected "
+                f"{model.shared_dim} (shared_dim)")
     os.makedirs(dirpath, exist_ok=True)
     for lang, lmap in sorted(model.maps.items()):
         write_text(os.path.join(dirpath, f"{lang}.mat"), _matrix_lines(lmap.W, lmap.b))
@@ -331,18 +360,7 @@ def _read_metadata(path):
            if not is_language_name(lang)]
     if bad:
         raise FormatError(f"metadata names an invalid language {bad[0]!r}")
-    if type(meta["shared_dim"]) is not int or meta["shared_dim"] < 1:
-        raise FormatError("metadata 'shared_dim' must be an integer >= 1")
-    if type(meta["normalize"]) is not bool:
-        raise FormatError("metadata 'normalize' must be true or false")
-    # a stored number lies in the range of its [alignment] key
-    for name, key in (("regularization", "lambda"), ("kept_ratio", "kept_ratio")):
-        if type(meta[name]) not in (int, float):  # a bool is neither
-            raise FormatError(f"metadata {name!r} must be a number")
-        try:
-            check("alignment", key, meta[name])
-        except ConfigurationError as err:
-            raise FormatError(f"metadata {name!r}: {err}") from None
+    _check_stored(meta, FormatError)
     if meta.get("format", _FORMAT) != _FORMAT:
         raise FormatError(f"unsupported model format {meta['format']!r}")
     correlations = meta.get("correlations", {})
@@ -355,11 +373,11 @@ def _read_metadata(path):
     return meta
 
 
-def _read_language_map(lines):
+def _read_language_map(lines, shared_dim):
     """``W, b`` of a ``.mat`` file: its two blocks, or the four blocks of
     the older layout (mean, projection, back-map, pivot mean) folded.
-    The blocks are checked against each other; errors carry the line of
-    the offending block's header."""
+    The blocks are checked against each other and ``W``'s columns against
+    ``shared_dim``; errors carry the line of the offending block's header."""
     blocks, headers = [], []
     at = 0
     while at < len(lines):
@@ -367,19 +385,26 @@ def _read_language_map(lines):
         mat, at = _read_matrix(lines, at)
         blocks.append(mat)
     if len(blocks) == 4:
-        return _fold(*_check_legacy_blocks(blocks, headers))
-    if len(blocks) != 2:
+        W, b = _fold(*_check_legacy_blocks(blocks, headers))
+        name, line = "back-map", headers[2]  # whose columns are W's
+    elif len(blocks) != 2:
         raise FormatError(
             f"found {len(blocks)} matrix blocks, expected 2 (W, b) or 4",
             headers[4] if len(blocks) > 4 else len(lines) + 1)
-    W, b = blocks
-    if b.shape[0] != 1:
-        raise FormatError(f"b block has {b.shape[0]} rows, expected 1", headers[1])
-    if b.shape[1] != W.shape[1]:
-        raise FormatError(
-            f"b block has {b.shape[1]} values, expected {W.shape[1]} "
-            "(W's columns)", headers[1])
-    return W, b[0]
+    else:
+        W, b = blocks
+        if b.shape[0] != 1:
+            raise FormatError(f"b block has {b.shape[0]} rows, expected 1", headers[1])
+        if b.shape[1] != W.shape[1]:
+            raise FormatError(
+                f"b block has {b.shape[1]} values, expected {W.shape[1]} "
+                "(W's columns)", headers[1])
+        b = b[0]
+        name, line = "W", headers[0]
+    if W.shape[1] != shared_dim:
+        raise FormatError(f"{name} block has {W.shape[1]} columns, expected "
+                          f"{shared_dim} (shared_dim)", line)
+    return W, b
 
 
 def _check_legacy_blocks(blocks, headers):
@@ -417,7 +442,7 @@ def load_alignment(dirpath):
         with in_file(path):
             lines = [line for _, line in text_lines(path)]
             model.maps[lang] = LanguageMap(
-                *_read_language_map(lines),
+                *_read_language_map(lines, model.shared_dim),
                 correlations=np.array(correlations.get(lang, []), dtype=np.float64),
             )
     return model

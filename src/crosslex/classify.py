@@ -153,9 +153,10 @@ def zero_shot_eval(train_ds, test_ds, model, spaces, cfg=ClassifyConfig(),
 
     Training consumes only train_ds, so no target-language document can
     influence the classifier. Same-language evaluation requires the
-    explicit monolingual flag, and an empty test set is an error.
+    explicit monolingual flag, and an empty test set is an error. The
+    ``cfg`` values it uses are checked by ``train_logreg`` and ``evaluate``;
+    ``cfg.split_seed`` is ``split_dataset``'s.
     """
-    cfg.validate()
     if train_ds.language == test_ds.language and not allow_same_language:
         raise ProtocolError(
             "train and test language coincide; pass the monolingual flag "

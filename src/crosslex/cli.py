@@ -107,15 +107,19 @@ def _add_lang_paths(parser, flag, help=None):
                         type=_lang_path_pair, metavar="LANG=PATH", help=help)
 
 
-def _load_spaces(args, needed):
+def _load_spaces(args, needed, model=None):
     """The ``--embeddings`` spaces of the languages in ``needed``, which maps
     each language the command uses to the flag that names it, and the paths
-    read. A needed language without a space is an error; the files of other
-    languages are not read."""
+    read. A needed language without a space, or one other than the pivot
+    that is not in ``model``, is an error raised before any file is read;
+    the files of other languages are not read."""
     for lang, flag in needed.items():
         if lang not in args.embeddings:
             raise ConfigurationError(
                 f"{flag} language {lang!r} has no --embeddings {lang}=PATH")
+        if model and lang != model.pivot_lang and lang not in model.maps:
+            raise ConfigurationError(
+                f"{args.model}: language {lang!r} not in alignment model")
     paths = {lang: path for lang, path in args.embeddings.items() if lang in needed}
     spaces = {lang: load_embeddings(path, lang) for lang, path in paths.items()}
     return spaces, list(paths.values())
@@ -155,7 +159,6 @@ def _cmd_filter_corpus(args, cfg):
     _manifest(args, {"tokenizer": cfg["tokenizer"], "kept": len(kept),
                      "total": len(lines)}, [args.input, args.seeds])
     print(f"kept {len(kept)} of {len(lines)} lines", file=sys.stderr)
-    return EXIT_OK
 
 
 def _cmd_train_embeddings(args, cfg):
@@ -169,7 +172,6 @@ def _cmd_train_embeddings(args, cfg):
               [args.corpus], seeds={"rng_seed": cfg["sgns"]["rng_seed"]})
     print(f"trained {len(space)} x {space.dim} vectors for {args.language}",
           file=sys.stderr)
-    return EXIT_OK
 
 
 def _cmd_align(args, cfg):
@@ -201,26 +203,17 @@ def _cmd_align(args, cfg):
     _manifest(args, {"alignment": acfg, "pivot": pivot},
               read + list(args.lexicon.values()),
               seeds={"split_seed": acfg["split_seed"]})
-    return EXIT_OK
 
 
-def _load_model(args, cfg, languages):
+def _load_model(args, cfg):
     """The model as loaded, which prepares the spaces it is given, and the
     files read: its ``metadata.json`` and one ``.mat`` per language.
 
-    One of the command's ``languages`` that has ``--embeddings`` but is not
-    in the model is an error, raised before any space is read; one without
-    ``--embeddings`` is left to ``_load_spaces``, which names its flag. A
-    run config whose ``alignment.normalize`` disagrees with the model is an
-    error. A model without the format marker may understate its
+    A run config whose ``alignment.normalize`` disagrees with the model is
+    an error. A model without the format marker may understate its
     preparation, so it normalizes when its metadata or the config says so.
     """
     model = load_alignment(args.model)
-    unknown = [lang for lang in languages if lang in args.embeddings
-               and lang != model.pivot_lang and lang not in model.maps]
-    if unknown:
-        raise ConfigurationError(
-            f"{args.model}: language {unknown[0]!r} not in alignment model")
     normalize = cfg["alignment"]["normalize"]
     if model.legacy:
         model.normalize = model.normalize or normalize
@@ -236,8 +229,9 @@ def _load_model(args, cfg, languages):
 
 
 def _cmd_knn(args, cfg):
-    model, _ = _load_model(args, cfg, (args.lang, args.target))
-    spaces, _ = _load_spaces(args, {args.lang: "--lang", args.target: "--target"})
+    model, _ = _load_model(args, cfg)
+    spaces, _ = _load_spaces(args, {args.lang: "--lang", args.target: "--target"},
+                             model)
     result = knn(model, spaces, args.word, args.lang, args.target, args.k)
     records = [
         {"query": result.query_word, "query_lang": result.query_lang,
@@ -247,14 +241,13 @@ def _cmd_knn(args, cfg):
     if result.truncated:
         records.append({"query": result.query_word, "truncated": True})
     _write_jsonl(args.output, records)
-    return EXIT_OK
 
 
 def _cmd_bli(args, cfg):
-    model, model_files = _load_model(args, cfg, args.validation)
+    model, model_files = _load_model(args, cfg)
     spaces, read = _load_spaces(args, {
         model.pivot_lang: "pivot",
-        **{lang: "--validation" for lang in args.validation}})
+        **{lang: "--validation" for lang in args.validation}}, model)
     records = []
     for lang, path in args.validation.items():
         with in_file(path):
@@ -275,7 +268,6 @@ def _cmd_bli(args, cfg):
     _write_jsonl(args.output, records)
     _manifest(args, {"k": args.k},
               list(args.validation.values()) + read + model_files)
-    return EXIT_OK
 
 
 def _mine(ds, class_filter, mcfg, path):
@@ -297,7 +289,6 @@ def _cmd_mine_rules(args, cfg):
     counts = ds.class_counts()
     print(f"classes: hate={counts.get(HATE, 0)} non-hate={counts.get(NON_HATE, 0)}; "
           f"{len(rules)} rules", file=sys.stderr)
-    return EXIT_OK
 
 
 def _cmd_context_sim(args, cfg):
@@ -310,8 +301,9 @@ def _cmd_context_sim(args, cfg):
             f"no target language: pass a --dataset in a language other than "
             f"{args.source_lang!r}")
     tok = TokenizerConfig(**cfg["tokenizer"])
-    model, _ = _load_model(args, cfg, args.dataset)
-    spaces, _ = _load_spaces(args, {lang: "--dataset" for lang in args.dataset})
+    model, _ = _load_model(args, cfg)
+    spaces, _ = _load_spaces(args, {lang: "--dataset" for lang in args.dataset},
+                             model)
     datasets = {lang: load_labeled_dataset(path, lang, tok)
                 for lang, path in args.dataset.items()}
     rules = {lang: _mine(ds, args.class_filter, cfg["mining"], args.dataset[lang])
@@ -321,7 +313,6 @@ def _cmd_context_sim(args, cfg):
         args.seed_terms, args.source_lang, rules, args.class_filter, model, spaces,
         top_m=scfg["top_m"], variant=scfg["variant"])
     _write_jsonl(args.output, records)
-    return EXIT_OK
 
 
 def _cmd_classify(args, cfg):
@@ -329,8 +320,9 @@ def _cmd_classify(args, cfg):
     ccfg = ClassifyConfig(**cfg["classify"])
     train_lang, train_path = args.train
     test_lang, test_path = args.test
-    model, model_files = _load_model(args, cfg, (train_lang, test_lang))
-    spaces, read = _load_spaces(args, {train_lang: "--train", test_lang: "--test"})
+    model, model_files = _load_model(args, cfg)
+    spaces, read = _load_spaces(args, {train_lang: "--train", test_lang: "--test"},
+                                model)
     train_ds = load_labeled_dataset(train_path, train_lang, tok)
     test_ds = (train_ds if args.test == args.train
                else load_labeled_dataset(test_path, test_lang, tok))
@@ -353,7 +345,6 @@ def _cmd_classify(args, cfg):
                      "test": test_lang},
               [train_path, test_path] + read + model_files,
               seeds={"split_seed": ccfg.split_seed})
-    return EXIT_OK
 
 
 def _cmd_report(args, cfg):
@@ -392,7 +383,6 @@ def _cmd_report(args, cfg):
             seed + "\t" + "\t".join(cells.get((seed, lang), "") for lang in langs)
         )
     write_text(args.output, (line + "\n" for line in lines))
-    return EXIT_OK
 
 
 def _override(value):
@@ -516,7 +506,8 @@ def main(argv=None):
                if hasattr(args, "overrides") else None)
         if getattr(args, "output", None):
             os.makedirs(os.path.dirname(os.path.abspath(args.output)), exist_ok=True)
-        return args.func(args, cfg)
+        args.func(args, cfg)
+        return EXIT_OK
     except ConfigurationError as err:
         print(f"crosslex: configuration error: {err}", file=sys.stderr)
         return EXIT_USAGE

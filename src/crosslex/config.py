@@ -36,10 +36,6 @@ class SgnsConfig:
     subsample_t: float = _field(1e-4, ">= 0")
     rng_seed: int = _field(1, ">= 0")
 
-    def validate(self):
-        for key, value in vars(self).items():
-            check("sgns", key, value)
-
 
 @dataclasses.dataclass(frozen=True)
 class ClassifyConfig:
@@ -48,10 +44,6 @@ class ClassifyConfig:
     l2: float = _field(1e-4, ">= 0")
     threshold: float = _field(0.5, "(0, 1)")
     split_seed: int = _field(0, ">= 0")
-
-    def validate(self):
-        for key, value in vars(self).items():
-            check("classify", key, value)
 
 
 def _fields(cls):

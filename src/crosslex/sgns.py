@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import SgnsConfig  # noqa: F401 (re-exported)
+from .config import SgnsConfig, check  # noqa: F401 (SgnsConfig re-exported)
 from .corpus import build_vocab
 from .embedding_store import EmbeddingSpace
 from .errors import ConfigurationError, InsufficientDataError
@@ -213,7 +213,8 @@ def train_sgns(corpus, cfg):
     bit-reproducible for a fixed rng_seed. A learning rate so large that
     a vector becomes non-finite raises ConfigurationError.
     """
-    cfg.validate()
+    for key, value in vars(cfg).items():
+        check("sgns", key, value)
     corpus = [list(doc) for doc in corpus]
     if not corpus:
         raise InsufficientDataError("empty corpus")

@@ -6,6 +6,7 @@ import pytest
 import scipy.linalg
 
 from crosslex import (
+    AlignmentModel,
     BilingualLexicon,
     ClassifyConfig,
     EmbeddingSpace,
@@ -445,6 +446,10 @@ def _mat_lines(*shapes):
     (((2, 6), (6, 4), (4, 6), (1, 6)), 1, "mean block has 2 rows, expected 1"),
     (((1, 6), (6, 4), (4, 6), (2, 6)), 15,
      "pivot mean block has 2 rows, expected 1"),
+    # blocks that agree with each other but not with shared_dim, 50
+    (((50, 49), (1, 49)), 1, "W block has 49 columns, expected 50 (shared_dim)"),
+    (((1, 6), (6, 4), (4, 6), (1, 6)), 10,
+     "back-map block has 6 columns, expected 50 (shared_dim)"),
 ])
 def test_mat_block_shape_mismatch_names_block(tmp_path, trilingual, shapes,
                                                line, message):
@@ -457,9 +462,9 @@ def test_mat_block_shape_mismatch_names_block(tmp_path, trilingual, shapes,
 def test_mat_consistent_blocks_load(tmp_path, trilingual):
     save_alignment(trilingual.model, tmp_path / "model")
     (tmp_path / "model" / "it.mat").write_text(
-        "".join(_mat_lines((1, 6), (6, 4), (4, 6), (1, 6))))
+        "".join(_mat_lines((1, 6), (6, 4), (4, 50), (1, 50))))
     lmap = load_alignment(tmp_path / "model").maps["it"]
-    mean, P, B, pm = (np.ones(shape) for shape in ((6,), (6, 4), (4, 6), (6,)))
+    mean, P, B, pm = (np.ones(shape) for shape in ((6,), (6, 4), (4, 50), (50,)))
     assert np.array_equal(lmap.W, P @ B)
     assert np.array_equal(lmap.b, pm - mean @ lmap.W)
 
@@ -484,7 +489,9 @@ def test_corrupt_metadata_is_format_error(tmp_path, trilingual, text, message,
     assert str(exc.value).startswith(f"{meta}: {message}")
 
 
-@pytest.mark.parametrize("key,value,message", [
+# (field, stored value, the message after "metadata "): one value of the
+# wrong type or out of range per stored field, refused on save and on load.
+BAD_STORED = [
     ("shared_dim", "100", "'shared_dim' must be an integer >= 1"),
     ("shared_dim", True, "'shared_dim' must be an integer >= 1"),
     ("shared_dim", 0, "'shared_dim' must be an integer >= 1"),
@@ -497,7 +504,10 @@ def test_corrupt_metadata_is_format_error(tmp_path, trilingual, text, message,
     ("kept_ratio", "x", "'kept_ratio' must be a number"),
     ("kept_ratio", 7, "'kept_ratio': [alignment] kept_ratio must be in (0, 1], "
      "got 7"),
-])
+]
+
+
+@pytest.mark.parametrize("key,value,message", BAD_STORED)
 def test_metadata_value_of_wrong_type_or_range_is_format_error(
         tmp_path, trilingual, key, value, message):
     save_alignment(trilingual.model, tmp_path / "model")
@@ -508,6 +518,32 @@ def test_metadata_value_of_wrong_type_or_range_is_format_error(
     with pytest.raises(FormatError) as exc:
         load_alignment(tmp_path / "model")
     assert str(exc.value) == f"{meta}: metadata {message}"
+
+
+@pytest.mark.parametrize("key,value,message", BAD_STORED)
+def test_save_alignment_refuses_what_load_refuses(tmp_path, trilingual, key,
+                                                  value, message):
+    model = dataclasses.replace(trilingual.model, **{key: value})
+    with pytest.raises(ConfigurationError) as exc:
+        save_alignment(model, tmp_path / "model")
+    assert str(exc.value) == f"metadata {message}"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_save_alignment_refuses_a_hand_built_model_before_writing(tmp_path):
+    model = AlignmentModel("en", 0, -1.0, 7.0, "yes")
+    with pytest.raises(ConfigurationError,
+                       match="^metadata 'shared_dim' must be an integer >= 1$"):
+        save_alignment(model, tmp_path / "model")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_save_alignment_refuses_a_map_not_into_shared_dim(tmp_path, trilingual):
+    model = dataclasses.replace(trilingual.model, shared_dim=49)
+    with pytest.raises(ConfigurationError) as exc:
+        save_alignment(model, tmp_path / "model")
+    assert str(exc.value) == "the es map's W has 50 columns, expected 49 (shared_dim)"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_metadata_languages_must_be_strings(tmp_path, trilingual):

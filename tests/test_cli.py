@@ -1,4 +1,6 @@
 import argparse
+import dataclasses
+import functools
 import json
 import re
 import shutil
@@ -866,10 +868,20 @@ def _library_guards():
     labels = [1, 0, 1]
     report = (["a"], "en", {"en": []}, "hate", None, {})
     hub = ({"en": crosslex.EmbeddingSpace("en", ["a", "b"], np.eye(2))}, [], "en")
+    pivot_only = crosslex.AlignmentModel("en", 2, 1e-3, 0.8, False)
+    # one value out of range per [sgns] field; a new field needs one here
+    bad_sgns = {"dim": 1, "window": 0, "negatives": 0, "epochs": 0,
+                "learning_rate": float("nan"), "min_count": 0,
+                "subsample_t": -1.0, "rng_seed": -1}
     return {
-        "SgnsConfig.validate": lambda: crosslex.SgnsConfig(window=0).validate(),
-        "ClassifyConfig.validate": lambda: crosslex.ClassifyConfig(
-            l2=float("inf")).validate(),
+        **{f"train_sgns {f.name}": functools.partial(
+            crosslex.train_sgns, [["a", "b"]],
+            crosslex.SgnsConfig(**{f.name: bad_sgns[f.name]}))
+           for f in dataclasses.fields(crosslex.SgnsConfig)},
+        # past the featurizing, where train_logreg checks the value
+        "zero_shot_eval": lambda: crosslex.zero_shot_eval(
+            ds, ds, pivot_only, hub[0], crosslex.ClassifyConfig(l2=float("inf")),
+            allow_same_language=True),
         "evaluate": lambda: crosslex.evaluate(clf, xy[:, :2], [1, 0, 1], 1.0),
         "split_dataset": lambda: crosslex.split_dataset(ds, seed=-1),
         "split_lexicon fraction": lambda: crosslex.split_lexicon(lex, 0.0, 0),
@@ -1048,6 +1060,16 @@ def _shared_dim_as_string(data):
     return json.dumps(meta).encode()
 
 
+def _one_column_fewer(data):
+    """A ``.mat`` file's W and b without their last column: blocks that
+    agree with each other, but a W that does not end in shared_dim."""
+    lines = data.decode().splitlines()
+    rows = int(lines[0].split()[0])
+    W, b = (np.array([line.split() for line in block], dtype=float)
+            for block in (lines[1:rows + 1], lines[rows + 2:]))
+    return "".join(crosslex.alignment._matrix_lines(W[:, :-1], b[:, :-1])).encode()
+
+
 # Per input kind, its malformed forms: functions of the valid file's bytes.
 # A kind lacks a form its format cannot tell from a valid file: a corpus or
 # seed list is free text, one item per line, so any cut of it is text and it
@@ -1071,6 +1093,7 @@ MALFORMED_FORMS = {
         "empty": _empty, "truncated": _half, "not UTF-8": _NOT_UTF8,
         "wrong column count": _SHORT_ROW,
         "missing key": _without_first_line,
+        "width not shared_dim": _one_column_fewer,
     },
     "metadata.json": {
         "empty": _empty, "truncated": _half, "not UTF-8": _NOT_UTF8,

@@ -1,5 +1,6 @@
 """The README's promises about the package match the package."""
 
+import inspect
 import re
 from pathlib import Path
 
@@ -38,3 +39,10 @@ def test_config_table_matches_the_schema():
         for key, (kind, default, valid) in keys.items()
     ]
     assert rows == expected
+
+
+def test_every_exported_function_is_documented():
+    names = set(_library_surface())
+    exported = [name for name, obj in vars(crosslex).items()
+                if inspect.isfunction(obj) and not name.startswith("_")]
+    assert sorted(set(exported) - names) == []

@@ -143,3 +143,27 @@ ONE_HOME = {
 def test_each_rule_has_one_home(rule):
     names, home = ONE_HOME[rule]
     assert {where for name in names for where, _ in _source_calls(name)} == home
+
+
+def _module_tree(module):
+    return ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+
+
+def test_commands_leave_the_success_code_to_main():
+    """No ``cli._cmd_*`` returns a value: ``main`` returns 0 once a command
+    has run, and every failure is an exception that it maps to its code."""
+    found = [node.name for node in _module_tree("cli").body
+             if isinstance(node, ast.FunctionDef) and node.name.startswith("_cmd_")
+             and any(isinstance(inner, ast.Return) and inner.value is not None
+                     for inner in ast.walk(node))]
+    assert found == []
+
+
+@pytest.mark.parametrize("name", ["TokenizerConfig", "SgnsConfig", "ClassifyConfig"])
+def test_config_records_define_no_functions(name):
+    """The config dataclasses are plain records: a value is checked by the
+    function that takes it, against ``config._SCHEMA``."""
+    [record] = [node for node in _module_tree("config").body
+                if isinstance(node, ast.ClassDef) and node.name == name]
+    assert not [node for node in ast.walk(record)
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
