@@ -200,19 +200,25 @@ def _language_map(model, language):
     return model.maps[language]
 
 
-def _shared_rows(model, language, spaces, rows):
-    """Shared-space float64 rows of ``spaces[language].vectors[rows]``:
-    prepared as the model says, then mapped unless ``language`` is the
-    pivot. A map that does not fit the space raises DimensionError."""
+def checked_map(model, language, space):
+    """The map of ``language`` (None for the pivot), which must take the
+    rows of ``space`` into the shared space: DimensionError otherwise."""
     lmap = _language_map(model, language)
-    space = spaces[language]
     takes, gives = (model.shared_dim,) * 2 if lmap is None else lmap.W.shape
     if (takes, gives) != (space.dim, model.shared_dim):
         raise DimensionError(
             f"the {language} map takes {takes} dimensions to {gives}, but the "
             f"{language} space has {space.dim} and the shared space "
             f"{model.shared_dim}")
-    vecs = _prepare(space.vectors[rows], model.normalize)
+    return lmap
+
+
+def _shared_rows(model, language, spaces, rows):
+    """Shared-space float64 rows of ``spaces[language].vectors[rows]``:
+    prepared as the model says, then mapped unless ``language`` is the
+    pivot. A map that does not fit the space raises DimensionError."""
+    lmap = checked_map(model, language, spaces[language])
+    vecs = _prepare(spaces[language].vectors[rows], model.normalize)
     if lmap is None:
         return vecs
     out = vecs @ lmap.W
@@ -290,45 +296,11 @@ def is_language_name(name):
     return isinstance(name, str) and re.fullmatch(r"[\w-]+", name) is not None
 
 
-def _check_stored(values, error):
-    """Raise ``error`` unless the values that ``metadata.json`` stores for
-    ``shared_dim``, ``normalize``, ``regularization`` and ``kept_ratio`` are
-    of their type and in their range, the numbers in that of their
-    ``[alignment]`` key."""
-    if type(values["shared_dim"]) is not int or values["shared_dim"] < 1:
-        raise error("metadata 'shared_dim' must be an integer >= 1")
-    if type(values["normalize"]) is not bool:
-        raise error("metadata 'normalize' must be true or false")
-    for name, key in (("regularization", "lambda"), ("kept_ratio", "kept_ratio")):
-        value = values[name]
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise error(f"metadata {name!r} must be a number")
-        try:
-            check("alignment", key, value)
-        except ConfigurationError as err:
-            raise error(f"metadata {name!r}: {err}") from None
-
-
 def save_alignment(model, dirpath):
     """Persist a model as a directory: one matrix file per non-pivot
     language (``W`` and ``b`` blocks), then the metadata JSON. A model that
-    ``load_alignment`` would refuse, for a language name, a stored value or
-    a map whose ``W`` does not have ``shared_dim`` columns, raises
-    ConfigurationError before anything is written."""
-    bad = [lang for lang in (model.pivot_lang, *model.maps)
-           if not is_language_name(lang)]
-    if bad:
-        raise ConfigurationError(f"invalid language name {bad[0]!r}")
-    _check_stored({name: getattr(model, name) for name in _STORED},
-                  ConfigurationError)
-    for lang, lmap in sorted(model.maps.items()):
-        if lmap.W.shape[1] != model.shared_dim:
-            raise ConfigurationError(
-                f"the {lang} map's W has {lmap.W.shape[1]} columns, expected "
-                f"{model.shared_dim} (shared_dim)")
-    os.makedirs(dirpath, exist_ok=True)
-    for lang, lmap in sorted(model.maps.items()):
-        write_text(os.path.join(dirpath, f"{lang}.mat"), _matrix_lines(lmap.W, lmap.b))
+    ``load_alignment``'s checks of these files would refuse raises
+    ConfigurationError with the loader's message before anything is written."""
     meta = {
         "format": _FORMAT,
         **{name: getattr(model, name) for name in _STORED},
@@ -336,11 +308,21 @@ def save_alignment(model, dirpath):
         "correlations": {lang: lmap.correlations.tolist()
                          for lang, lmap in sorted(model.maps.items())},
     }
-    write_text(os.path.join(dirpath, "metadata.json"),
-               [json.dumps(meta, indent=2, sort_keys=True), "\n"])
-
-
-_META_KEYS = (*_STORED, "languages")
+    mats = {os.path.join(dirpath, f"{lang}.mat"): list(_matrix_lines(lmap.W, lmap.b))
+            for lang, lmap in sorted(model.maps.items())}
+    meta_path = os.path.join(dirpath, "metadata.json")
+    try:
+        with in_file(meta_path):
+            _check_metadata(meta)
+        for path, lines in mats.items():
+            with in_file(path):
+                _read_language_map(lines, model.shared_dim)
+    except FormatError as err:
+        raise ConfigurationError(str(err)) from None
+    os.makedirs(dirpath, exist_ok=True)
+    for path, lines in mats.items():
+        write_text(path, lines)
+    write_text(meta_path, [json.dumps(meta, indent=2, sort_keys=True), "\n"])
 
 
 def _read_metadata(path):
@@ -348,9 +330,18 @@ def _read_metadata(path):
         meta = json.loads("".join(line for _, line in text_lines(path)))
     except json.JSONDecodeError as err:
         raise FormatError(f"invalid JSON: {err.msg}", err.lineno) from None
+    _check_metadata(meta)
+    return meta
+
+
+def _check_metadata(meta):
+    """Raise FormatError unless ``meta`` is a JSON object with every model
+    key, language names, stored values of their type and in their range
+    (the numbers in that of their ``[alignment]`` key), a known format and
+    lists of numbers as correlations."""
     if not isinstance(meta, dict):
         raise FormatError("metadata must be a JSON object")
-    missing = [key for key in _META_KEYS if key not in meta]
+    missing = [key for key in (*_STORED, "languages") if key not in meta]
     if missing:
         raise FormatError(f"metadata lacks {', '.join(missing)}")
     if not isinstance(meta["languages"], list) or not all(
@@ -360,7 +351,18 @@ def _read_metadata(path):
            if not is_language_name(lang)]
     if bad:
         raise FormatError(f"metadata names an invalid language {bad[0]!r}")
-    _check_stored(meta, FormatError)
+    if type(meta["shared_dim"]) is not int or meta["shared_dim"] < 1:
+        raise FormatError("metadata 'shared_dim' must be an integer >= 1")
+    if type(meta["normalize"]) is not bool:
+        raise FormatError("metadata 'normalize' must be true or false")
+    for name, key in (("regularization", "lambda"), ("kept_ratio", "kept_ratio")):
+        value = meta[name]
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise FormatError(f"metadata {name!r} must be a number")
+        try:
+            check("alignment", key, value)
+        except ConfigurationError as err:
+            raise FormatError(f"metadata {name!r}: {err}") from None
     if meta.get("format", _FORMAT) != _FORMAT:
         raise FormatError(f"unsupported model format {meta['format']!r}")
     correlations = meta.get("correlations", {})
@@ -370,7 +372,6 @@ def _read_metadata(path):
             for values in correlations.values()):
         raise FormatError("metadata 'correlations' must map languages to "
                           "lists of numbers")
-    return meta
 
 
 def _read_language_map(lines, shared_dim):

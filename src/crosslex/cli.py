@@ -16,6 +16,7 @@ import sys
 
 from . import __version__
 from .alignment import (
+    checked_map,
     fit_hub_alignment,
     is_language_name,
     load_alignment,
@@ -29,6 +30,7 @@ from .embedding_store import load_embeddings, save_embeddings
 from .errors import (
     ConfigurationError,
     CrosslexError,
+    DimensionError,
     FormatError,
     InsufficientDataError,
     ProtocolError,
@@ -112,7 +114,8 @@ def _load_spaces(args, needed, model=None):
     each language the command uses to the flag that names it, and the paths
     read. A needed language without a space, or one other than the pivot
     that is not in ``model``, is an error raised before any file is read;
-    the files of other languages are not read."""
+    the files of other languages are not read. A space that its map in
+    ``model`` does not fit is an error naming its file and the model."""
     for lang, flag in needed.items():
         if lang not in args.embeddings:
             raise ConfigurationError(
@@ -121,7 +124,15 @@ def _load_spaces(args, needed, model=None):
             raise ConfigurationError(
                 f"{args.model}: language {lang!r} not in alignment model")
     paths = {lang: path for lang, path in args.embeddings.items() if lang in needed}
-    spaces = {lang: load_embeddings(path, lang) for lang, path in paths.items()}
+    spaces = {}
+    for lang, path in paths.items():
+        spaces[lang] = load_embeddings(path, lang)
+        if model:
+            try:
+                checked_map(model, lang, spaces[lang])
+            except DimensionError as err:
+                raise DimensionError(
+                    f"{path} does not fit {args.model}: {err}") from None
     return spaces, list(paths.values())
 
 

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import itertools
+import math
+import re
 
 import numpy as np
 
 from .errors import (
+    ConfigurationError,
     DimensionError,
     DomainError,
     FormatError,
@@ -205,8 +208,32 @@ def _parse_lines(path):
     return words, np.vstack(rows)
 
 
+# A character that ends a word in the files that load_embeddings reads.
+_WORD_BREAK = re.compile(r"[ \n\r]")
+
+
 def save_embeddings(space, path):
-    """Write a space in word2vec text format with 6 decimal digits."""
+    """Write a space in word2vec text format with 6 decimal digits.
+
+    A space that ``load_embeddings`` could not read back as written raises
+    ConfigurationError before anything is written: one without words, or
+    one with a word that is empty or holds a space, ``\\n`` or ``\\r``, or
+    whose vector is not finite or is all zeros at 6 decimals (every
+    magnitude below 5e-7). The error names the first such word.
+    """
+    if not len(space):
+        raise ConfigurationError("cannot save a space without words")
+    peak = np.abs(space.vectors).max(axis=1).tolist()
+    for word, top in zip(space.words, peak):
+        if not word or _WORD_BREAK.search(word):
+            fault = "a word must be nonempty and hold no space, \\n or \\r"
+        elif not math.isfinite(top):
+            fault = "its vector is not finite"
+        elif top < 5e-7:
+            fault = "its vector is all zeros at 6 decimals"
+        else:
+            continue
+        raise ConfigurationError(f"cannot save word {word!r}: {fault}")
     row_fmt = " ".join(["%.6f"] * space.dim)
     write_text(path, itertools.chain(
         [f"{len(space)} {space.dim}\n"],

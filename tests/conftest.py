@@ -3,6 +3,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from crosslex import (
     BilingualLexicon,
@@ -18,6 +19,14 @@ def random_orthogonal(dim, seed):
     rng = np.random.default_rng(seed)
     q, r = np.linalg.qr(rng.normal(size=(dim, dim)))
     return q * np.sign(np.diag(r))
+
+
+def mostly(valid, *faults, one_in=10):
+    """A strategy: one of ``faults`` in about one draw of ``one_in``, else
+    ``valid``. The fault is on a middle value, which Hypothesis draws no
+    more often than the others, unlike the bounds."""
+    return st.integers(1, one_in).flatmap(
+        lambda i: st.sampled_from(faults) if i == one_in // 2 else valid)
 
 
 def write_embedding_file(path, words, vectors):

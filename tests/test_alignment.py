@@ -1,9 +1,13 @@
 import dataclasses
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from crosslex import (
     AlignmentModel,
@@ -32,7 +36,7 @@ from crosslex.errors import (
 )
 from crosslex.rules import HATE, LabeledDataset
 
-from conftest import random_orthogonal
+from conftest import mostly, random_orthogonal
 
 
 def oracle_correlations(X, Y):
@@ -329,17 +333,6 @@ def test_legacy_four_block_model_loads_folded(tmp_path, trilingual):
         assert np.max(np.abs(again.maps[lang].b - tri.model.maps[lang].b)) < 1e-12
 
 
-@pytest.mark.parametrize("pivot,lang", [("en", "../x"), ("../x", "es"),
-                                        ("en", "\ud800")])
-def test_save_alignment_rejects_bad_language_before_writing(tmp_path, trilingual,
-                                                            pivot, lang):
-    model = dataclasses.replace(trilingual.model, pivot_lang=pivot,
-                                maps={lang: trilingual.model.maps["es"]})
-    with pytest.raises(ConfigurationError, match="invalid language name"):
-        save_alignment(model, tmp_path / "model")
-    assert list(tmp_path.iterdir()) == []
-
-
 def test_alignment_model_roundtrip(tmp_path, trilingual):
     tri = trilingual
     save_alignment(tri.model, tmp_path / "model")
@@ -520,30 +513,141 @@ def test_metadata_value_of_wrong_type_or_range_is_format_error(
     assert str(exc.value) == f"{meta}: metadata {message}"
 
 
-@pytest.mark.parametrize("key,value,message", BAD_STORED)
-def test_save_alignment_refuses_what_load_refuses(tmp_path, trilingual, key,
-                                                  value, message):
-    model = dataclasses.replace(trilingual.model, **{key: value})
-    with pytest.raises(ConfigurationError) as exc:
-        save_alignment(model, tmp_path / "model")
-    assert str(exc.value) == f"metadata {message}"
+def _replace(**values):
+    """A change of a model: these fields replaced."""
+    return lambda model: dataclasses.replace(model, **values)
+
+
+def _languages(pivot, lang):
+    """A change of a model: this pivot, and the es map under ``lang``."""
+    return lambda model: dataclasses.replace(model, pivot_lang=pivot,
+                                             maps={lang: model.maps["es"]})
+
+
+def _es_map(W=lambda W: W, b=lambda b: b):
+    """A change of a model: the es map's ``W`` and ``b`` passed through
+    these functions."""
+    def change(model):
+        lmap = model.maps["es"]
+        es = alignment.LanguageMap(W(lmap.W.copy()), b(lmap.b.copy()))
+        return dataclasses.replace(model, maps={**model.maps, "es": es})
+    return change
+
+
+def _cell(index, value):
+    """A function that sets one cell of a matrix."""
+    def put(mat):
+        mat[index] = value
+        return mat
+    return put
+
+
+# (change of the fitted trilingual model, the file the loader names, its
+# message): models that load_alignment refuses once written. The es map's
+# W (50 x 50) is lines 1-51 of es.mat and its b lines 52-53.
+BAD_MODELS = [
+    *(pytest.param(_replace(**{key: value}), "metadata.json",
+                   f"metadata {message}", id=f"{key}-{value}-{message}")
+      for key, value, message in BAD_STORED),
+    pytest.param(lambda model: AlignmentModel("en", 0, -1.0, 7.0, "yes"),
+                 "metadata.json", "metadata 'shared_dim' must be an integer >= 1",
+                 id="hand-built"),
+    pytest.param(_languages("en", "../x"), "metadata.json",
+                 "metadata names an invalid language '../x'", id="language en-../x"),
+    pytest.param(_languages("../x", "es"), "metadata.json",
+                 "metadata names an invalid language '../x'", id="language ../x-es"),
+    pytest.param(_languages("\ud800", "es"), "metadata.json",
+                 "metadata names an invalid language '\\ud800'",
+                 id="language \ud800-es"),
+    pytest.param(_replace(shared_dim=49), "es.mat",
+                 "W block has 50 columns, expected 49 (shared_dim) (line 1)",
+                 id="W width not shared_dim"),
+    pytest.param(_es_map(b=lambda b: b[:2]), "es.mat",
+                 "b block has 2 values, expected 50 (W's columns) (line 52)",
+                 id="b narrower than W"),
+    pytest.param(_es_map(b=lambda b: np.stack([b, b])), "es.mat",
+                 "b block has 2 rows, expected 1 (line 52)", id="b of 2 rows"),
+    pytest.param(_es_map(W=_cell((0, 0), np.nan)), "es.mat",
+                 "non-finite matrix cell (line 2)", id="nan in W"),
+    pytest.param(_es_map(b=_cell(0, np.inf)), "es.mat",
+                 "non-finite matrix cell (line 53)", id="inf in b"),
+    pytest.param(_es_map(W=lambda W: W[:0]), "es.mat",
+                 "matrix block must be at least 1 x 1 (line 1)", id="W of 0 rows"),
+]
+
+
+@pytest.mark.parametrize("change,file,message", BAD_MODELS)
+def test_save_alignment_refuses_what_load_refuses(tmp_path, monkeypatch,
+                                                  trilingual, change, file,
+                                                  message):
+    """save_alignment writes nothing and raises the text of the FormatError
+    that load_alignment raises for the files it writes with its two checks
+    switched off."""
+    model, model_dir = change(trilingual.model), tmp_path / "model"
+    with pytest.raises(ConfigurationError) as refused:
+        save_alignment(model, model_dir)
     assert list(tmp_path.iterdir()) == []
+    with monkeypatch.context() as unchecked:
+        unchecked.setattr(alignment, "_check_metadata", lambda meta: None)
+        unchecked.setattr(alignment, "_read_language_map", lambda lines, dim: None)
+        save_alignment(model, model_dir)
+    with pytest.raises(FormatError) as loaded:
+        load_alignment(model_dir)
+    assert str(refused.value) == str(loaded.value) == f"{model_dir / file}: {message}"
 
 
-def test_save_alignment_refuses_a_hand_built_model_before_writing(tmp_path):
-    model = AlignmentModel("en", 0, -1.0, 7.0, "yes")
-    with pytest.raises(ConfigurationError,
-                       match="^metadata 'shared_dim' must be an integer >= 1$"):
-        save_alignment(model, tmp_path / "model")
-    assert list(tmp_path.iterdir()) == []
+@st.composite
+def _models(draw):
+    """Small hand-built models, some of which load_alignment would refuse."""
+    dim = draw(st.integers(1, 3))
+    names = mostly(st.sampled_from(["en", "es", "it", "x-y"]), "../x", "e s")
+    cells = mostly(st.floats(-1e3, 1e3), np.nan, np.inf, one_in=50)
+    maps = {}
+    for lang in draw(st.lists(names, max_size=2, unique=True)):
+        cols = draw(mostly(st.just(dim), dim + 1))
+        W = draw(arrays(np.float64, (draw(mostly(st.integers(1, 3), 0)), cols),
+                        elements=cells))
+        b = draw(arrays(np.float64, draw(mostly(st.just((cols,)), (1, cols),
+                                                 (2, cols), (cols + 1,))),
+                        elements=cells))
+        correlations = draw(arrays(np.float64, draw(st.integers(0, 3)),
+                                   elements=st.floats(-1, 1)))
+        maps[lang] = alignment.LanguageMap(W, b, correlations)
+    return AlignmentModel(
+        pivot_lang=draw(names),
+        shared_dim=draw(mostly(st.just(dim), 0, True, "2")),
+        regularization=draw(mostly(st.floats(0, 10), -1.0, np.nan, None)),
+        kept_ratio=draw(mostly(st.floats(0, 1, exclude_min=True), 0.0, 2.0, "x")),
+        normalize=draw(mostly(st.booleans(), 1)),
+        maps=maps)
 
 
-def test_save_alignment_refuses_a_map_not_into_shared_dim(tmp_path, trilingual):
-    model = dataclasses.replace(trilingual.model, shared_dim=49)
-    with pytest.raises(ConfigurationError) as exc:
-        save_alignment(model, tmp_path / "model")
-    assert str(exc.value) == "the es map's W has 50 columns, expected 49 (shared_dim)"
-    assert list(tmp_path.iterdir()) == []
+def _as_written(mat):
+    """``mat`` as a 2-d matrix of the values its ``%.12e`` text reads as."""
+    return np.vectorize(lambda x: float(f"{x:.12e}"), otypes=[float])(
+        np.atleast_2d(mat))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_models())
+def test_a_model_that_saves_loads_back(model):
+    """What save_alignment writes loads back with the same metadata and
+    correlations, and with W and b equal to their %.12e text."""
+    with tempfile.TemporaryDirectory() as tmp:
+        model_dir = os.path.join(tmp, "model")
+        try:
+            save_alignment(model, model_dir)
+        except ConfigurationError:
+            assert os.listdir(tmp) == []
+            return
+        again = load_alignment(model_dir)
+    assert [getattr(again, name) for name in alignment._STORED] == [
+        getattr(model, name) for name in alignment._STORED]
+    assert sorted(again.maps) == sorted(model.maps) and not again.legacy
+    for lang, lmap in model.maps.items():
+        assert np.array_equal(again.maps[lang].W, _as_written(lmap.W))
+        assert np.array_equal(again.maps[lang].b, _as_written(lmap.b)[0])
+        assert np.array_equal(again.maps[lang].correlations, lmap.correlations)
 
 
 def test_metadata_languages_must_be_strings(tmp_path, trilingual):

@@ -1,14 +1,18 @@
+import os
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from crosslex import EmbeddingSpace, cosine, load_embeddings, save_embeddings
 from crosslex import embedding_store
 from crosslex.embedding_store import unit_rows
 from crosslex.cli import main
 from crosslex.errors import (
+    ConfigurationError,
     CrosslexError,
     DimensionError,
     DomainError,
@@ -16,7 +20,7 @@ from crosslex.errors import (
     InsufficientDataError,
 )
 
-from conftest import write_embedding_file
+from conftest import mostly, write_embedding_file
 
 
 def test_load_basic(tmp_path):
@@ -406,6 +410,46 @@ def test_save_unwritable(tmp_path):
         save_embeddings(space, tmp_path / "no" / "such" / "dir" / "e.txt")
 
 
+@pytest.mark.parametrize("words, vectors, message", [
+    (["a", ""], [[1, 2], [3, 4]], "cannot save word '': a word must be "
+     "nonempty and hold no space, \\n or \\r"),
+    (["a b"], [[1, 2]], "cannot save word 'a b': a word must be nonempty and "
+     "hold no space, \\n or \\r"),
+    (["a\n"], [[1, 2]], "cannot save word 'a\\n': a word must be nonempty "
+     "and hold no space, \\n or \\r"),
+    (["a\r"], [[1, 2]], "cannot save word 'a\\r': a word must be nonempty "
+     "and hold no space, \\n or \\r"),
+    (["a", "b"], [[1, 2], [np.nan, 4]], "cannot save word 'b': its vector is "
+     "not finite"),
+    (["a"], [[4e-7, -4e-7]], "cannot save word 'a': its vector is all zeros "
+     "at 6 decimals"),
+    ([], np.empty((0, 2)), "cannot save a space without words"),
+], ids=["empty word", "space", "newline", "carriage return", "nan",
+        "zeros at 6 decimals", "no words"])
+def test_save_embeddings_refuses_what_load_refuses(tmp_path, words, vectors,
+                                                   message):
+    """A space whose file load_embeddings would refuse is not written."""
+    path = tmp_path / "e.vec"
+    with pytest.raises(ConfigurationError) as exc:
+        save_embeddings(EmbeddingSpace("en", words, vectors), path)
+    assert str(exc.value) == message
+    assert list(tmp_path.iterdir()) == []
+    path.write_text(f"{len(words)} 2\n" + "".join(
+        f"{word} {row[0]:.6f} {row[1]:.6f}\n" for word, row in zip(words, vectors)))
+    with pytest.raises((FormatError, InsufficientDataError)):
+        load_embeddings(path, "en")
+
+
+def test_save_embeddings_keeps_tabs_and_the_smallest_written_rows(tmp_path):
+    """A tab is part of its word, and a row whose largest magnitude is the
+    float32 just above 5e-7 is written as 0.000001."""
+    space = EmbeddingSpace("en", ["a\tb"], [[np.nextafter(np.float32(5e-7),
+                                                          np.float32(1)), 0]])
+    save_embeddings(space, tmp_path / "e.vec")
+    assert (tmp_path / "e.vec").read_text() == "1 2\na\tb 0.000001 0.000000\n"
+    assert load_embeddings(tmp_path / "e.vec", "en").words == ["a\tb"]
+
+
 def test_normalized_rows_unit():
     rng = np.random.default_rng(2)
     rows = rng.normal(size=(3, 5)).astype(np.float32)
@@ -477,3 +521,36 @@ def test_cosine_symmetric_and_scale_invariant(seed):
     alpha = float(rng.uniform(0.01, 100.0))
     assert abs(cosine(u, v) - cosine(v, u)) < 1e-12
     assert abs(cosine(alpha * u, v) - cosine(u, v)) < 1e-9
+
+
+@st.composite
+def _spaces(draw):
+    """Small spaces, some of which load_embeddings could not read back."""
+    word = st.text(st.characters(exclude_categories=("Cs",),
+                                 exclude_characters=" \n\r"),
+                   min_size=1, max_size=3)
+    words = draw(st.lists(mostly(word, "", " ", "a b", "a\n", "\r"),
+                          max_size=4, unique=True))
+    cells = mostly(st.floats(-1e3, 1e3, width=32), np.nan, np.inf, 4e-7,
+                   -4.9e-7, 5e-7, one_in=20)
+    vectors = draw(arrays(np.float32, (len(words), draw(st.integers(1, 3))),
+                          elements=cells))
+    return EmbeddingSpace("en", words, vectors)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_spaces())
+def test_a_space_that_saves_loads_back(space):
+    """What save_embeddings writes loads back with its words, and with each
+    component within 5e-7 (6 decimals) plus half a float32 step."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "e.vec")
+        try:
+            save_embeddings(space, path)
+        except ConfigurationError:
+            assert os.listdir(tmp) == []
+            return
+        again = load_embeddings(path, "en")
+    assert again.words == space.words
+    assert np.allclose(again.vectors.astype(np.float64), space.vectors,
+                       rtol=2 ** -24, atol=5e-7)

@@ -127,8 +127,14 @@ def test_every_library_default_has_a_guard():
 # manifest writer, one row normalizer, one eigendecomposition with its rank
 # check, one association-rule miner of the CLI's datasets, one batched top-k
 # kernel, and one place where the CLI loads spaces and one where it loads
-# models, so a check of what a model was fitted on has one place to go.
+# models, so a check of what a model was fitted on has one place to go. A
+# model directory has one set of rules, the loader's: save_alignment runs
+# the same metadata and map checks on what it is about to write.
 ONE_HOME = {
+    "language names": (("is_language_name",),
+                       {"alignment._check_metadata", "cli._language"}),
+    "model map rules": (("_read_language_map",),
+                        {"alignment.load_alignment", "alignment.save_alignment"}),
     "manifest path and name": (("write_manifest",), {"cli._manifest"}),
     "row norms": (("norm",), {"embedding_store.unit_rows"}),
     "rank check": (("eigh", "eigvalsh"), {"alignment._inv_sqrt"}),
