@@ -410,19 +410,18 @@ def test_save_unwritable(tmp_path):
         save_embeddings(space, tmp_path / "no" / "such" / "dir" / "e.txt")
 
 
+_BAD_WORD = "a word must be nonempty and hold no space, \\n or \\r"
+
+
 @pytest.mark.parametrize("words, vectors, message", [
-    (["a", ""], [[1, 2], [3, 4]], "cannot save word '': a word must be "
-     "nonempty and hold no space, \\n or \\r"),
-    (["a b"], [[1, 2]], "cannot save word 'a b': a word must be nonempty and "
-     "hold no space, \\n or \\r"),
-    (["a\n"], [[1, 2]], "cannot save word 'a\\n': a word must be nonempty "
-     "and hold no space, \\n or \\r"),
-    (["a\r"], [[1, 2]], "cannot save word 'a\\r': a word must be nonempty "
-     "and hold no space, \\n or \\r"),
-    (["a", "b"], [[1, 2], [np.nan, 4]], "cannot save word 'b': its vector is "
-     "not finite"),
-    (["a"], [[4e-7, -4e-7]], "cannot save word 'a': its vector is all zeros "
-     "at 6 decimals"),
+    (["a", ""], [[1, 2], [3, 4]], f"cannot save word '': {_BAD_WORD}"),
+    (["a b"], [[1, 2]], f"cannot save word 'a b': {_BAD_WORD}"),
+    (["a\n"], [[1, 2]], f"cannot save word 'a\\n': {_BAD_WORD}"),
+    (["a\r"], [[1, 2]], f"cannot save word 'a\\r': {_BAD_WORD}"),
+    (["a", "b"], [[1, 2], [np.nan, 4]],
+     "cannot save word 'b': its vector is not finite"),
+    (["a"], [[4e-7, -4e-7]],
+     "cannot save word 'a': its vector is all zeros at 6 decimals"),
     ([], np.empty((0, 2)), "cannot save a space without words"),
 ], ids=["empty word", "space", "newline", "carriage return", "nan",
         "zeros at 6 decimals", "no words"])
