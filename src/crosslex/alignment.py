@@ -227,7 +227,7 @@ def _shared_rows(model, language, spaces, rows):
 
 
 def project(model, word, language, spaces):
-    """Map one word into the shared space: its row of ``project_space``."""
+    """Map one word into the shared space: its ``project_space`` row, to rounding."""
     _language_map(model, language)  # an unknown language before an unknown word
     row = spaces[language].vocab.get(word)
     if row is None:

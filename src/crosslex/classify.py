@@ -14,10 +14,10 @@ import numpy as np
 from .alignment import project_space
 from .config import ClassifyConfig, check
 from .errors import (
+    ConfigurationError,
     DegenerateDataError,
     DimensionError,
     InsufficientDataError,
-    ProtocolError,
 )
 from .rules import HATE, LabeledDataset
 
@@ -152,16 +152,14 @@ def zero_shot_eval(train_ds, test_ds, model, spaces, cfg=ClassifyConfig(),
     """Train on the source language, evaluate on the target language.
 
     Training consumes only train_ds, so no target-language document can
-    influence the classifier. Same-language evaluation requires the
-    explicit monolingual flag, and an empty test set is an error. The
-    ``cfg`` values it uses are checked by ``train_logreg`` and ``evaluate``;
-    ``cfg.split_seed`` is ``split_dataset``'s.
+    influence the classifier. Same-language evaluation without
+    ``allow_same_language`` is a ConfigurationError, and an empty test set
+    is an error. The ``cfg`` values it uses are checked by ``train_logreg``
+    and ``evaluate``; ``cfg.split_seed`` is ``split_dataset``'s.
     """
     if train_ds.language == test_ds.language and not allow_same_language:
-        raise ProtocolError(
-            "train and test language coincide; pass the monolingual flag "
-            "for a monolingual evaluation"
-        )
+        raise ConfigurationError("train and test language coincide; pass the "
+                                 "monolingual flag for a monolingual evaluation")
     if not test_ds.docs:
         raise InsufficientDataError("no test documents to evaluate")
     train_x, train_y, _ = featurize_dataset(train_ds, model, spaces)

@@ -33,7 +33,6 @@ from .errors import (
     DimensionError,
     FormatError,
     InsufficientDataError,
-    ProtocolError,
     in_file,
     text_lines,
     write_text,
@@ -136,6 +135,13 @@ def _load_spaces(args, needed, model=None):
     return spaces, list(paths.values())
 
 
+def _not_pivot(paths, flag, pivot):
+    """A ``flag`` LANG=PATH pairs ``pivot`` with LANG, so LANG may not be it."""
+    if pivot in paths:
+        raise ConfigurationError(
+            f"{flag} language {pivot!r} is the pivot; name the language paired with it")
+
+
 def _rounded(value):
     """``value`` with every float in it rounded to 6 decimals."""
     if isinstance(value, float):
@@ -188,6 +194,7 @@ def _cmd_train_embeddings(args, cfg):
 def _cmd_align(args, cfg):
     acfg = cfg["alignment"]
     pivot = args.pivot or acfg["pivot"]
+    _not_pivot(args.lexicon, "--lexicon", pivot)
     spaces, read = _load_spaces(
         args, {pivot: "pivot", **{lang: "--lexicon" for lang in args.lexicon}})
     lexicons = []
@@ -256,6 +263,7 @@ def _cmd_knn(args, cfg):
 
 def _cmd_bli(args, cfg):
     model, model_files = _load_model(args, cfg)
+    _not_pivot(args.validation, "--validation", model.pivot_lang)
     spaces, read = _load_spaces(args, {
         model.pivot_lang: "pivot",
         **{lang: "--validation" for lang in args.validation}}, model)
@@ -327,21 +335,22 @@ def _cmd_context_sim(args, cfg):
 
 
 def _cmd_classify(args, cfg):
-    tok = TokenizerConfig(**cfg["tokenizer"])
-    ccfg = ClassifyConfig(**cfg["classify"])
     train_lang, train_path = args.train
     test_lang, test_path = args.test
+    if args.monolingual != (train_lang == test_lang):
+        raise ConfigurationError(
+            "--monolingual must be given exactly when --train and --test name one "
+            f"language (here {train_lang!r} and {test_lang!r})")
+    tok = TokenizerConfig(**cfg["tokenizer"])
+    ccfg = ClassifyConfig(**cfg["classify"])
     model, model_files = _load_model(args, cfg)
     spaces, read = _load_spaces(args, {train_lang: "--train", test_lang: "--test"},
                                 model)
     train_ds = load_labeled_dataset(train_path, train_lang, tok)
-    test_ds = (train_ds if args.test == args.train
-               else load_labeled_dataset(test_path, test_lang, tok))
-    if args.monolingual:
-        if train_lang != test_lang:
-            raise ProtocolError("--monolingual requires matching languages")
-        if train_path == test_path:
-            train_ds, _, test_ds = split_dataset(train_ds, seed=ccfg.split_seed)
+    if args.test == args.train:
+        train_ds, _, test_ds = split_dataset(train_ds, seed=ccfg.split_seed)
+    else:
+        test_ds = load_labeled_dataset(test_path, test_lang, tok)
     # too little data is the --test file's fault when it has no document
     with in_file(train_path if test_ds.docs else test_path):
         metrics = zero_shot_eval(train_ds, test_ds, model, spaces, ccfg,

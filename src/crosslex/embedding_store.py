@@ -210,6 +210,8 @@ def _parse_lines(path):
 
 # A character that ends a word in the files that load_embeddings reads.
 _WORD_BREAK = re.compile(r"[ \n\r]")
+# A surrogate code point, the one kind of character UTF-8 cannot encode.
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 def save_embeddings(space, path):
@@ -217,9 +219,10 @@ def save_embeddings(space, path):
 
     A space that ``load_embeddings`` could not read back as written raises
     ConfigurationError before anything is written: one without words, or
-    one with a word that is empty or holds a space, ``\\n`` or ``\\r``, or
-    whose vector is not finite or is all zeros at 6 decimals (every
-    magnitude below 5e-7). The error names the first such word.
+    one with a word that is empty, holds a space, ``\\n`` or ``\\r`` or is
+    not encodable as UTF-8, or whose vector is not finite or is all zeros
+    at 6 decimals (every magnitude below 5e-7). The error names the first
+    such word.
     """
     if not len(space):
         raise ConfigurationError("cannot save a space without words")
@@ -227,6 +230,8 @@ def save_embeddings(space, path):
     for word, top in zip(space.words, peak):
         if not word or _WORD_BREAK.search(word):
             fault = "a word must be nonempty and hold no space, \\n or \\r"
+        elif _SURROGATE.search(word):
+            fault = "a word must be encodable as UTF-8"
         elif not math.isfinite(top):
             fault = "its vector is not finite"
         elif top < 5e-7:

@@ -110,7 +110,3 @@ class NotFoundError(CrosslexError):
 
 class SingularityError(CrosslexError):
     """Covariance is rank-deficient; retry with a positive regularization lambda."""
-
-
-class ProtocolError(CrosslexError):
-    """Evaluation protocol violated (e.g. zero-shot with train == test language)."""

@@ -17,7 +17,6 @@ from crosslex.errors import (
     ConfigurationError,
     DegenerateDataError,
     DimensionError,
-    ProtocolError,
 )
 from crosslex.rules import HATE, NON_HATE, LabeledDataset
 
@@ -144,10 +143,12 @@ def test_evaluate_threshold_outside_unit_interval(threshold):
 
 def test_zero_shot_same_language_rejected(trilingual_labeled):
     tri = trilingual_labeled
-    with pytest.raises(ProtocolError):
+    with pytest.raises(ConfigurationError) as exc:
         zero_shot_eval(
             tri.datasets["en"], tri.datasets["en"], tri.model, tri.spaces, CFG
         )
+    assert str(exc.value) == ("train and test language coincide; pass the "
+                              "monolingual flag for a monolingual evaluation")
 
 
 def test_zero_shot_determinism(trilingual_labeled):

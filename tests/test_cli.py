@@ -505,6 +505,57 @@ def test_missing_language_exits_1_naming_it(mini_pipeline_inputs, tmp_path,
     assert "Traceback" not in err
 
 
+_PROTOCOL = ("--monolingual must be given exactly when --train and --test name one "
+             "language")
+
+
+def _flag_fault_argv(missing, model_dir, out):
+    """Per flag fault, argv in which every input the fault concerns is a
+    ``missing`` file, and the message it must exit 1 with. Only bli reads a
+    file first, the model that names its pivot."""
+    emb = ["--embeddings", f"en={missing}", "--embeddings", f"es={missing}"]
+    classify = ["classify", "--model", missing, *emb, "--output", out]
+    return {
+        "classify --monolingual across languages": (
+            [*classify, "--train", f"en={missing}", "--test", f"es={missing}",
+             "--monolingual"], f"{_PROTOCOL} (here 'en' and 'es')"),
+        "classify one language without --monolingual": (
+            [*classify, "--train", f"en={missing}", "--test", f"en={missing}"],
+            f"{_PROTOCOL} (here 'en' and 'en')"),
+        "align --lexicon pivot": (
+            ["align", "--pivot", "en", *emb, "--lexicon", f"en={missing}",
+             "--output", out],
+            "--lexicon language 'en' is the pivot; name the language paired "
+            "with it"),
+        "bli --validation pivot": (
+            ["bli", "--model", str(model_dir), *emb, "--validation", f"en={missing}",
+             "--output", out],
+            "--validation language 'en' is the pivot; name the language paired "
+            "with it"),
+    }
+
+
+@pytest.mark.parametrize("case", [
+    "classify --monolingual across languages",
+    "classify one language without --monolingual",
+    "align --lexicon pivot", "bli --validation pivot",
+])
+def test_flag_fault_exits_1_before_reading_its_inputs(mini_pipeline_inputs,
+                                                      tmp_path, capsys, case):
+    """A flag combination that the command refuses exits 1 naming the flag,
+    and writes no output and no manifest, although no input it concerns
+    exists: reading one would exit 2."""
+    model_dir = tmp_path / "model"
+    _aligned_model(mini_pipeline_inputs, model_dir)
+    capsys.readouterr()
+    out_dir = tmp_path / "out"
+    argv, message = _flag_fault_argv(str(tmp_path / "missing"), model_dir,
+                                     str(out_dir / "result"))[case]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"crosslex: configuration error: {message}\n"
+    assert list(out_dir.iterdir()) == []
+
+
 def _model_language_argv(inp, model_dir, emb):
     """Per command, argv that uses language fr, which has --embeddings (a
     file that does not exist) but is not in the en-es model."""

@@ -423,8 +423,10 @@ _BAD_WORD = "a word must be nonempty and hold no space, \\n or \\r"
     (["a"], [[4e-7, -4e-7]],
      "cannot save word 'a': its vector is all zeros at 6 decimals"),
     ([], np.empty((0, 2)), "cannot save a space without words"),
+    (["a", "b\udc80"], [[1, 2], [3, 4]],
+     "cannot save word 'b\\udc80': a word must be encodable as UTF-8"),
 ], ids=["empty word", "space", "newline", "carriage return", "nan",
-        "zeros at 6 decimals", "no words"])
+        "zeros at 6 decimals", "no words", "lone surrogate"])
 def test_save_embeddings_refuses_what_load_refuses(tmp_path, words, vectors,
                                                    message):
     """A space whose file load_embeddings would refuse is not written."""
@@ -434,7 +436,8 @@ def test_save_embeddings_refuses_what_load_refuses(tmp_path, words, vectors,
     assert str(exc.value) == message
     assert list(tmp_path.iterdir()) == []
     path.write_text(f"{len(words)} 2\n" + "".join(
-        f"{word} {row[0]:.6f} {row[1]:.6f}\n" for word, row in zip(words, vectors)))
+        f"{word} {row[0]:.6f} {row[1]:.6f}\n" for word, row in zip(words, vectors)),
+        encoding="utf-8", errors="surrogateescape")
     with pytest.raises((FormatError, InsufficientDataError)):
         load_embeddings(path, "en")
 
