@@ -335,14 +335,14 @@ def _cmd_context_sim(args, cfg):
 
 
 def _cmd_classify(args, cfg):
+    tok = TokenizerConfig(**cfg["tokenizer"])
+    ccfg = ClassifyConfig(**cfg["classify"])
     train_lang, train_path = args.train
     test_lang, test_path = args.test
     if args.monolingual != (train_lang == test_lang):
         raise ConfigurationError(
             "--monolingual must be given exactly when --train and --test name one "
             f"language (here {train_lang!r} and {test_lang!r})")
-    tok = TokenizerConfig(**cfg["tokenizer"])
-    ccfg = ClassifyConfig(**cfg["classify"])
     model, model_files = _load_model(args, cfg)
     spaces, read = _load_spaces(args, {train_lang: "--train", test_lang: "--test"},
                                 model)

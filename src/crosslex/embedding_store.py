@@ -210,8 +210,6 @@ def _parse_lines(path):
 
 # A character that ends a word in the files that load_embeddings reads.
 _WORD_BREAK = re.compile(r"[ \n\r]")
-# A surrogate code point, the one kind of character UTF-8 cannot encode.
-_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 def save_embeddings(space, path):
@@ -230,7 +228,7 @@ def save_embeddings(space, path):
     for word, top in zip(space.words, peak):
         if not word or _WORD_BREAK.search(word):
             fault = "a word must be nonempty and hold no space, \\n or \\r"
-        elif _SURROGATE.search(word):
+        elif word.encode("utf-8", "ignore").decode("utf-8") != word:
             fault = "a word must be encodable as UTF-8"
         elif not math.isfinite(top):
             fault = "its vector is not finite"
