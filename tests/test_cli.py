@@ -507,6 +507,7 @@ def test_missing_language_exits_1_naming_it(mini_pipeline_inputs, tmp_path,
 
 _PROTOCOL = ("--monolingual must be given exactly when --train and --test name one "
              "language")
+_PIVOT = "language 'en' is the pivot; name the language paired with it"
 
 
 def _flag_fault_argv(missing, model_dir, out):
@@ -525,13 +526,11 @@ def _flag_fault_argv(missing, model_dir, out):
         "align --lexicon pivot": (
             ["align", "--pivot", "en", *emb, "--lexicon", f"en={missing}",
              "--output", out],
-            "--lexicon language 'en' is the pivot; name the language paired "
-            "with it"),
+            f"--lexicon {_PIVOT}"),
         "bli --validation pivot": (
             ["bli", "--model", str(model_dir), *emb, "--validation", f"en={missing}",
              "--output", out],
-            "--validation language 'en' is the pivot; name the language paired "
-            "with it"),
+            f"--validation {_PIVOT}"),
     }
 
 
