@@ -29,7 +29,7 @@ from .classify import (
     zero_shot_eval,
 )
 from .contextsim import context_sim, cross_lingual_report, met_sim, word_sim
-from .corpus import TokenizerConfig, build_vocab, filter_corpus, tokenize
+from .corpus import build_vocab, filter_corpus, tokenize
 from .embedding_store import (
     EmbeddingSpace,
     cosine,

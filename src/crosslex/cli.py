@@ -23,7 +23,7 @@ from .alignment import (
     save_alignment,
 )
 from .classify import split_dataset, zero_shot_eval
-from .config import ClassifyConfig, SgnsConfig, TokenizerConfig, load_config
+from .config import ClassifyConfig, SgnsConfig, load_config
 from .contextsim import cross_lingual_report
 from .corpus import filter_corpus, load_seed_terms, read_lines, tokenize
 from .embedding_store import load_embeddings, save_embeddings
@@ -78,9 +78,10 @@ def _k(value):
 
 
 def _seed_terms(value):
+    """The comma-separated seed words, lowercased as filter-corpus seeds are."""
     if "" in value.split(","):
         raise argparse.ArgumentTypeError(f"empty seed term in {value!r}")
-    return value.split(",")
+    return [term.lower() for term in value.split(",")]
 
 
 def _lang_path_pair(value):
@@ -171,21 +172,18 @@ def _manifest(args, config, inputs, seeds=None):
 def _cmd_filter_corpus(args, cfg):
     seeds = load_seed_terms(args.seeds)
     lines = read_lines(args.input)
-    kept = list(filter_corpus(lines, seeds, TokenizerConfig(**cfg["tokenizer"])))
+    kept = list(filter_corpus(lines, seeds))
     write_text(args.output, (line + "\n" for line in kept))
-    _manifest(args, {"tokenizer": cfg["tokenizer"], "kept": len(kept),
-                     "total": len(lines)}, [args.input, args.seeds])
+    _manifest(args, {"kept": len(kept), "total": len(lines)}, [args.input, args.seeds])
     print(f"kept {len(kept)} of {len(lines)} lines", file=sys.stderr)
 
 
 def _cmd_train_embeddings(args, cfg):
-    tok = TokenizerConfig(**cfg["tokenizer"])
-    corpus = [tokenize(line, tok) for line in read_lines(args.corpus)]
+    corpus = [tokenize(line) for line in read_lines(args.corpus)]
     with in_file(args.corpus):
         space = train_sgns(corpus, SgnsConfig(**cfg["sgns"]))
     save_embeddings(space, args.output)
-    _manifest(args, {"tokenizer": cfg["tokenizer"], "sgns": cfg["sgns"],
-                     "language": args.language},
+    _manifest(args, {"sgns": cfg["sgns"], "language": args.language},
               [args.corpus], seeds={"rng_seed": cfg["sgns"]["rng_seed"]})
     print(f"trained {len(space)} x {space.dim} vectors for {args.language}",
           file=sys.stderr)
@@ -193,7 +191,7 @@ def _cmd_train_embeddings(args, cfg):
 
 def _cmd_align(args, cfg):
     acfg = cfg["alignment"]
-    pivot = args.pivot or acfg["pivot"]
+    pivot = args.pivot
     _not_pivot(args.lexicon, "--lexicon", pivot)
     spaces, read = _load_spaces(
         args, {pivot: "pivot", **{lang: "--lexicon" for lang in args.lexicon}})
@@ -293,16 +291,15 @@ def _mine(ds, class_filter, mcfg, path):
     """The ``[mining]`` rules of the ``class_filter`` documents of ``ds``, or
     of all its documents for "all"; a too-little-data error names ``path``."""
     docs = ds.token_lists() if class_filter == "all" else ds.partition(class_filter)
-    stop = load_stopwords(ds.language) if mcfg["use_stopwords"] else frozenset()
     with in_file(path):
         return mine_rules(docs, top_n_antecedents=mcfg["top_n"],
                           min_support=mcfg["min_support"],
-                          min_confidence=mcfg["min_confidence"], stopwords=stop)
+                          min_confidence=mcfg["min_confidence"],
+                          stopwords=load_stopwords(ds.language))
 
 
 def _cmd_mine_rules(args, cfg):
-    ds = load_labeled_dataset(args.dataset, args.language,
-                              TokenizerConfig(**cfg["tokenizer"]))
+    ds = load_labeled_dataset(args.dataset, args.language)
     rules = _mine(ds, args.class_filter, cfg["mining"], args.dataset)
     _write_jsonl(args.output, (dataclasses.asdict(r) for r in rules))
     counts = ds.class_counts()
@@ -319,11 +316,10 @@ def _cmd_context_sim(args, cfg):
         raise ConfigurationError(
             f"no target language: pass a --dataset in a language other than "
             f"{args.source_lang!r}")
-    tok = TokenizerConfig(**cfg["tokenizer"])
     model, _ = _load_model(args, cfg)
     spaces, _ = _load_spaces(args, {lang: "--dataset" for lang in args.dataset},
                              model)
-    datasets = {lang: load_labeled_dataset(path, lang, tok)
+    datasets = {lang: load_labeled_dataset(path, lang)
                 for lang, path in args.dataset.items()}
     rules = {lang: _mine(ds, args.class_filter, cfg["mining"], args.dataset[lang])
              for lang, ds in datasets.items()}
@@ -335,7 +331,6 @@ def _cmd_context_sim(args, cfg):
 
 
 def _cmd_classify(args, cfg):
-    tok = TokenizerConfig(**cfg["tokenizer"])
     ccfg = ClassifyConfig(**cfg["classify"])
     train_lang, train_path = args.train
     test_lang, test_path = args.test
@@ -346,11 +341,11 @@ def _cmd_classify(args, cfg):
     model, model_files = _load_model(args, cfg)
     spaces, read = _load_spaces(args, {train_lang: "--train", test_lang: "--test"},
                                 model)
-    train_ds = load_labeled_dataset(train_path, train_lang, tok)
-    if args.test == args.train:
+    train_ds = load_labeled_dataset(train_path, train_lang)
+    if train_lang == test_lang and os.path.samefile(train_path, test_path):
         train_ds, _, test_ds = split_dataset(train_ds, seed=ccfg.split_seed)
     else:
-        test_ds = load_labeled_dataset(test_path, test_lang, tok)
+        test_ds = load_labeled_dataset(test_path, test_lang)
     # too little data is the --test file's fault when it has no document
     with in_file(train_path if test_ds.docs else test_path):
         metrics = zero_shot_eval(train_ds, test_ds, model, spaces, ccfg,
@@ -450,7 +445,7 @@ def build_parser():
                        help="fit CCA hub alignment from lexicons")
     _add_lang_paths(p, "--embeddings")
     _add_lang_paths(p, "--lexicon", help="pivot-to-LANG lexicon TSV")
-    p.add_argument("--pivot", type=_language)
+    p.add_argument("--pivot", type=_language, default="en")
     p.add_argument("--holdout", action="store_true",
                    help="split off a validation lexicon per language")
     p.add_argument("--output", required=True)

@@ -18,14 +18,6 @@ def _field(default, valid):
 
 
 @dataclasses.dataclass(frozen=True)
-class TokenizerConfig:
-    lowercase: bool = True
-    strip_urls: bool = True
-    strip_mentions: bool = True
-    keep_hashtag_body: bool = True
-
-
-@dataclasses.dataclass(frozen=True)
 class SgnsConfig:
     dim: int = _field(100, ">= 2")
     window: int = _field(5, ">= 1")
@@ -55,10 +47,8 @@ def _fields(cls):
 # "> a", an interval open at its low end, "(a, b)" or "(a, b]", or a tuple of
 # the valid values.
 _SCHEMA = {
-    "tokenizer": _fields(TokenizerConfig),
     "sgns": _fields(SgnsConfig),
     "alignment": {
-        "pivot": (str, "en", None),
         "lambda": (float, 1e-3, ">= 0"),
         "kept_ratio": (float, 0.8, "(0, 1]"),
         "normalize": (bool, True, None),
@@ -69,7 +59,6 @@ _SCHEMA = {
         "top_n": (int, 100, ">= 1"),
         "min_support": (float, 0.01, "(0, 1]"),
         "min_confidence": (float, 0.1, "(0, 1]"),
-        "use_stopwords": (bool, True, None),
     },
     "similarity": {
         "variant": (str, VARIANTS[0], VARIANTS),

@@ -6,7 +6,7 @@ import re
 from collections import Counter
 from itertools import chain
 
-from .config import TokenizerConfig, check
+from .config import check
 from .errors import ConfigurationError, InsufficientDataError, in_file, text_lines
 
 _URL_RE = re.compile(r"https?://\S+|www\.\S+")
@@ -16,32 +16,27 @@ _HASHTAG_RE = re.compile(r"#(\w+)")
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
 
-def tokenize(text, cfg=TokenizerConfig()):
-    """Split text into tokens according to cfg. Deterministic; empty-safe."""
-    if cfg.strip_urls:
-        text = _URL_RE.sub(" ", text)
-    if cfg.strip_mentions:
-        text = _MENTION_RE.sub(" ", text)
-    if cfg.keep_hashtag_body:
-        text = _HASHTAG_RE.sub(r" \1 ", text)
-    else:
-        text = _HASHTAG_RE.sub(" ", text)
-    if cfg.lowercase:
-        text = text.lower()
-    return _TOKEN_RE.findall(text)
+def tokenize(text):
+    """Split text into lowercased letter/digit runs, with URLs and @mentions
+    removed and each hashtag's body kept. Deterministic; empty-safe."""
+    text = _URL_RE.sub(" ", text)
+    text = _MENTION_RE.sub(" ", text)
+    # not a no-op: str.lower() picks a final sigma where these spaces end a word
+    text = _HASHTAG_RE.sub(r" \1 ", text)
+    return _TOKEN_RE.findall(text.lower())
 
 
-def filter_corpus(lines, seeds, cfg=TokenizerConfig()):
+def filter_corpus(lines, seeds):
     """Yield exactly the lines whose token set intersects the seed set.
 
-    Seeds are matched against tokenized forms, so a seed never fires
-    inside a longer word. Order of lines is preserved.
+    Seeds are lowercased and matched against tokenized forms, so a seed
+    never fires inside a longer word. Order of lines is preserved.
     """
     if not seeds:
         raise ConfigurationError("seed set must be nonempty")
-    seeds = {s.lower() for s in seeds} if cfg.lowercase else set(seeds)
+    seeds = {s.lower() for s in seeds}
     for line in lines:
-        if seeds.intersection(tokenize(line, cfg)):
+        if seeds.intersection(tokenize(line)):
             yield line
 
 

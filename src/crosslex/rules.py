@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
 
-from .config import TokenizerConfig, check, default
+from .config import check, default
 from .corpus import tokenize
 from .errors import (
     FormatError,
@@ -65,7 +65,7 @@ class WordContext:
         return len(self.entries)
 
 
-def load_labeled_dataset(path, language, cfg=TokenizerConfig()):
+def load_labeled_dataset(path, language):
     """Load a "label<TAB>text" TSV (label 0/1, 1 = hate) and tokenize.
 
     Documents that tokenize to nothing are dropped; their count is kept
@@ -85,7 +85,7 @@ def load_labeled_dataset(path, language, cfg=TokenizerConfig()):
                 raise FormatError(
                     f"unknown label {raw_label!r}, expected 0 or 1", lineno
                 )
-            tokens = tokenize(text, cfg)
+            tokens = tokenize(text)
             if not tokens:
                 dropped += 1
                 continue

@@ -163,6 +163,60 @@ def test_monolingual_classify_reads_its_one_file_once(mini_pipeline_inputs,
     assert manifest["seeds"] == {"split_seed": 0}
 
 
+@pytest.mark.parametrize("test_path", ["./en.tsv", "link.tsv"])
+def test_monolingual_classify_knows_its_one_file_by_identity(
+        mini_pipeline_inputs, tmp_path, monkeypatch, test_path):
+    """A --test path that spells the --train file another way, or links to
+    it, splits that one file as the identical spelling does."""
+    inp = mini_pipeline_inputs
+    model_dir = tmp_path / "model"
+    emb = _aligned_model(inp, model_dir)
+    monkeypatch.chdir(inp["datasets"]["en"].parent)
+    (tmp_path / "link.tsv").symlink_to(inp["datasets"]["en"])
+    argv = ["classify", "--model", str(model_dir), *emb, "--train", "en=en.tsv",
+            "--monolingual", "--output"]
+    assert main([*argv, str(tmp_path / "same.jsonl"), "--test", "en=en.tsv"]) == 0
+    assert main([*argv, str(tmp_path / "other.jsonl"), "--test",
+                 f"en={test_path}"]) == 0
+    same = (tmp_path / "same.jsonl").read_text()
+    assert (tmp_path / "other.jsonl").read_text() == same
+    record = json.loads(same)
+    assert sum(record[key] for key in ("tp", "fp", "fn", "tn")) < 40  # a split
+
+
+def test_monolingual_classify_missing_test_file_exits_2(mini_pipeline_inputs,
+                                                        tmp_path, capsys):
+    inp = mini_pipeline_inputs
+    model_dir = tmp_path / "model"
+    emb = _aligned_model(inp, model_dir)
+    gone = tmp_path / "gone.tsv"
+    capsys.readouterr()
+    assert main(["classify", "--model", str(model_dir), *emb, "--train",
+                 f"en={inp['datasets']['en']}", "--test", f"en={gone}",
+                 "--monolingual"]) == 2
+    assert capsys.readouterr().err == (
+        f"crosslex: i/o error: [Errno 2] No such file or directory: '{gone}'\n")
+
+
+def test_context_sim_seed_terms_are_lowercased(mini_pipeline_inputs, tmp_path):
+    """--seed-terms match mined words as filter-corpus seeds match tokens."""
+    inp = mini_pipeline_inputs
+    model_dir = tmp_path / "model"
+    emb = _aligned_model(inp, model_dir)
+    argv = ["context-sim", "--model", str(model_dir), *emb,
+            "--dataset", f"en={inp['datasets']['en']}",
+            "--dataset", f"es={inp['datasets']['es']}", "--source-lang", "en"]
+    written = []
+    for seeds in ("en1,en3", "EN1,En3"):
+        out = tmp_path / f"{seeds}.jsonl"
+        assert main([*argv, "--seed-terms", seeds, "--output", str(out)]) == 0
+        written.append(out.read_bytes())
+    assert written[1] == written[0]
+    records = [json.loads(line) for line in written[0].splitlines()]
+    assert {rec["seed"] for rec in records} == {"en1", "en3"}
+    assert not any(rec["no_context"] for rec in records)
+
+
 def _knn(model_dir, emb):
     return main([
         "knn", "--model", str(model_dir), *emb,
@@ -590,6 +644,9 @@ def test_language_not_in_model_exits_1_naming_the_model(mini_pipeline_inputs,
 @pytest.mark.parametrize("section,key,message", [
     ("paths", "output_dir", "unknown configuration section [paths]"),
     ("classify", "seed", "unknown configuration key [classify] seed"),
+    ("tokenizer", "lowercase", "unknown configuration section [tokenizer]"),
+    ("mining", "use_stopwords", "unknown configuration key [mining] use_stopwords"),
+    ("alignment", "pivot", "unknown configuration key [alignment] pivot"),
 ])
 def test_removed_config_key_exits_1(tmp_path, capsys, section, key, message):
     cfg = tmp_path / "run.ini"
@@ -617,8 +674,8 @@ CONFIG_FILE_ERRORS = {
     "[mining]\ntop_n = 5\nmin_support = 1.5\n":
         "[mining] min_support must be in (0, 1], got 1.5 (line 3)",
     "[mining]\ntop_n = 5%\n": "[mining] top_n: expected int, got '5%' (line 2)",
-    "[tokenizer]\nlowercase = maybe\n":
-        "[tokenizer] lowercase: expected a boolean, got 'maybe' (line 2)",
+    "[alignment]\nnormalize = maybe\n":
+        "[alignment] normalize: expected a boolean, got 'maybe' (line 2)",
     "[DEFAULT]\ndim = 0\n[sgns]\nepochs = 1\n":
         "unknown configuration section [DEFAULT] (line 1)",
 }
@@ -656,7 +713,7 @@ FLAG_TABLE = {
     "align": [_HELP, *_CONFIG,
               (["--embeddings"], True, None, "embeddings", "LANG=PATH"),
               (["--lexicon"], True, None, "lexicon", "LANG=PATH"),
-              (["--pivot"], False, None, "pivot", None),
+              (["--pivot"], False, "en", "pivot", None),
               (["--holdout"], False, False, "holdout", None),
               (["--output"], True, None, "output", None)],
     "knn": [_HELP, *_CONFIG, *_MODEL,
@@ -713,8 +770,7 @@ def test_command_help_exits_0(capsys, command):
 
 @pytest.fixture
 def filter_inputs(tmp_path):
-    """filter-corpus argv on a corpus whose kept-line count shows
-    ``tokenizer.lowercase``: 2 lines kept when it is true, 1 when false."""
+    """filter-corpus argv, and the path of the manifest it writes."""
     corpus = tmp_path / "c.txt"
     corpus.write_text("keep me\nKeep you\ndrop\n")
     seeds = tmp_path / "s.txt"
@@ -726,8 +782,8 @@ def filter_inputs(tmp_path):
 
 
 @pytest.mark.parametrize("override,message", [
-    ("tokenizer.lowercase=maybe",
-     "[tokenizer] lowercase: expected a boolean, got 'maybe'"),
+    ("alignment.normalize=maybe",
+     "[alignment] normalize: expected a boolean, got 'maybe'"),
     ("sgns.dim=abc", "[sgns] dim: expected int, got 'abc'"),
 ])
 def test_bad_override_value_exits_1(filter_inputs, capsys, override, message):
@@ -741,42 +797,51 @@ def test_bad_override_value_exits_1(filter_inputs, capsys, override, message):
 def test_unparsable_config_file_exits_1(filter_inputs, tmp_path, capsys):
     argv, manifest = filter_inputs
     cfg = tmp_path / "run.ini"
-    cfg.write_text("lowercase = no\n")
+    cfg.write_text("normalize = no\n")
     assert main([*argv, "--config", str(cfg)]) == 1
     assert capsys.readouterr().err == (
         "crosslex: configuration error: cannot parse config file: File "
         f"contains no section headers.\nfile: '{cfg}', line: 1\n"
-        "'lowercase = no\\n'\n")
+        "'normalize = no\\n'\n")
     assert not manifest.exists()
+
+
+def _align_argv(inp, model_dir):
+    """align argv on the mini fixture, and the path of the manifest it writes."""
+    return (["align", "--embeddings", f"en={inp['en']}", "--embeddings",
+             f"es={inp['es']}", "--lexicon", f"es={inp['lexicon']}",
+             "--output", str(model_dir)], model_dir / "manifest.json")
 
 
 @pytest.mark.parametrize("spelling,value", [
     ("yes", True), ("no", False), ("1", True), ("0", False),
     ("True", True), ("FALSE", False),
 ])
-def test_boolean_spellings(filter_inputs, capsys, spelling, value):
-    argv, manifest = filter_inputs
-    assert main([*argv, "--set", f"tokenizer.lowercase={spelling}"]) == 0
-    config = json.loads(manifest.read_text())["config"]
-    assert config["tokenizer"]["lowercase"] is value
-    assert config["kept"] == (2 if value else 1)
+def test_boolean_spellings(mini_pipeline_inputs, tmp_path, spelling, value):
+    model_dir = tmp_path / "model"
+    argv, manifest = _align_argv(mini_pipeline_inputs, model_dir)
+    assert main([*argv, "--set", f"alignment.normalize={spelling}"]) == 0
+    assert json.loads(manifest.read_text())["config"]["alignment"]["normalize"] is value
+    assert json.loads((model_dir / "metadata.json").read_text())["normalize"] is value
 
 
-def test_set_overrides_config_file(filter_inputs, tmp_path, capsys):
-    argv, manifest = filter_inputs
+def test_set_overrides_config_file(mini_pipeline_inputs, tmp_path, capsys):
+    model_dir = tmp_path / "model"
+    argv, manifest = _align_argv(mini_pipeline_inputs, model_dir)
     cfg = tmp_path / "run.ini"
-    cfg.write_text("[tokenizer]\nlowercase = false\nstrip_urls = no\n")
+    cfg.write_text("[alignment]\nnormalize = false\nsplit_seed = 7\n")
     assert main([*argv, "--config", str(cfg)]) == 0
-    assert json.loads(manifest.read_text())["config"]["tokenizer"] == {
-        "keep_hashtag_body": True, "lowercase": False,
-        "strip_mentions": True, "strip_urls": False}
+    assert json.loads(manifest.read_text())["config"]["alignment"] == {
+        "lambda": 1e-3, "kept_ratio": 0.8, "normalize": False,
+        "train_fraction": 0.8, "split_seed": 7}
     assert main([*argv, "--config", str(cfg),
-                 "--set", "tokenizer.lowercase=true"]) == 0
+                 "--set", "alignment.normalize=true"]) == 0
     assert json.loads(manifest.read_text())["config"] == {
-        "kept": 2, "total": 3,
-        "tokenizer": {"keep_hashtag_body": True, "lowercase": True,
-                      "strip_mentions": True, "strip_urls": False}}
-    assert "kept 2 of 3 lines" in capsys.readouterr().err
+        "pivot": "en",
+        "alignment": {"lambda": 1e-3, "kept_ratio": 0.8, "normalize": True,
+                      "train_fraction": 0.8, "split_seed": 7}}
+    assert json.loads((model_dir / "metadata.json").read_text())["normalize"] is True
+    assert "en-es: 60 alignment pairs" in capsys.readouterr().err
 
 
 def _repeated_language_argv(inp, model_dir, emb):

@@ -4,7 +4,6 @@ from collections import Counter
 import pytest
 
 from crosslex import (
-    TokenizerConfig,
     build_vocab,
     filter_corpus,
     load_labeled_dataset,
@@ -20,13 +19,35 @@ def test_tokenize_lowercase():
 
 
 def test_tokenize_strips_and_keeps_hashtag_body():
-    cfg = TokenizerConfig()
-    assert tokenize("see http://x.y @bob #stopX", cfg) == ["see", "stopx"]
+    assert tokenize("see http://x.y @bob #stopX") == ["see", "stopx"]
 
 
-def test_tokenize_drop_hashtag_entirely():
-    cfg = TokenizerConfig(keep_hashtag_body=False)
-    assert tokenize("a #tag b", cfg) == ["a", "b"]
+# text -> its tokens: a URL ends at whitespace, so a "#" or "@" in it starts
+# no hashtag or mention; a mention ends where a "#" begins; the spaces put
+# around a hashtag's body end it as a word, so its capital sigma lowercases
+# to the final form even before a full stop or an apostrophe; an underscore
+# belongs to a hashtag's body and a mention's name but splits tokens.
+TRICKY_TOKENS = {
+    "see http://x.y/#frag @bob": ["see"],
+    "http://a.b/@user?q=#x tail": ["tail"],
+    "www.site.com/#top #Tag": ["tag"],
+    "@alice#Hate now": ["hate", "now"],
+    "@bob#x": ["x"],
+    "email me@x.org ok": ["email", "me", "org", "ok"],
+    "#ΑΣ.Β": ["ας", "β"],
+    "#ΑΣ'Β": ["ας", "β"],
+    "ΟΔΟΣ #ΟΔΟΣ": ["οδος", "οδος"],
+    "#ΣΣ": ["σς"],
+    "#hate_speech now": ["hate", "speech", "now"],
+    "#_x_ y": ["x", "y"],
+    "@a_b c": ["c"],
+    "#a#b": ["a", "b"],
+}
+
+
+@pytest.mark.parametrize("text", sorted(TRICKY_TOKENS))
+def test_tokenize_tricky_inputs(text):
+    assert tokenize(text) == TRICKY_TOKENS[text]
 
 
 def test_tokenize_empty():

@@ -165,7 +165,7 @@ def test_commands_leave_the_success_code_to_main():
     assert found == []
 
 
-@pytest.mark.parametrize("name", ["TokenizerConfig", "SgnsConfig", "ClassifyConfig"])
+@pytest.mark.parametrize("name", ["SgnsConfig", "ClassifyConfig"])
 def test_config_records_define_no_functions(name):
     """The config dataclasses are plain records: a value is checked by the
     function that takes it, against ``config._SCHEMA``."""
@@ -173,3 +173,26 @@ def test_config_records_define_no_functions(name):
                 if isinstance(node, ast.ClassDef) and node.name == name]
     assert not [node for node in ast.walk(record)
                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+
+def _names_read(module):
+    """The string constants and attribute names in a module's source."""
+    names = set()
+    for node in ast.walk(_module_tree(module)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_every_config_key_is_read_outside_config():
+    """Each key of ``config._SCHEMA`` is read by another module, as a string
+    constant (``cfg["mining"]["top_n"]``) or an attribute (``cfg.dim``), so
+    the schema keeps no key that nothing reads. The check goes by name: a key
+    named like a flag's dest or any other string of the source passes."""
+    read = set().union(*(_names_read(path.stem) for path in SRC.glob("*.py")
+                         if path.stem != "config"))
+    unread = [(section, key) for section, keys in config._SCHEMA.items()
+              for key in keys if key not in read]
+    assert unread == []
