@@ -4,8 +4,8 @@ Each non-pivot language is fitted against the pivot through its bilingual
 lexicon and kept as one affine map ``x @ W + b`` into the pivot's original
 coordinate system, so pivot embeddings are used without a map and all
 languages land in a single space anchored at the pivot. The model owns the
-preparation of its inputs: when it normalizes, every language's rows, the
-pivot's included, are scaled to unit length before anything else.
+preparation of its inputs: a fitted model normalizes, scaling every
+language's rows, the pivot's included, to unit length before anything else.
 """
 
 from __future__ import annotations
@@ -63,8 +63,8 @@ class AlignmentModel:
 
     ``normalize`` is the model's input preparation: each row is scaled to
     unit length (in float32, before the float64 map) for every language,
-    the pivot included. ``legacy`` marks a model read from a directory
-    without the format marker, whose ``normalize`` may understate it.
+    the pivot included, and always set by ``fit_hub_alignment``. ``legacy``
+    marks a model read from a directory without the format marker.
     """
 
     pivot_lang: str
@@ -140,16 +140,15 @@ def _fold(mean, projection, back_map, pivot_mean):
 
 def fit_hub_alignment(spaces, lexicons, pivot,
                       lam=default("alignment", "lambda"),
-                      kept_ratio=default("alignment", "kept_ratio"),
-                      normalize=default("alignment", "normalize")):
+                      kept_ratio=default("alignment", "kept_ratio")):
     """Fit one CCA per non-pivot language against the pivot and fold each
     into one affine map.
 
     Every lexicon must have src_lang == pivot and be pre-restricted to the
-    vocabularies. Pass the spaces as loaded: with ``normalize`` the model
-    scales every row to unit length, in every language and the pivot's
-    too, both for the lexicon pairs fitted here and in ``project`` and
-    ``project_space`` later. A non-pivot word maps to the shared space by
+    vocabularies. Pass the spaces as loaded: the model scales every row to
+    unit length, in every language and the pivot's too, both for the
+    lexicon pairs fitted here and in ``project`` and ``project_space``
+    later. A non-pivot word maps to the shared space by
     centering, projecting with its canonical projection, and back-mapping
     through the pseudo-inverse of the pivot-side projection into the
     pivot's original space; the three steps are folded into ``x @ W + b``
@@ -164,7 +163,7 @@ def fit_hub_alignment(spaces, lexicons, pivot,
         shared_dim=spaces[pivot].dim,
         regularization=lam,
         kept_ratio=kept_ratio,
-        normalize=normalize,
+        normalize=True,
     )
     for lex in lexicons:
         if lex.src_lang != pivot:
@@ -177,8 +176,8 @@ def fit_hub_alignment(spaces, lexicons, pivot,
         if not lex.pairs:
             raise InsufficientDataError(f"empty alignment lexicon for {lang!r}")
         src, tgt = spaces[pivot], spaces[lang]
-        X = _prepare(src.vectors[[src.vocab[s] for s, _ in lex.pairs]], normalize)
-        Y = _prepare(tgt.vectors[[tgt.vocab[t] for _, t in lex.pairs]], normalize)
+        X = _prepare(src.vectors[[src.vocab[s] for s, _ in lex.pairs]], True)
+        Y = _prepare(tgt.vectors[[tgt.vocab[t] for _, t in lex.pairs]], True)
         try:
             cca = fit_cca(X, Y, lam=lam, kept_ratio=kept_ratio)
         except (SingularityError, InsufficientDataError) as err:
@@ -258,8 +257,6 @@ def _read_matrix(lines, start):
     Returns the matrix and the index of the line after the block. Errors
     carry the 1-based line number within the file.
     """
-    if start >= len(lines):
-        raise FormatError("missing matrix block", start + 1)
     try:
         rows, cols = (int(x) for x in lines[start].split())
     except ValueError:
@@ -430,13 +427,15 @@ def _check_legacy_blocks(blocks, headers):
 
 
 def load_alignment(dirpath):
-    """Read a model written by ``save_alignment``. A corrupt metadata file
-    or ``.mat`` file raises FormatError naming the file."""
+    """Read a model written by ``save_alignment``; a corrupt metadata file
+    or ``.mat`` file raises FormatError naming the file. A model without the
+    format marker normalizes, as ``align`` did before it recorded so."""
     meta_path = os.path.join(dirpath, "metadata.json")
     with in_file(meta_path):
         meta = _read_metadata(meta_path)
     model = AlignmentModel(**{name: meta[name] for name in _STORED},
                            legacy="format" not in meta)
+    model.normalize = model.normalize or model.legacy
     correlations = meta.get("correlations", {})
     for lang in meta["languages"]:
         path = os.path.join(dirpath, f"{lang}.mat")

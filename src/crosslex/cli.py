@@ -25,7 +25,13 @@ from .alignment import (
 from .classify import split_dataset, zero_shot_eval
 from .config import ClassifyConfig, SgnsConfig, load_config
 from .contextsim import cross_lingual_report
-from .corpus import filter_corpus, load_seed_terms, read_lines, tokenize
+from .corpus import (
+    check_seed_term,
+    filter_corpus,
+    load_seed_terms,
+    read_lines,
+    tokenize,
+)
 from .embedding_store import load_embeddings, save_embeddings
 from .errors import (
     ConfigurationError,
@@ -78,10 +84,17 @@ def _k(value):
 
 
 def _seed_terms(value):
-    """The comma-separated seed words, lowercased as filter-corpus seeds are."""
-    if "" in value.split(","):
+    """The comma-separated seed words, checked and lowercased as
+    filter-corpus seeds are."""
+    terms = value.split(",")
+    if "" in terms:
         raise argparse.ArgumentTypeError(f"empty seed term in {value!r}")
-    return [term.lower() for term in value.split(",")]
+    for term in terms:
+        try:
+            check_seed_term(term)
+        except ConfigurationError as err:
+            raise argparse.ArgumentTypeError(str(err)) from None
+    return [term.lower() for term in terms]
 
 
 def _lang_path_pair(value):
@@ -209,9 +222,7 @@ def _cmd_align(args, cfg):
               file=sys.stderr)
     model = fit_hub_alignment(
         spaces, lexicons, pivot,
-        lam=acfg["lambda"], kept_ratio=acfg["kept_ratio"],
-        normalize=acfg["normalize"],
-    )
+        lam=acfg["lambda"], kept_ratio=acfg["kept_ratio"])
     save_alignment(model, args.output)
     for lang, val in heldout.items():
         write_text(os.path.join(args.output, f"validation_{lang}.tsv"),
@@ -221,31 +232,21 @@ def _cmd_align(args, cfg):
               seeds={"split_seed": acfg["split_seed"]})
 
 
-def _load_model(args, cfg):
-    """The model as loaded, which prepares the spaces it is given, and the
-    files read: its ``metadata.json`` and one ``.mat`` per language.
-
-    A run config whose ``alignment.normalize`` disagrees with the model is
-    an error. A model without the format marker may understate its
-    preparation, so it normalizes when its metadata or the config says so.
-    """
+def _load_model(args):
+    """The model as loaded, which prepares the spaces it is given as its
+    metadata says, and the files read: its ``metadata.json`` and one
+    ``.mat`` per language. A model without the format marker is warned of."""
     model = load_alignment(args.model)
-    normalize = cfg["alignment"]["normalize"]
     if model.legacy:
-        model.normalize = model.normalize or normalize
         print(f"crosslex: warning: {args.model} has no format marker; "
-              f"normalize={model.normalize} taken from its metadata or "
-              "alignment.normalize", file=sys.stderr)
-    elif model.normalize != normalize:
-        raise ConfigurationError(
-            f"{args.model} was fitted with normalize={model.normalize}, "
-            f"but alignment.normalize is {normalize}")
+              "normalizing its inputs, as align did before models recorded it",
+              file=sys.stderr)
     return model, [os.path.join(args.model, name) for name in (
         "metadata.json", *(f"{lang}.mat" for lang in model.maps))]
 
 
 def _cmd_knn(args, cfg):
-    model, _ = _load_model(args, cfg)
+    model, _ = _load_model(args)
     spaces, _ = _load_spaces(args, {args.lang: "--lang", args.target: "--target"},
                              model)
     result = knn(model, spaces, args.word, args.lang, args.target, args.k)
@@ -260,7 +261,7 @@ def _cmd_knn(args, cfg):
 
 
 def _cmd_bli(args, cfg):
-    model, model_files = _load_model(args, cfg)
+    model, model_files = _load_model(args)
     _not_pivot(args.validation, "--validation", model.pivot_lang)
     spaces, read = _load_spaces(args, {
         model.pivot_lang: "pivot",
@@ -316,7 +317,7 @@ def _cmd_context_sim(args, cfg):
         raise ConfigurationError(
             f"no target language: pass a --dataset in a language other than "
             f"{args.source_lang!r}")
-    model, _ = _load_model(args, cfg)
+    model, _ = _load_model(args)
     spaces, _ = _load_spaces(args, {lang: "--dataset" for lang in args.dataset},
                              model)
     datasets = {lang: load_labeled_dataset(path, lang)
@@ -338,7 +339,7 @@ def _cmd_classify(args, cfg):
         raise ConfigurationError(
             "--monolingual must be given exactly when --train and --test name one "
             f"language (here {train_lang!r} and {test_lang!r})")
-    model, model_files = _load_model(args, cfg)
+    model, model_files = _load_model(args)
     spaces, read = _load_spaces(args, {train_lang: "--train", test_lang: "--test"},
                                 model)
     train_ds = load_labeled_dataset(train_path, train_lang)

@@ -39,11 +39,11 @@ class ClassifyConfig:
 
 
 def _fields(cls):
-    return {f.name: (type(f.default), f.default, f.metadata.get("range"))
+    return {f.name: (type(f.default), f.default, f.metadata["range"])
             for f in dataclasses.fields(cls)}
 
 
-# section -> key -> (type, default, valid range or None). A range is ">= a",
+# section -> key -> (type, default, valid range). A range is ">= a",
 # "> a", an interval open at its low end, "(a, b)" or "(a, b]", or a tuple of
 # the valid values.
 _SCHEMA = {
@@ -51,7 +51,6 @@ _SCHEMA = {
     "alignment": {
         "lambda": (float, 1e-3, ">= 0"),
         "kept_ratio": (float, 0.8, "(0, 1]"),
-        "normalize": (bool, True, None),
         "train_fraction": (float, 0.8, "(0, 1)"),
         "split_seed": (int, 1, ">= 0"),
     },
@@ -96,14 +95,9 @@ def check(section, key, value):
     """Raise ConfigurationError unless ``value`` lies in the valid range of
     ``[section] key``; a float value must also be finite."""
     kind, _, valid = _SCHEMA[section][key]
-    if valid is not None and not (
-            (kind is not float or math.isfinite(value)) and _within(value, valid)):
+    if not ((kind is not float or math.isfinite(value)) and _within(value, valid)):
         raise ConfigurationError(
             f"[{section}] {key} must be {_describe(kind, valid)}, got {value!r}")
-
-
-_BOOL_VALUES = {"true": True, "1": True, "yes": True,
-                "false": False, "0": False, "no": False}
 
 
 def _parse_value(section, key, raw):
@@ -111,11 +105,10 @@ def _parse_value(section, key, raw):
         raise ConfigurationError(f"unknown configuration key [{section}] {key}")
     kind = _SCHEMA[section][key][0]
     try:
-        value = _BOOL_VALUES[str(raw).strip().lower()] if kind is bool else kind(raw)
-    except (KeyError, TypeError, ValueError):
-        expected = "a boolean" if kind is bool else kind.__name__
+        value = kind(raw)
+    except (TypeError, ValueError):
         raise ConfigurationError(
-            f"[{section}] {key}: expected {expected}, got {raw!r}") from None
+            f"[{section}] {key}: expected {kind.__name__}, got {raw!r}") from None
     check(section, key, value)
     return value
 

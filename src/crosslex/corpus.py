@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import re
 from collections import Counter
 from itertools import chain
@@ -26,14 +27,28 @@ def tokenize(text):
     return _TOKEN_RE.findall(text.lower())
 
 
+def check_seed_term(term):
+    """Raise ConfigurationError unless ``term`` is a word that ``tokenize``
+    can produce, ``tokenize(term) == [term.lower()]``: any other never
+    matches. That holds exactly when the lowercased term is one letter/digit
+    run, which no URL, mention or hashtag rule touches, so only a refused
+    term is tokenized, for the message."""
+    if not _TOKEN_RE.fullmatch(term.lower()):
+        raise ConfigurationError(f"seed term {term!r} can never match: it "
+                                 f"tokenizes as {tokenize(term)}")
+
+
 def filter_corpus(lines, seeds):
     """Yield exactly the lines whose token set intersects the seed set.
 
     Seeds are lowercased and matched against tokenized forms, so a seed
-    never fires inside a longer word. Order of lines is preserved.
+    never fires inside a longer word; each must pass ``check_seed_term``.
+    Order of lines is preserved.
     """
     if not seeds:
         raise ConfigurationError("seed set must be nonempty")
+    for term in seeds:
+        check_seed_term(term)
     seeds = {s.lower() for s in seeds}
     for line in lines:
         if seeds.intersection(tokenize(line)):
@@ -60,11 +75,17 @@ def read_lines(path):
 
 def load_seed_terms(path):
     """Read a seed lexicon: one term per line, '#' comments and blanks
-    skipped. A file without a term is a configuration error."""
+    skipped. A file without a term, or a term that ``check_seed_term``
+    refuses, is a configuration error; the latter names its line."""
     seeds = []
-    for _, line in text_lines(path):
+    for lineno, line in text_lines(path):
         term = line.strip()
         if term and not term.startswith("#"):
+            try:
+                check_seed_term(term)
+            except ConfigurationError as err:
+                err.path, err.line_number = os.fspath(path), lineno
+                raise
             seeds.append(term)
     if not seeds:
         raise ConfigurationError(f"{path}: seed set must be nonempty")

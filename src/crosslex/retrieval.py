@@ -37,9 +37,12 @@ _BLOCK_ENTRIES = 1 << 19
 def _top_k(queries, target_unit, words, k):
     """Exact cosine top-k of the target rows for each query row.
 
-    Ties are broken by ascending word. A zero query scores 0 against every
-    row. Returns, per query, the chosen row indices best first and their
-    scores; every row when there are fewer than ``k``.
+    Ties are broken by ascending word, on scores that depend only on the
+    query and the row: a block's matrix product, whose bits BLAS may round
+    differently for other block sizes and positions, only picks the
+    candidates, which are then scored one row at a time. A zero query
+    scores 0 against every row. Returns, per query, the chosen row indices
+    best first and their scores; every row when there are fewer than ``k``.
     """
     n_rows = len(target_unit)
     if not n_rows:
@@ -47,13 +50,21 @@ def _top_k(queries, target_unit, words, k):
     unit = unit_rows(queries)
     take = min(k, n_rows)
     step = max(1, _BLOCK_ENTRIES // n_rows)
+    # A dot product of two unit rows of length d is off by at most about
+    # d/2 ulps of 1, so a product score and a row score differ by at most
+    # d ulps, and every row of the top k lies within 2d ulps of the k-th
+    # product score; the slack doubles that.
+    slack = 4 * target_unit.shape[1] * np.finfo(float).eps
     out = []
     for start in range(0, len(unit), step):
-        for scores in unit[start:start + step] @ target_unit.T:
-            kth = scores[np.argpartition(scores, n_rows - take)[n_rows - take]]
-            tied = np.flatnonzero(scores >= kth).tolist()
-            order = sorted(tied, key=lambda i: (-scores[i], words[i]))[:take]
-            out.append((order, scores[order]))
+        block = unit[start:start + step]
+        for query, product in zip(block, block @ target_unit.T):
+            kth = product[np.argpartition(product, n_rows - take)[n_rows - take]]
+            near = np.flatnonzero(product >= kth - slack)
+            scores = (target_unit[near] * query).sum(axis=1)
+            order = sorted(range(len(near)),
+                           key=lambda i: (-scores[i], words[near[i]]))[:take]
+            out.append((near[order].tolist(), scores[order]))
     return out
 
 

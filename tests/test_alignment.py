@@ -153,6 +153,33 @@ def test_cca_too_few_samples():
         fit_cca(np.zeros((1, 2)), np.zeros((1, 2)))
 
 
+@pytest.mark.parametrize("X,Y", [
+    (np.zeros((3, 2)), np.zeros((4, 2))),
+    (np.zeros(3), np.zeros((3, 2))),
+])
+def test_cca_refuses_unpaired_or_flat_inputs(X, Y):
+    with pytest.raises(ConfigurationError,
+                       match="X and Y must be 2-d with equal row counts"):
+        fit_cca(X, Y)
+
+
+def test_fit_hub_alignment_refusals(duplicate_space_pair):
+    spaces, lex = duplicate_space_pair
+    for args, error, message in [
+        ((spaces, [lex], "zz"), ConfigurationError,
+         "pivot language 'zz' has no embedding space"),
+        ((spaces, [BilingualLexicon("xx", "en", [("a", "b")])], "en"),
+         ConfigurationError, "lexicon xx-en: source must be the pivot"),
+        ((spaces, [BilingualLexicon("en", "yy", [("a", "b")])], "en"),
+         ConfigurationError, "no embedding space for language 'yy'"),
+        ((spaces, [BilingualLexicon("en", "xx")], "en"), InsufficientDataError,
+         "empty alignment lexicon for 'xx'"),
+    ]:
+        with pytest.raises(error) as exc:
+            fit_hub_alignment(*args)
+        assert str(exc.value) == message
+
+
 def test_identity_alignment(duplicate_space_pair):
     spaces, lex = duplicate_space_pair
     model = fit_hub_alignment(spaces, [lex], "en", lam=1e-3, kept_ratio=1.0)
@@ -162,8 +189,9 @@ def test_identity_alignment(duplicate_space_pair):
         assert np.max(np.abs(shared - en.vectors[en.vocab[word]])) < 1e-5
 
 
-def test_pivot_words_unchanged(duplicate_space_pair):
-    """Pivot words get the model's preparation and no map."""
+def test_pivot_words_unchanged(duplicate_space_pair, tmp_path):
+    """Pivot words get the model's preparation and no map; a model saved
+    with ``"normalize": false`` loads and keeps their rows as given."""
     spaces, lex = duplicate_space_pair
     model = fit_hub_alignment(spaces, [lex], "en", lam=1e-3, kept_ratio=1.0)
     word = spaces["en"].words[0]
@@ -171,8 +199,9 @@ def test_pivot_words_unchanged(duplicate_space_pair):
     assert np.array_equal(
         project(model, word, "en", spaces), unit_rows(row[None])[0]
     )
-    raw = fit_hub_alignment(spaces, [lex], "en", lam=1e-3, kept_ratio=1.0,
-                            normalize=False)
+    save_alignment(dataclasses.replace(model, normalize=False), tmp_path / "raw")
+    raw = load_alignment(tmp_path / "raw")
+    assert not raw.normalize and not raw.legacy
     assert np.array_equal(project(raw, word, "en", spaces), row)
 
 
@@ -240,9 +269,25 @@ def _raw_spaces(tri, seed=13):
     }
 
 
+def _unnormalized_model(spaces, lexicons, pivot, lam, kept_ratio):
+    """The model ``fit_hub_alignment`` would fit on the rows as given,
+    built from the ``fit_cca`` oracle, with ``normalize`` false."""
+    maps = {}
+    for lex in lexicons:
+        src, tgt = spaces[pivot], spaces[lex.tgt_lang]
+        cca = fit_cca(src.vectors[[src.vocab[s] for s, _ in lex.pairs]].astype(float),
+                      tgt.vectors[[tgt.vocab[t] for _, t in lex.pairs]].astype(float),
+                      lam=lam, kept_ratio=kept_ratio)
+        back = np.linalg.pinv(cca.proj_src, rcond=alignment._PINV_RCOND)
+        maps[lex.tgt_lang] = alignment.LanguageMap(
+            *alignment._fold(cca.means_tgt, cca.proj_tgt, back, cca.means_src),
+            correlations=cca.correlations)
+    return AlignmentModel(pivot, spaces[pivot].dim, lam, kept_ratio, False, maps)
+
+
 def test_model_normalizes_raw_spaces_pivot_included(trilingual_labeled):
-    """Raw spaces with normalize=True give what pre-normalized spaces give
-    with normalize=False, down to the classifier's counts."""
+    """Raw spaces fitted by the model give what pre-normalized spaces give
+    to the same fit without normalization, down to the classifier's counts."""
     tri = trilingual_labeled
     raw = _raw_spaces(tri)
     prenormalized = {lang: EmbeddingSpace(lang, space.words, unit_rows(space.vectors))
@@ -250,8 +295,7 @@ def test_model_normalizes_raw_spaces_pivot_included(trilingual_labeled):
     lexicons = [BilingualLexicon("en", lang, [(w, w) for w in tri.align_words])
                 for lang in ("es", "it")]
     own = fit_hub_alignment(raw, lexicons, "en", lam=1e-3, kept_ratio=1.0)
-    outside = fit_hub_alignment(prenormalized, lexicons, "en", lam=1e-3,
-                                kept_ratio=1.0, normalize=False)
+    outside = _unnormalized_model(prenormalized, lexicons, "en", 1e-3, 1.0)
     pivot_norms = np.linalg.norm(project_space(own, "en", raw), axis=1)
     assert np.max(np.abs(pivot_norms - 1.0)) < 1e-6
     for lang in ("en", "es", "it"):
@@ -270,10 +314,10 @@ def test_model_normalizes_raw_spaces_pivot_included(trilingual_labeled):
 def test_project_is_a_row_of_project_space(trilingual):
     tri = trilingual
     raw = _raw_spaces(tri)
-    for normalize in (True, False):
-        model = fit_hub_alignment(
-            raw, [BilingualLexicon("en", "es", [(w, w) for w in tri.align_words])],
-            "en", lam=1e-3, kept_ratio=1.0, normalize=normalize)
+    fitted = fit_hub_alignment(
+        raw, [BilingualLexicon("en", "es", [(w, w) for w in tri.align_words])],
+        "en", lam=1e-3, kept_ratio=1.0)
+    for model in (fitted, dataclasses.replace(fitted, normalize=False)):
         for lang in ("en", "es"):
             whole = project_space(model, lang, raw)
             for word in tri.val_words[:20]:
@@ -312,13 +356,15 @@ def test_map_that_does_not_fit_the_space_names_language(duplicate_space_pair, la
 
 
 def test_legacy_four_block_model_loads_folded(tmp_path, trilingual):
-    """A model written before the format marker: four blocks per language
-    and no marker. It folds at load and projects like the fitted model."""
+    """A model written before the format marker: four blocks per language,
+    no marker, and "normalize": false although align normalized. It folds
+    at load, normalizes, and projects like the fitted model."""
     tri = trilingual
     save_alignment(tri.model, tmp_path / "model")
     meta_path = tmp_path / "model" / "metadata.json"
     meta = json.loads(meta_path.read_text())
     del meta["format"], meta["correlations"]
+    meta["normalize"] = False
     meta_path.write_text(json.dumps(meta))
     for lang in ("es", "it"):
         lmap = tri.model.maps[lang]
@@ -648,6 +694,23 @@ def test_a_model_that_saves_loads_back(model):
         assert np.array_equal(again.maps[lang].W, _as_written(lmap.W))
         assert np.array_equal(again.maps[lang].b, _as_written(lmap.b)[0])
         assert np.array_equal(again.maps[lang].correlations, lmap.correlations)
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("format", 3, "unsupported model format 3"),
+    ("correlations", {"es": ["x"]},
+     "metadata 'correlations' must map languages to lists of numbers"),
+])
+def test_metadata_format_and_correlations_are_checked(tmp_path, trilingual, key,
+                                                      value, message):
+    save_alignment(trilingual.model, tmp_path / "model")
+    meta = tmp_path / "model" / "metadata.json"
+    data = json.loads(meta.read_text())
+    data[key] = value
+    meta.write_text(json.dumps(data))
+    with pytest.raises(FormatError) as exc:
+        load_alignment(tmp_path / "model")
+    assert str(exc.value) == f"{meta}: {message}"
 
 
 def test_metadata_languages_must_be_strings(tmp_path, trilingual):

@@ -54,6 +54,20 @@ def test_filter_corpus_empty_seeds_is_config_error(tmp_path):
                  "--output", str(out)]) == 1
 
 
+def test_filter_corpus_seed_the_tokenizer_never_yields_exits_1(tmp_path, capsys):
+    corpus = tmp_path / "c.txt"
+    corpus.write_text("#hate_speech now\n")
+    seeds = tmp_path / "s.txt"
+    seeds.write_text("hate\nhate_speech\n")
+    out = tmp_path / "f.txt"
+    assert main(["filter-corpus", "--input", str(corpus), "--seeds", str(seeds),
+                 "--output", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"crosslex: configuration error: {seeds}: seed term 'hate_speech' can "
+        "never match: it tokenizes as ['hate', 'speech'] (line 2)\n")
+    assert not out.exists()
+
+
 def test_align_insufficient_overlap_exit_2(mini_pipeline_inputs, tmp_path):
     inp = mini_pipeline_inputs
     bad_lex = tmp_path / "bad.tsv"
@@ -285,26 +299,18 @@ def test_knn_map_that_does_not_fit_the_space_exits_2(mini_pipeline_inputs,
     assert "Traceback" not in err
 
 
-def test_align_records_preparation_and_config_must_agree(mini_pipeline_inputs,
-                                                         tmp_path, capsys):
+def test_align_records_its_preparation(mini_pipeline_inputs, tmp_path):
     model_dir = tmp_path / "model"
-    emb = _aligned_model(mini_pipeline_inputs, model_dir)
+    _aligned_model(mini_pipeline_inputs, model_dir)
     meta = json.loads((model_dir / "metadata.json").read_text())
     assert meta["format"] == 2 and meta["normalize"] is True
     assert len(meta["correlations"]["es"]) == 8  # ceil(0.8 * 10) directions
-    capsys.readouterr()
-    assert main([
-        "knn", "--model", str(model_dir), *emb, "--word", "en3", "--lang", "en",
-        "--target", "es", "--set", "alignment.normalize=false",
-    ]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert (f"{model_dir} was fitted with normalize=True, but "
-            "alignment.normalize is False") in captured.err
+    config = json.loads((model_dir / "manifest.json").read_text())["config"]
+    assert "normalize" not in config["alignment"]
 
 
-def test_legacy_model_normalizes_by_metadata_or_config(mini_pipeline_inputs,
-                                                       tmp_path, capsys):
+def test_legacy_model_is_normalized_with_one_warning(mini_pipeline_inputs,
+                                                     tmp_path, capsys):
     from crosslex.alignment import _matrix_lines, load_alignment
 
     model_dir = tmp_path / "model"
@@ -331,8 +337,9 @@ def test_legacy_model_normalizes_by_metadata_or_config(mini_pipeline_inputs,
     assert main(argv) == 0
     assert knn_out.read_text() == expected
     err = capsys.readouterr().err
-    assert err.count("warning") == 1
-    assert f"{model_dir} has no format marker; normalize=True" in err
+    assert err == (f"crosslex: warning: {model_dir} has no format marker; "
+                   "normalizing its inputs, as align did before models "
+                   "recorded it\n")
 
 
 def test_diagnostics_go_to_stderr(mini_pipeline_inputs, tmp_path, capsys):
@@ -504,12 +511,11 @@ def test_report_flattens_to_tsv(tmp_path):
         {"seed": "s1", "target_lang": "it",
          "results": [], "no_context": True},
     ]
-    report.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    # blank and whitespace-only lines are skipped
+    report.write_text("\n" + "  \n\t\n".join(json.dumps(r) + "\n" for r in rows))
     out = tmp_path / "r.tsv"
     assert main(["report", "--input", str(report), "--output", str(out)]) == 0
-    lines = out.read_text().splitlines()
-    assert lines[0] == "seed\tes\tit"
-    assert lines[1] == "s1\tw (0.90)\t(no context)"
+    assert out.read_text() == "seed\tes\tit\ns1\tw (0.90)\t(no context)\n"
 
 
 def _missing_language_argv(inp, model_dir, emb):
@@ -647,6 +653,7 @@ def test_language_not_in_model_exits_1_naming_the_model(mini_pipeline_inputs,
     ("tokenizer", "lowercase", "unknown configuration section [tokenizer]"),
     ("mining", "use_stopwords", "unknown configuration key [mining] use_stopwords"),
     ("alignment", "pivot", "unknown configuration key [alignment] pivot"),
+    ("alignment", "normalize", "unknown configuration key [alignment] normalize"),
 ])
 def test_removed_config_key_exits_1(tmp_path, capsys, section, key, message):
     cfg = tmp_path / "run.ini"
@@ -674,8 +681,8 @@ CONFIG_FILE_ERRORS = {
     "[mining]\ntop_n = 5\nmin_support = 1.5\n":
         "[mining] min_support must be in (0, 1], got 1.5 (line 3)",
     "[mining]\ntop_n = 5%\n": "[mining] top_n: expected int, got '5%' (line 2)",
-    "[alignment]\nnormalize = maybe\n":
-        "[alignment] normalize: expected a boolean, got 'maybe' (line 2)",
+    "[alignment]\nkept_ratio = maybe\n":
+        "[alignment] kept_ratio: expected float, got 'maybe' (line 2)",
     "[DEFAULT]\ndim = 0\n[sgns]\nepochs = 1\n":
         "unknown configuration section [DEFAULT] (line 1)",
 }
@@ -782,8 +789,8 @@ def filter_inputs(tmp_path):
 
 
 @pytest.mark.parametrize("override,message", [
-    ("alignment.normalize=maybe",
-     "[alignment] normalize: expected a boolean, got 'maybe'"),
+    ("alignment.split_seed=maybe",
+     "[alignment] split_seed: expected int, got 'maybe'"),
     ("sgns.dim=abc", "[sgns] dim: expected int, got 'abc'"),
 ])
 def test_bad_override_value_exits_1(filter_inputs, capsys, override, message):
@@ -797,12 +804,12 @@ def test_bad_override_value_exits_1(filter_inputs, capsys, override, message):
 def test_unparsable_config_file_exits_1(filter_inputs, tmp_path, capsys):
     argv, manifest = filter_inputs
     cfg = tmp_path / "run.ini"
-    cfg.write_text("normalize = no\n")
+    cfg.write_text("kept_ratio = 0.5\n")
     assert main([*argv, "--config", str(cfg)]) == 1
     assert capsys.readouterr().err == (
         "crosslex: configuration error: cannot parse config file: File "
         f"contains no section headers.\nfile: '{cfg}', line: 1\n"
-        "'normalize = no\\n'\n")
+        "'kept_ratio = 0.5\\n'\n")
     assert not manifest.exists()
 
 
@@ -813,34 +820,22 @@ def _align_argv(inp, model_dir):
              "--output", str(model_dir)], model_dir / "manifest.json")
 
 
-@pytest.mark.parametrize("spelling,value", [
-    ("yes", True), ("no", False), ("1", True), ("0", False),
-    ("True", True), ("FALSE", False),
-])
-def test_boolean_spellings(mini_pipeline_inputs, tmp_path, spelling, value):
-    model_dir = tmp_path / "model"
-    argv, manifest = _align_argv(mini_pipeline_inputs, model_dir)
-    assert main([*argv, "--set", f"alignment.normalize={spelling}"]) == 0
-    assert json.loads(manifest.read_text())["config"]["alignment"]["normalize"] is value
-    assert json.loads((model_dir / "metadata.json").read_text())["normalize"] is value
-
-
 def test_set_overrides_config_file(mini_pipeline_inputs, tmp_path, capsys):
     model_dir = tmp_path / "model"
     argv, manifest = _align_argv(mini_pipeline_inputs, model_dir)
     cfg = tmp_path / "run.ini"
-    cfg.write_text("[alignment]\nnormalize = false\nsplit_seed = 7\n")
+    cfg.write_text("[alignment]\nkept_ratio = 0.5\nsplit_seed = 7\n")
     assert main([*argv, "--config", str(cfg)]) == 0
     assert json.loads(manifest.read_text())["config"]["alignment"] == {
-        "lambda": 1e-3, "kept_ratio": 0.8, "normalize": False,
-        "train_fraction": 0.8, "split_seed": 7}
+        "lambda": 1e-3, "kept_ratio": 0.5, "train_fraction": 0.8, "split_seed": 7}
+    assert json.loads((model_dir / "metadata.json").read_text())["kept_ratio"] == 0.5
     assert main([*argv, "--config", str(cfg),
-                 "--set", "alignment.normalize=true"]) == 0
+                 "--set", "alignment.kept_ratio=1"]) == 0
     assert json.loads(manifest.read_text())["config"] == {
         "pivot": "en",
-        "alignment": {"lambda": 1e-3, "kept_ratio": 0.8, "normalize": True,
-                      "train_fraction": 0.8, "split_seed": 7}}
-    assert json.loads((model_dir / "metadata.json").read_text())["normalize"] is True
+        "alignment": {"lambda": 1e-3, "kept_ratio": 1.0, "train_fraction": 0.8,
+                      "split_seed": 7}}
+    assert json.loads((model_dir / "metadata.json").read_text())["kept_ratio"] == 1.0
     assert "en-es: 60 alignment pairs" in capsys.readouterr().err
 
 
@@ -1423,6 +1418,25 @@ def test_empty_seed_term_exits_1_naming_flag(tmp_path, capsys, seeds):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("seeds,term,tokens", [
+    ("en1,hate_speech", "hate_speech", ["hate", "speech"]),
+    ("#hate", "#hate", ["hate"]),
+    ("e-mail,en1", "e-mail", ["e", "mail"]),
+    ("İstanbul", "İstanbul", ["i", "stanbul"]),
+])
+def test_seed_term_the_tokenizer_never_yields_exits_1_naming_flag(
+        tmp_path, capsys, seeds, term, tokens):
+    gone = str(tmp_path / "missing")
+    assert main(["context-sim", "--model", gone, "--embeddings", f"en={gone}",
+                 "--dataset", f"en={gone}", "--seed-terms", seeds,
+                 "--source-lang", "en", "--output", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (f"argument --seed-terms: seed term {term!r} can never match: it "
+            f"tokenizes as {tokens}") in captured.err
+    assert not (tmp_path / "out").exists()
+
+
 def _bad_language_argv(inp, model_dir, emb):
     """Per flag, argv that gives it the language name ``../x``."""
     common = ["--model", str(model_dir), *emb]
@@ -1561,6 +1575,25 @@ def test_k_below_1_exits_1_before_reading(tmp_path, capsys, command, k):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"error: argument --k: must be >= 1, got {k}" in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command,flag,value,message", [
+    ("knn", "--k", "x", "argument --k: invalid int value: 'x'"),
+    ("bli", "--embeddings", "en",
+     "argument --embeddings: expected LANG=PATH, got 'en'"),
+    ("align", "--set", "alignment",
+     "argument --set: expected SECTION.KEY=VALUE, got 'alignment'"),
+])
+def test_malformed_flag_value_exits_1_before_reading(tmp_path, capsys, command,
+                                                     flag, value, message):
+    """A flag value that does not parse is a usage error: the missing
+    inputs would exit 2."""
+    argv = _missing_input_argv(tmp_path)[command]
+    assert main([*argv, flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {message}" in captured.err
     assert "Traceback" not in captured.err
 
 

@@ -2,15 +2,23 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from crosslex import context_sim, met_sim, word_sim
+from crosslex import (
+    EmbeddingSpace,
+    context_sim,
+    cross_lingual_report,
+    met_sim,
+    word_sim,
+)
+from crosslex.alignment import AlignmentModel, LanguageMap
 from crosslex.contextsim import BOUNDED, LITERAL
 from crosslex.errors import (
     ConfigurationError,
     DimensionError,
     DomainError,
     InsufficientDataError,
+    NotFoundError,
 )
-from crosslex.rules import WordContext
+from crosslex.rules import AssociationRule, WordContext
 
 metric = st.floats(0.0, 1.0, allow_nan=False)
 
@@ -54,6 +62,30 @@ def test_word_sim_direct_arithmetic():
     v = np.array([0.6, 0.8])
     got = word_sim((0.5, 0.5), (0.4, 0.6), u, v, BOUNDED)
     assert got == pytest.approx((0.6 + 0.9) / 2)
+
+
+@pytest.mark.parametrize("missing", ["u", "v"])
+def test_word_sim_refuses_a_missing_vector(missing):
+    vecs = {"u": np.array([1.0, 0.0]), "v": np.array([0.6, 0.8]), missing: None}
+    with pytest.raises(NotFoundError,
+                       match="missing shared-space vector for word similarity"):
+        word_sim((0.5, 0.5), (0.4, 0.6), vecs["u"], vecs["v"])
+
+
+def test_report_skips_a_candidate_whose_context_has_no_vectors():
+    """A candidate none of whose context words is in its language's
+    vocabulary is left out of the results and adds no skipped pairs."""
+    model = AlignmentModel("en", 2, 0.0, 1.0, False,
+                           maps={"es": LanguageMap(np.eye(2), np.zeros(2))})
+    spaces = {"en": EmbeddingSpace("en", ["a"], [[1.0, 0.0]]),
+              "es": EmbeddingSpace("es", ["b"], [[0.6, 0.8]])}
+    rules = {"en": [AssociationRule("seed", "a", 0.5, 0.5)],
+             "es": [AssociationRule("kept", "b", 0.5, 0.5),
+                    AssociationRule("blind", "oov", 0.5, 0.5)]}
+    [record] = cross_lingual_report(["seed"], "en", rules, "all", model, spaces)
+    assert record["results"] == [{"word": "kept", "score": pytest.approx(
+        (0.6 + 1.0) / 2)}]
+    assert (record["skipped_pairs"], record["no_context"]) == (0, False)
 
 
 def test_word_sim_bounds():

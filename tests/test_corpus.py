@@ -2,6 +2,7 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crosslex import (
     build_vocab,
@@ -10,7 +11,7 @@ from crosslex import (
     load_lexicon,
     tokenize,
 )
-from crosslex.corpus import load_seed_terms, read_lines
+from crosslex.corpus import check_seed_term, load_seed_terms, read_lines
 from crosslex.errors import ConfigurationError, FormatError
 
 
@@ -120,6 +121,59 @@ def test_load_seed_terms(tmp_path):
     path = tmp_path / "seeds.txt"
     path.write_text("# comment\nfoo\n\nbar\n")
     assert load_seed_terms(path) == ["foo", "bar"]
+
+
+# Seed terms that ``tokenize`` never yields, and the tokens it makes of them.
+UNPRODUCIBLE_SEEDS = [
+    ("hate_speech", ["hate", "speech"]),
+    ("#hate", ["hate"]),
+    ("e-mail", ["e", "mail"]),
+    ("İstanbul", ["i", "stanbul"]),
+    ("@user", []),
+]
+
+
+@pytest.mark.parametrize("term", ["hate", "Hate", "ñandú", "abc123"])
+def test_seed_term_the_tokenizer_yields_is_accepted(term):
+    check_seed_term(term)
+    assert list(filter_corpus([f"x {term.upper()} y", "z"], [term])) == [
+        f"x {term.upper()} y"]
+
+
+@settings(max_examples=300)
+@given(st.one_of(st.text(max_size=8), st.sampled_from(
+    [term for term, _ in UNPRODUCIBLE_SEEDS] + ["www", "http", "ΑΣ", "ß"])))
+def test_seed_term_is_accepted_exactly_when_it_tokenizes_as_itself(term):
+    try:
+        check_seed_term(term)
+    except ConfigurationError:
+        assert tokenize(term) != [term.lower()]
+    else:
+        assert tokenize(term) == [term.lower()]
+
+
+@pytest.mark.parametrize("term,tokens", UNPRODUCIBLE_SEEDS)
+def test_seed_term_the_tokenizer_never_yields_is_refused(term, tokens):
+    message = f"seed term {term!r} can never match: it tokenizes as {tokens}"
+    with pytest.raises(ConfigurationError) as exc:
+        check_seed_term(term)
+    assert str(exc.value) == message
+    with pytest.raises(ConfigurationError) as exc:
+        list(filter_corpus([term, "hate"], ["hate", term]))
+    assert str(exc.value) == message
+
+
+# In a seed file a line that starts with "#" is a comment.
+@pytest.mark.parametrize("term,tokens", [(term, tokens) for term, tokens in
+                                         UNPRODUCIBLE_SEEDS if term[0] != "#"])
+def test_seed_file_term_the_tokenizer_never_yields_names_file_and_line(
+        tmp_path, term, tokens):
+    path = tmp_path / "seeds.txt"
+    path.write_text(f"# seeds\nhate\n\n{term}\nslur\n", encoding="utf-8")
+    with pytest.raises(ConfigurationError) as exc:
+        load_seed_terms(path)
+    assert str(exc.value) == (f"{path}: seed term {term!r} can never match: "
+                              f"it tokenizes as {tokens} (line 4)")
 
 
 @pytest.mark.parametrize("load, first_line", [

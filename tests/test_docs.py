@@ -32,9 +32,7 @@ def test_config_table_matches_the_schema():
     rows = re.findall(r"^\| `(\w+)\.(\w+)` \| (\w+) \| (\S+) \| (.*?) ?\|$",
                       text, re.M)
     expected = [
-        (section, key, kind.__name__,
-         str(default).lower() if kind is bool else str(default),
-         "" if valid is None else config._describe(kind, valid))
+        (section, key, kind.__name__, str(default), config._describe(kind, valid))
         for section, keys in config._SCHEMA.items()
         for key, (kind, default, valid) in keys.items()
     ]

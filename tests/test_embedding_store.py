@@ -506,6 +506,18 @@ def test_cosine_values():
     assert cosine([1e-200, 0], [1, 0]) == 1.0
 
 
+@pytest.mark.parametrize("words,vectors,error,message", [
+    (["a"], np.ones(3), DimensionError, "vectors must be a 2-d matrix"),
+    (["a", "b"], np.ones((3, 2)), DimensionError, "2 words but 3 vector rows"),
+    (["a"], np.ones((1, 0)), DimensionError, "embedding dimension must be >= 1"),
+    (["a", "a"], np.ones((2, 2)), FormatError, "duplicate words in vocabulary"),
+])
+def test_embedding_space_refusals(words, vectors, error, message):
+    with pytest.raises(error) as exc:
+        EmbeddingSpace("en", words, vectors)
+    assert str(exc.value) == message
+
+
 def test_cosine_errors():
     with pytest.raises(DomainError):
         cosine([0, 0], [1, 1])

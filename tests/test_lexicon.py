@@ -11,6 +11,7 @@ from crosslex import (
 from crosslex.errors import (
     ConfigurationError,
     FormatError,
+    InsufficientDataError,
     InsufficientOverlapError,
 )
 
@@ -152,6 +153,21 @@ def test_split_partition_properties():
     assert sorted(train.pairs + val.pairs) == sorted(lex.pairs)
     assert not set(train.pairs) & set(val.pairs)
     assert not set(train.source_words()) & set(val.source_words())
+
+
+def test_lexicon_refusals():
+    with pytest.raises(ConfigurationError,
+                       match="source and target language must differ"):
+        BilingualLexicon("en", "en", [("a", "b")])
+    with pytest.raises(FormatError, match="empty word in lexicon pair"):
+        BilingualLexicon("en", "es", [("a", "b"), ("c", "")])
+
+
+def test_split_needs_two_source_words():
+    lex = BilingualLexicon("en", "es", [("a", "b"), ("a", "c")])
+    with pytest.raises(InsufficientDataError,
+                       match="need >= 2 distinct source words to split"):
+        split_lexicon(lex, 0.5, rng_seed=0)
 
 
 def test_split_fraction_out_of_range():

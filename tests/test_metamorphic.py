@@ -14,9 +14,16 @@ import shutil
 import numpy as np
 import pytest
 
+from crosslex import knn, knn_batch, load_alignment, load_embeddings, save_alignment
+from crosslex.alignment import AlignmentModel, LanguageMap
 from crosslex.cli import main
 
-from conftest import planted_pair_corpus, random_orthogonal, write_mini_inputs
+from conftest import (
+    planted_pair_corpus,
+    random_orthogonal,
+    write_embedding_file,
+    write_mini_inputs,
+)
 
 LANGS = ("en", "es")
 CLASSES = ("hate", "non-hate", "all")
@@ -199,3 +206,58 @@ def test_lines_of_words_below_min_count_change_no_vector(tmp_path):
              "--set", "sgns.min_count=3", "--set", "sgns.subsample_t=1e-2")
         vectors.append(out.read_bytes())
     assert vectors[0] == vectors[1]
+
+
+def _equal_cosine_inputs(base):
+    """12 en queries, 400 es words whose rows are signed permutations of one
+    row, and an identity model: in exact arithmetic many es words share a
+    cosine with a query, and in float64 they differ in the last bits."""
+    rng = np.random.default_rng(5)
+    dim, n = 64, 400
+    row = np.round(rng.normal(size=dim), 6)
+    es = np.array([row[rng.permutation(dim)] * rng.choice([-1, 1], size=dim)
+                   for _ in range(n)])
+    en = np.vstack([np.ones((4, dim)), np.abs(es[:8]) + np.round(
+        rng.normal(scale=0.01, size=(8, dim)), 6)])
+    en_words = [f"q{i}" for i in range(len(en))]
+    es_words = [f"t{i:03d}" for i in range(n)]
+    base.mkdir()
+    write_embedding_file(base / "en.vec", en_words, en)
+    write_embedding_file(base / "es.vec", es_words, es)
+    (base / "lex.tsv").write_text("".join(f"{q}\tt{i:03d}\n"
+                                          for i, q in enumerate(en_words)))
+    model = base / "model"
+    save_alignment(AlignmentModel("en", dim, 0.0, 1.0, True, maps={
+        "es": LanguageMap(np.eye(dim), np.zeros(dim))}), model)
+    return base, model
+
+
+@pytest.mark.parametrize("space", ["mini", "equal-cosine"])
+def test_a_words_list_does_not_depend_on_its_batch(reference, tmp_path, space):
+    """A word's ``knn`` list, scores to the last bit, is its list in
+    ``knn_batch`` at every batch size and, to the 6 decimals written, in
+    ``bli --detailed`` and the ``knn`` command."""
+    if space == "mini":
+        inputs, model_dir = reference["base"], reference["model"]
+        bli = reference["bli"]
+    else:
+        inputs, model_dir = _equal_cosine_inputs(tmp_path / "in")
+        bli = _bli(inputs, model_dir, tmp_path)
+    detailed = {record["query"]: record["neighbors"] for record in _records(bli)
+                if "query" in record}
+    model = load_alignment(model_dir)
+    spaces = {lang: load_embeddings(inputs / f"{lang}.vec", lang) for lang in LANGS}
+    words = list(detailed)
+    alone = [knn(model, spaces, word, "en", "es", 5).neighbors for word in words]
+    for size in range(1, len(words) + 1):
+        assert [result.neighbors for start in range(0, len(words), size)
+                for result in knn_batch(model, spaces, words[start:start + size],
+                                        "en", "es", 5)] == alone, size
+    path = tmp_path / "knn.jsonl"
+    for word, neighbors in zip(words, alone):
+        _run("knn", "--model", model_dir, *_embeddings(inputs), "--word", word,
+             "--lang", "en", "--target", "es", "--k", 5, "--output", path)
+        written = [{"word": record["word"], "score": record["score"]}
+                   for record in _records(path.read_bytes())]
+        assert written == detailed[word] == [
+            {"word": w, "score": round(score, 6)} for w, _, score in neighbors]

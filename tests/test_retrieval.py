@@ -73,6 +73,24 @@ def test_top_k_matches_scalar_oracle(seed, monkeypatch):
                 assert result.truncated == (len(expected) < k)
 
 
+def test_top_k_ranks_near_ties_on_row_scores():
+    """Rows a few ulps apart are ranked on each row's own score, which the
+    block product only approximates: the product picks the candidates with
+    a slack, so no row of the top k is lost."""
+    rng = np.random.default_rng(0)
+    n_words, dim = 300, 100
+    base = rng.normal(size=dim)
+    target = retrieval.unit_rows(base + rng.normal(scale=1e-15, size=(n_words, dim)))
+    words = [f"t{i:03d}" for i in range(n_words)]
+    queries = base + rng.normal(scale=1e-3, size=(8, dim))
+    for k in (1, 2, 3, 5):
+        ranked = retrieval._top_k(queries, target, words, k)
+        for query, (rows, scores) in zip(retrieval.unit_rows(queries), ranked):
+            own = (target * query).sum(axis=1)
+            assert rows == sorted(range(n_words), key=lambda i: (-own[i], words[i]))[:k]
+            assert np.array_equal(scores, own[rows])
+
+
 def test_knn_self_match_across_duplicate_spaces(duplicate_space_pair):
     spaces, lex = duplicate_space_pair
     model = fit_hub_alignment(spaces, [lex], "en", lam=1e-3, kept_ratio=1.0)

@@ -36,6 +36,11 @@ def test_min_count_filters_vocab():
     assert set(space.words) == {"a", "b"}
 
 
+def test_empty_corpus_error():
+    with pytest.raises(InsufficientDataError, match="empty corpus"):
+        train_sgns([], SgnsConfig())
+
+
 def test_single_word_vocab_error():
     with pytest.raises(InsufficientDataError):
         train_sgns([["only", "only", "only"]], FAST)

@@ -33,21 +33,27 @@ def _read_mode(call):
     return not (isinstance(mode, ast.Constant) and set(mode.value) & set("wax+"))
 
 
-def _calls(tree, module, name):
-    """``(module.function, call)`` of every call of ``name`` in ``tree``."""
+def _nodes(tree, module, match):
+    """``(module.function, node)`` of every node of ``tree`` that ``match``
+    accepts."""
     found = []
 
     def visit(node, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             where = f"{where}.{node.name}"
-        if isinstance(node, ast.Call) and name in (
-                getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+        if match(node):
             found.append((where, node))
         for child in ast.iter_child_nodes(node):
             visit(child, where)
 
     visit(tree, module)
     return found
+
+
+def _calls(tree, module, name):
+    """``(module.function, call)`` of every call of ``name`` in ``tree``."""
+    return _nodes(tree, module, lambda node: isinstance(node, ast.Call) and name in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None)))
 
 
 def _source_calls(name):
@@ -94,7 +100,6 @@ LIBRARY_DEFAULTS = [
     (crosslex.fit_cca, "kept_ratio", "alignment", "kept_ratio"),
     (crosslex.fit_hub_alignment, "lam", "alignment", "lambda"),
     (crosslex.fit_hub_alignment, "kept_ratio", "alignment", "kept_ratio"),
-    (crosslex.fit_hub_alignment, "normalize", "alignment", "normalize"),
     (crosslex.mine_rules, "top_n_antecedents", "mining", "top_n"),
     (crosslex.mine_rules, "min_support", "mining", "min_support"),
     (crosslex.mine_rules, "min_confidence", "mining", "min_confidence"),
@@ -196,3 +201,32 @@ def test_every_config_key_is_read_outside_config():
     unread = [(section, key) for section, keys in config._SCHEMA.items()
               for key in keys if key not in read]
     assert unread == []
+
+
+def _sets_normalize(node):
+    """Whether ``node`` assigns a ``.normalize`` or passes ``normalize=``."""
+    if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return any(isinstance(target, ast.Attribute) and target.attr == "normalize"
+                   for target in targets)
+    return isinstance(node, ast.Call) and any(
+        kw.arg == "normalize" for kw in node.keywords)
+
+
+def test_only_alignment_sets_a_model_preparation():
+    """A model's ``normalize`` is fitted or read by ``alignment`` alone: no
+    other module assigns it or passes it, so the metadata a model was saved
+    with is the one record of how its inputs are prepared."""
+    found = {where for path in SRC.glob("*.py")
+             for where, _ in _nodes(_module_tree(path.stem), path.stem,
+                                    _sets_normalize)}
+    assert found and {where.split(".")[0] for where in found} == {"alignment"}
+
+
+def test_only_align_reads_the_alignment_section():
+    """The ``[alignment]`` config section configures the fit alone: no
+    command that loads a model reads it."""
+    found = {where for where, _ in _nodes(
+        _module_tree("cli"), "cli",
+        lambda node: isinstance(node, ast.Constant) and node.value == "alignment")}
+    assert found == {"cli._cmd_align"}
