@@ -10,6 +10,7 @@ language's rows, the pivot's included, to unit length before anything else.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -293,32 +294,38 @@ def is_language_name(name):
     return isinstance(name, str) and re.fullmatch(r"[\w-]+", name) is not None
 
 
+def _digest(lines):
+    return hashlib.sha256("".join(lines).encode("utf-8")).hexdigest()
+
+
 def save_alignment(model, dirpath):
     """Persist a model as a directory: one matrix file per non-pivot
-    language (``W`` and ``b`` blocks), then the metadata JSON. A model that
-    ``load_alignment``'s checks of these files would refuse raises
-    ConfigurationError with the loader's message before anything is written."""
+    language (``W`` and ``b`` blocks), then the metadata JSON, which records
+    each matrix file's sha256. A model that ``load_alignment``'s checks of
+    these files would refuse raises ConfigurationError with the loader's
+    message before anything is written."""
+    mats = {lang: list(_matrix_lines(lmap.W, lmap.b))
+            for lang, lmap in sorted(model.maps.items())}
     meta = {
         "format": _FORMAT,
         **{name: getattr(model, name) for name in _STORED},
         "languages": sorted(model.maps),
         "correlations": {lang: lmap.correlations.tolist()
                          for lang, lmap in sorted(model.maps.items())},
+        "sha256": {lang: _digest(lines) for lang, lines in mats.items()},
     }
-    mats = {os.path.join(dirpath, f"{lang}.mat"): list(_matrix_lines(lmap.W, lmap.b))
-            for lang, lmap in sorted(model.maps.items())}
     meta_path = os.path.join(dirpath, "metadata.json")
     try:
         with in_file(meta_path):
             _check_metadata(meta)
-        for path, lines in mats.items():
-            with in_file(path):
+        for lang, lines in mats.items():
+            with in_file(os.path.join(dirpath, f"{lang}.mat")):
                 _read_language_map(lines, model.shared_dim)
     except FormatError as err:
         raise ConfigurationError(str(err)) from None
     os.makedirs(dirpath, exist_ok=True)
-    for path, lines in mats.items():
-        write_text(path, lines)
+    for lang, lines in mats.items():
+        write_text(os.path.join(dirpath, f"{lang}.mat"), lines)
     write_text(meta_path, [json.dumps(meta, indent=2, sort_keys=True), "\n"])
 
 
@@ -334,8 +341,8 @@ def _read_metadata(path):
 def _check_metadata(meta):
     """Raise FormatError unless ``meta`` is a JSON object with every model
     key, language names, stored values of their type and in their range
-    (the numbers in that of their ``[alignment]`` key), a known format and
-    lists of numbers as correlations."""
+    (the numbers in that of their ``[alignment]`` key), a known format,
+    lists of numbers as correlations and strings as digests."""
     if not isinstance(meta, dict):
         raise FormatError("metadata must be a JSON object")
     missing = [key for key in (*_STORED, "languages") if key not in meta]
@@ -369,6 +376,10 @@ def _check_metadata(meta):
             for values in correlations.values()):
         raise FormatError("metadata 'correlations' must map languages to "
                           "lists of numbers")
+    digests = meta.get("sha256", {})
+    if not isinstance(digests, dict) or not all(
+            isinstance(digest, str) for digest in digests.values()):
+        raise FormatError("metadata 'sha256' must map languages to strings")
 
 
 def _read_language_map(lines, shared_dim):
@@ -428,7 +439,8 @@ def _check_legacy_blocks(blocks, headers):
 
 def load_alignment(dirpath):
     """Read a model written by ``save_alignment``; a corrupt metadata file
-    or ``.mat`` file raises FormatError naming the file. A model without the
+    or ``.mat`` file, or one whose text is not the one that its recorded
+    sha256 names, raises FormatError naming the file. A model without the
     format marker normalizes, as ``align`` did before it recorded so."""
     meta_path = os.path.join(dirpath, "metadata.json")
     with in_file(meta_path):
@@ -437,6 +449,7 @@ def load_alignment(dirpath):
                            legacy="format" not in meta)
     model.normalize = model.normalize or model.legacy
     correlations = meta.get("correlations", {})
+    digests = meta.get("sha256", {})
     for lang in meta["languages"]:
         path = os.path.join(dirpath, f"{lang}.mat")
         with in_file(path):
@@ -445,4 +458,7 @@ def load_alignment(dirpath):
                 *_read_language_map(lines, model.shared_dim),
                 correlations=np.array(correlations.get(lang, []), dtype=np.float64),
             )
+            if lang in digests and _digest(lines) != digests[lang]:
+                raise FormatError("not the map that metadata.json records (its "
+                                  "sha256 differs), so it is from another model")
     return model

@@ -158,8 +158,9 @@ def zero_shot_eval(train_ds, test_ds, model, spaces, cfg=ClassifyConfig(),
     and ``evaluate``; ``cfg.split_seed`` is ``split_dataset``'s.
     """
     if train_ds.language == test_ds.language and not allow_same_language:
-        raise ConfigurationError("train and test language coincide; pass the "
-                                 "monolingual flag for a monolingual evaluation")
+        raise ConfigurationError("train and test language coincide; pass "
+                                 "allow_same_language=True for a monolingual "
+                                 "evaluation")
     if not test_ds.docs:
         raise InsufficientDataError("no test documents to evaluate")
     train_x, train_y, _ = featurize_dataset(train_ds, model, spaces)

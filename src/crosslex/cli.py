@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 usage/configuration error, 2 data or format error.
 filter-corpus, train-embeddings and align, and bli and classify given
---output, also write a run manifest with the resolved config, input
-checksums, and seeds.
+--output, also write a run manifest with the resolved config, seeds
+included, and input checksums.
 """
 
 from __future__ import annotations
@@ -84,17 +84,15 @@ def _k(value):
 
 
 def _seed_terms(value):
-    """The comma-separated seed words, checked and lowercased as
-    filter-corpus seeds are."""
+    """The comma-separated seed words, in the form ``check_seed_term``
+    matches them."""
     terms = value.split(",")
     if "" in terms:
         raise argparse.ArgumentTypeError(f"empty seed term in {value!r}")
-    for term in terms:
-        try:
-            check_seed_term(term)
-        except ConfigurationError as err:
-            raise argparse.ArgumentTypeError(str(err)) from None
-    return [term.lower() for term in terms]
+    try:
+        return [check_seed_term(term) for term in terms]
+    except ConfigurationError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
 
 
 def _lang_path_pair(value):
@@ -172,14 +170,14 @@ def _write_jsonl(path_or_stdout, records):
                                 for rec in records))
 
 
-def _manifest(args, config, inputs, seeds=None):
+def _manifest(args, config, inputs):
     """Write the run manifest of a command given ``--output``: align's as
     ``manifest.json`` in the model directory, any other's beside its output
     as ``<output>.manifest.json``."""
     if args.output:
         path = (os.path.join(args.output, "manifest.json") if args.command == "align"
                 else args.output + ".manifest.json")
-        write_manifest(path, args.command, config, inputs, seeds=seeds)
+        write_manifest(path, args.command, config, inputs)
 
 
 def _cmd_filter_corpus(args, cfg):
@@ -196,8 +194,7 @@ def _cmd_train_embeddings(args, cfg):
     with in_file(args.corpus):
         space = train_sgns(corpus, SgnsConfig(**cfg["sgns"]))
     save_embeddings(space, args.output)
-    _manifest(args, {"sgns": cfg["sgns"], "language": args.language},
-              [args.corpus], seeds={"rng_seed": cfg["sgns"]["rng_seed"]})
+    _manifest(args, {"sgns": cfg["sgns"], "language": args.language}, [args.corpus])
     print(f"trained {len(space)} x {space.dim} vectors for {args.language}",
           file=sys.stderr)
 
@@ -228,8 +225,7 @@ def _cmd_align(args, cfg):
         write_text(os.path.join(args.output, f"validation_{lang}.tsv"),
                    (f"{s}\t{t}\n" for s, t in val.pairs))
     _manifest(args, {"alignment": acfg, "pivot": pivot},
-              read + list(args.lexicon.values()),
-              seeds={"split_seed": acfg["split_seed"]})
+              read + list(args.lexicon.values()))
 
 
 def _load_model(args):
@@ -359,8 +355,7 @@ def _cmd_classify(args, cfg):
     print(tsv, file=sys.stderr)
     _manifest(args, {"classify": cfg["classify"], "train": train_lang,
                      "test": test_lang},
-              [train_path, test_path] + read + model_files,
-              seeds={"split_seed": ccfg.split_seed})
+              [train_path, test_path] + read + model_files)
 
 
 def _cmd_report(args, cfg):

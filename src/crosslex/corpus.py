@@ -28,28 +28,28 @@ def tokenize(text):
 
 
 def check_seed_term(term):
-    """Raise ConfigurationError unless ``term`` is a word that ``tokenize``
-    can produce, ``tokenize(term) == [term.lower()]``: any other never
-    matches. That holds exactly when the lowercased term is one letter/digit
-    run, which no URL, mention or hashtag rule touches, so only a refused
-    term is tokenized, for the message."""
-    if not _TOKEN_RE.fullmatch(term.lower()):
+    """Return ``term.lower()``, the one form in which a seed is matched.
+    Raise ConfigurationError unless ``tokenize(term) == [term.lower()]``: no
+    other term can match. That holds exactly when the lowercased term is one
+    letter/digit run, which no URL, mention or hashtag rule touches, so only
+    a refused term is tokenized, for the message."""
+    lowered = term.lower()
+    if not _TOKEN_RE.fullmatch(lowered):
         raise ConfigurationError(f"seed term {term!r} can never match: it "
                                  f"tokenizes as {tokenize(term)}")
+    return lowered
 
 
 def filter_corpus(lines, seeds):
     """Yield exactly the lines whose token set intersects the seed set.
 
-    Seeds are lowercased and matched against tokenized forms, so a seed
-    never fires inside a longer word; each must pass ``check_seed_term``.
+    Each seed must pass ``check_seed_term``, and its checked form is matched
+    against tokenized forms, so a seed never fires inside a longer word.
     Order of lines is preserved.
     """
     if not seeds:
         raise ConfigurationError("seed set must be nonempty")
-    for term in seeds:
-        check_seed_term(term)
-    seeds = {s.lower() for s in seeds}
+    seeds = {check_seed_term(term) for term in seeds}
     for line in lines:
         if seeds.intersection(tokenize(line)):
             yield line

@@ -18,14 +18,13 @@ def _sha256(path):
     return h.hexdigest()
 
 
-def write_manifest(path, command, config, inputs, seeds=None):
-    """Write the JSON manifest at ``path``: command, config snapshot, input
-    checksums, seeds, package version, and a timestamp."""
+def write_manifest(path, command, config, inputs):
+    """Write the JSON manifest at ``path``: command, config snapshot (seeds
+    included), input checksums, package version, and a timestamp."""
     manifest = {
         "command": command,
         "config": config,
         "inputs": {str(p): _sha256(p) for p in inputs},
-        "seeds": seeds or {},
         "version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import tempfile
@@ -25,6 +26,7 @@ from crosslex import (
     save_alignment,
     zero_shot_eval,
 )
+from crosslex.cli import main
 from crosslex.embedding_store import unit_rows
 from crosslex.errors import (
     ConfigurationError,
@@ -357,13 +359,13 @@ def test_map_that_does_not_fit_the_space_names_language(duplicate_space_pair, la
 
 def test_legacy_four_block_model_loads_folded(tmp_path, trilingual):
     """A model written before the format marker: four blocks per language,
-    no marker, and "normalize": false although align normalized. It folds
-    at load, normalizes, and projects like the fitted model."""
+    no marker, no digests, and "normalize": false although align normalized.
+    It folds at load, normalizes, and projects like the fitted model."""
     tri = trilingual
     save_alignment(tri.model, tmp_path / "model")
     meta_path = tmp_path / "model" / "metadata.json"
     meta = json.loads(meta_path.read_text())
-    del meta["format"], meta["correlations"]
+    del meta["format"], meta["correlations"], meta["sha256"]
     meta["normalize"] = False
     meta_path.write_text(json.dumps(meta))
     for lang in ("es", "it"):
@@ -397,6 +399,9 @@ def test_alignment_model_roundtrip(tmp_path, trilingual):
     meta = json.loads((tmp_path / "model" / "metadata.json").read_text())
     assert meta["format"] == 2 and meta["normalize"] is True
     assert meta["correlations"]["es"] == tri.model.maps["es"].correlations.tolist()
+    assert meta["sha256"] == {
+        lang: hashlib.sha256((tmp_path / "model" / f"{lang}.mat").read_bytes())
+        .hexdigest() for lang in ("es", "it")}
 
 
 def _saved_mat_lines(tmp_path, trilingual):
@@ -498,14 +503,75 @@ def test_mat_block_shape_mismatch_names_block(tmp_path, trilingual, shapes,
     assert str(err) == f"{tmp_path / 'model' / 'it.mat'}: {message} (line {line})"
 
 
+def _without_digests(model_dir):
+    """Drop the maps' sha256 from a saved model's metadata, as in a model
+    saved before they were recorded."""
+    meta_path = model_dir / "metadata.json"
+    meta = json.loads(meta_path.read_text())
+    del meta["sha256"]
+    meta_path.write_text(json.dumps(meta))
+
+
 def test_mat_consistent_blocks_load(tmp_path, trilingual):
     save_alignment(trilingual.model, tmp_path / "model")
+    _without_digests(tmp_path / "model")
     (tmp_path / "model" / "it.mat").write_text(
         "".join(_mat_lines((1, 6), (6, 4), (4, 50), (1, 50))))
     lmap = load_alignment(tmp_path / "model").maps["it"]
     mean, P, B, pm = (np.ones(shape) for shape in ((6,), (6, 4), (4, 50), (50,)))
     assert np.array_equal(lmap.W, P @ B)
     assert np.array_equal(lmap.b, pm - mean @ lmap.W)
+
+
+def _rescaled(model, factor):
+    """Another model: each map's ``W`` multiplied by ``factor``."""
+    return dataclasses.replace(model, maps={
+        lang: alignment.LanguageMap(lmap.W * factor, lmap.b, lmap.correlations)
+        for lang, lmap in model.maps.items()})
+
+
+def test_interrupted_overwrite_is_refused_naming_the_map(tmp_path, monkeypatch,
+                                                         trilingual, capsys):
+    """Model B saved over model A, with the write of it.mat failing, leaves
+    B's es.mat beside A's it.mat and metadata.json: a model that loads
+    neither as A nor as B, so loading it exits 2 naming es.mat."""
+    model_dir = tmp_path / "model"
+    save_alignment(trilingual.model, model_dir)
+    write_text = alignment.write_text
+
+    def fail_on_it(path, chunks):
+        if os.path.basename(path) == "it.mat":
+            raise OSError("write interrupted")
+        write_text(path, chunks)
+
+    monkeypatch.setattr(alignment, "write_text", fail_on_it)
+    with pytest.raises(OSError):
+        save_alignment(_rescaled(trilingual.model, 2.0), model_dir)
+    monkeypatch.undo()
+    message = (f"{model_dir / 'es.mat'}: not the map that metadata.json "
+               "records (its sha256 differs), so it is from another model")
+    with pytest.raises(FormatError) as exc:
+        load_alignment(model_dir)
+    assert str(exc.value) == message
+    assert main(["knn", "--model", str(model_dir), "--embeddings", "en=unread.vec",
+                 "--embeddings", "es=unread.vec", "--word", "w", "--lang", "en",
+                 "--target", "es"]) == 2
+    assert capsys.readouterr().err == f"crosslex: error: {message}\n"
+
+
+def test_map_copied_from_another_model_is_refused(tmp_path, trilingual):
+    """Each map loads only beside the metadata saved with it: a map copied
+    in from another saved model is refused, naming the copy."""
+    ours, theirs = tmp_path / "ours", tmp_path / "theirs"
+    save_alignment(trilingual.model, ours)
+    save_alignment(_rescaled(trilingual.model, 0.5), theirs)
+    (ours / "it.mat").write_bytes((theirs / "it.mat").read_bytes())
+    with pytest.raises(FormatError) as exc:
+        load_alignment(ours)
+    assert str(exc.value) == (
+        f"{ours / 'it.mat'}: not the map that metadata.json records (its "
+        "sha256 differs), so it is from another model")
+    load_alignment(theirs)
 
 
 @pytest.mark.parametrize("text, message, line", [
@@ -700,6 +766,8 @@ def test_a_model_that_saves_loads_back(model):
     ("format", 3, "unsupported model format 3"),
     ("correlations", {"es": ["x"]},
      "metadata 'correlations' must map languages to lists of numbers"),
+    ("sha256", ["0" * 64], "metadata 'sha256' must map languages to strings"),
+    ("sha256", {"es": 1}, "metadata 'sha256' must map languages to strings"),
 ])
 def test_metadata_format_and_correlations_are_checked(tmp_path, trilingual, key,
                                                       value, message):

@@ -147,8 +147,9 @@ def test_zero_shot_same_language_rejected(trilingual_labeled):
         zero_shot_eval(
             tri.datasets["en"], tri.datasets["en"], tri.model, tri.spaces, CFG
         )
-    assert str(exc.value) == ("train and test language coincide; pass the "
-                              "monolingual flag for a monolingual evaluation")
+    assert str(exc.value) == ("train and test language coincide; pass "
+                              "allow_same_language=True for a monolingual "
+                              "evaluation")
 
 
 def test_zero_shot_determinism(trilingual_labeled):

@@ -174,7 +174,8 @@ def test_monolingual_classify_reads_its_one_file_once(mini_pipeline_inputs,
     assert [record[key] for key in ("tp", "fp", "fn", "tn")] == [
         want.tp, want.fp, want.fn, want.tn]
     manifest = json.loads((tmp_path / "mono.jsonl.manifest.json").read_text())
-    assert manifest["seeds"] == {"split_seed": 0}
+    assert manifest["config"]["classify"]["split_seed"] == 0
+    assert "seeds" not in manifest
 
 
 @pytest.mark.parametrize("test_path", ["./en.tsv", "link.tsv"])
@@ -286,7 +287,11 @@ def test_knn_map_that_does_not_fit_the_space_exits_2(mini_pipeline_inputs,
                                                      tmp_path, capsys):
     model_dir = tmp_path / "model"
     emb = _aligned_model(mini_pipeline_inputs, model_dir)
-    # Blocks that agree with each other: a 5 x 10 W and a 1 x 10 b.
+    # A model saved before maps had digests, whose es.mat has blocks that
+    # agree with each other: a 5 x 10 W and a 1 x 10 b.
+    meta = json.loads((model_dir / "metadata.json").read_text())
+    del meta["sha256"]
+    (model_dir / "metadata.json").write_text(json.dumps(meta))
     (model_dir / "es.mat").write_text(
         "5 10\n" + "0.1 " * 9 + "0.1\n" + ("0.0 " * 9 + "0.0\n") * 4
         + "1 10\n" + "0.0 " * 9 + "0.0\n")
@@ -322,15 +327,15 @@ def test_legacy_model_is_normalized_with_one_warning(mini_pipeline_inputs,
     assert main(argv) == 0
     expected = knn_out.read_text()
     # The same map in the older layout: four blocks per language, no format
-    # marker, and "normalize": false, as align wrote when it normalized the
-    # spaces itself.
+    # marker, no digests, and "normalize": false, as align wrote when it
+    # normalized the spaces itself.
     lmap = load_alignment(model_dir).maps["es"]
     with open(model_dir / "es.mat", "w", encoding="utf-8") as fh:
         for block in (np.zeros(10), lmap.W, np.eye(10), lmap.b):
             fh.writelines(_matrix_lines(block))
     meta_path = model_dir / "metadata.json"
     meta = json.loads(meta_path.read_text())
-    del meta["format"], meta["correlations"]
+    del meta["format"], meta["correlations"], meta["sha256"]
     meta["normalize"] = False
     meta_path.write_text(json.dumps(meta))
     capsys.readouterr()
@@ -1404,6 +1409,38 @@ def test_bli_and_classify_manifests_list_every_file_read(mini_pipeline_inputs,
                               .read_text())
         assert manifest["command"] == command
         assert set(manifest["inputs"]) == given | read
+
+
+def test_manifests_state_each_rng_seed_once_in_their_config(mini_pipeline_inputs,
+                                                            tmp_path):
+    """A manifest has no copy of its seeds beside its config: train-embeddings,
+    align and classify each record their seed in the config section that
+    sets it, and nowhere else."""
+    inp = mini_pipeline_inputs
+    corpus = tmp_path / "c.txt"
+    corpus.write_text("a b c d\n" * 10)
+    vec = tmp_path / "trained" / "en.vec"
+    assert main(["train-embeddings", "--corpus", str(corpus), "--language", "en",
+                 "--set", "sgns.dim=4", "--set", "sgns.min_count=1",
+                 "--set", "sgns.epochs=1", "--set", "sgns.rng_seed=5",
+                 "--output", str(vec)]) == 0
+    model_dir = tmp_path / "model"
+    argv, align_manifest = _align_argv(inp, model_dir)
+    assert main([*argv, "--holdout", "--set", "alignment.split_seed=6"]) == 0
+    tsv = inp["datasets"]
+    out = tmp_path / "classify.jsonl"
+    assert main(["classify", "--model", str(model_dir), "--embeddings",
+                 f"en={inp['en']}", "--embeddings", f"es={inp['es']}",
+                 "--train", f"en={tsv['en']}", "--test", f"es={tsv['es']}",
+                 "--set", "classify.split_seed=7", "--output", str(out)]) == 0
+    for path, section, key, seed in [
+            (tmp_path / "trained" / "en.vec.manifest.json", "sgns", "rng_seed", 5),
+            (align_manifest, "alignment", "split_seed", 6),
+            (tmp_path / "classify.jsonl.manifest.json", "classify", "split_seed", 7)]:
+        manifest = json.loads(path.read_text())
+        assert set(manifest) == {"command", "config", "inputs", "version",
+                                 "timestamp"}
+        assert manifest["config"][section][key] == seed
 
 
 @pytest.mark.parametrize("seeds", ["", "a,,b", "a,", ",a"])
