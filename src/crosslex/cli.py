@@ -221,9 +221,12 @@ def _cmd_align(args, cfg):
         spaces, lexicons, pivot,
         lam=acfg["lambda"], kept_ratio=acfg["kept_ratio"])
     save_alignment(model, args.output)
-    for lang, val in heldout.items():
-        write_text(os.path.join(args.output, f"validation_{lang}.tsv"),
-                   (f"{s}\t{t}\n" for s, t in val.pairs))
+    for lang in args.lexicon:  # an earlier run's held-out pairs are now fitted
+        path = os.path.join(args.output, f"validation_{lang}.tsv")
+        if lang in heldout:
+            write_text(path, (f"{s}\t{t}\n" for s, t in heldout[lang].pairs))
+        elif os.path.exists(path):
+            os.remove(path)
     _manifest(args, {"alignment": acfg, "pivot": pivot},
               read + list(args.lexicon.values()))
 

@@ -1,9 +1,8 @@
 """The run configuration: each value's section, key, type, default and valid
-range, declared once; its one check, and the loader that runs it."""
+range, declared once; its one check, and the one-pass reader of its file."""
 
 from __future__ import annotations
 
-import configparser
 import dataclasses
 import math
 import re
@@ -11,6 +10,7 @@ import re
 from .errors import ConfigurationError, FormatError, text_lines
 
 VARIANTS = ("literal", "bounded")  # the similarity.variant names
+_HEADER = re.compile(r"\[(.+)\]")  # configparser's: "[sgns] ; note" is [sgns]
 
 
 def _field(default, valid):
@@ -100,6 +100,16 @@ def check(section, key, value):
             f"[{section}] {key} must be {_describe(kind, valid)}, got {value!r}")
 
 
+def _set(cfg, seen, section, key, raw):
+    """Parse ``raw`` into ``cfg[section][key]``, the key matched in lowercase;
+    a (section, key) pair already ``seen`` is repeated."""
+    key = key.lower()
+    if (section, key) in seen:
+        raise ConfigurationError(f"repeated configuration key [{section}] {key}")
+    seen.add((section, key))
+    cfg[section][key] = _parse_value(section, key, raw)
+
+
 def _parse_value(section, key, raw):
     if section not in _SCHEMA or key not in _SCHEMA[section]:
         raise ConfigurationError(f"unknown configuration key [{section}] {key}")
@@ -113,52 +123,37 @@ def _parse_value(section, key, raw):
     return value
 
 
-def _lines_of(numbered):
-    """Section -> the line of its header, and (section, key) -> the line of
-    the key, in a config file's numbered lines. A key is the text before the
-    first ``=`` or ``:``, stripped and lowercased, as configparser reads it;
-    a comment line's starts with ``#`` or ``;``, which no key does."""
-    lines, section = {}, None
-    for lineno, line in numbered:
-        text = line.strip()
-        header = configparser.ConfigParser.SECTCRE.match(text)
-        if header:
-            section = header.group("header")
-            lines.setdefault(section, lineno)
-        else:
-            key = re.split("[=:]", text, maxsplit=1)[0].strip().lower()
-            lines.setdefault((section, key), lineno)
-    return lines
-
-
 def load_config(path=None, overrides=()):
     """Section -> key -> value: the defaults, overlaid by the INI-style file
-    at ``path``, then by the ``(section, key, raw value)`` overrides.
-    Unknown sections or keys, and values outside their range, are errors;
-    one in the file names the file and line."""
+    at ``path``, read one line at a time, then by the ``(section, key, raw
+    value)`` overrides. Unknown or repeated sections or keys, a line that is
+    not a comment, header or key line, and a value outside its range are
+    errors; the first in the file names the file and line."""
     cfg = {section: {key: default for key, (_, default, _) in keys.items()}
            for section, keys in _SCHEMA.items()}
-    if path is not None:
-        # no header can name the default section "", so [DEFAULT] is unknown
-        parser = configparser.ConfigParser(interpolation=None, default_section="")
-        try:
-            numbered = list(text_lines(path))
-            parser.read_file((line for _, line in numbered), source=path)
-        except (configparser.Error, FormatError) as err:
-            raise ConfigurationError(f"cannot parse config file: {err}") from err
-        lines = _lines_of(numbered)
-        for section in parser.sections():
-            line = lines[section]
-            try:
-                if section not in _SCHEMA:
+    section, seen = None, set()
+    try:
+        for lineno, line in (() if path is None else text_lines(path)):
+            text = line.strip()
+            header = _HEADER.match(text)
+            if header:
+                section = header.group(1)
+                if section not in _SCHEMA or section in seen:
                     raise ConfigurationError(
-                        f"unknown configuration section [{section}]")
-                for key, raw in parser.items(section):
-                    line = lines[section, key]
-                    cfg[section][key] = _parse_value(section, key, raw)
-            except ConfigurationError as err:
-                err.path, err.line_number = path, line
-                raise
-    for section, key, raw in overrides:
-        cfg[section][key] = _parse_value(section, key, raw)
+                        f"{'repeated' if section in seen else 'unknown'}"
+                        f" configuration section [{section}]")
+                seen.add(section)
+            elif text and text[0] not in "#;":
+                key, *raw = re.split("[=:]", text, maxsplit=1)
+                if section is None or not (raw and key.strip()):
+                    raise ConfigurationError(
+                        f"expected [section], or key = value under one, got {text!r}")
+                _set(cfg, seen, section, key.strip(), raw[0].strip())
+    except FormatError as err:
+        raise ConfigurationError(f"cannot parse config file: {err}") from err
+    except ConfigurationError as err:
+        err.path, err.line_number = path, lineno
+        raise
+    for override in overrides:
+        _set(cfg, set(), *override)
     return cfg

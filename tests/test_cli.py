@@ -1,18 +1,24 @@
 import argparse
+import configparser
 import dataclasses
 import functools
 import json
+import os
 import re
 import shutil
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import crosslex
+from crosslex import config
 from crosslex.cli import main
 from crosslex.errors import ConfigurationError
 
-from conftest import planted_pair_corpus, write_embedding_file, write_mini_inputs
+from conftest import (
+    mostly, planted_pair_corpus, write_embedding_file, write_mini_inputs)
 
 
 @pytest.fixture
@@ -673,8 +679,8 @@ def test_removed_config_key_exits_1(tmp_path, capsys, section, key, message):
 
 
 # config file text -> the error it exits 1 with, after "<file>: "; the line
-# counts comments and blank lines, and a key is matched as configparser
-# reads it: before the first "=" or ":", stripped and lowercased.
+# counts comments and blank lines, a key is the text before the first "=" or
+# ":", stripped and lowercased, and each line is read on its own.
 CONFIG_FILE_ERRORS = {
     "[sgns]\ndim = 0\n": "[sgns] dim must be >= 2, got 0 (line 2)",
     "# run\n\n[bogus]\n": "unknown configuration section [bogus] (line 3)",
@@ -690,6 +696,25 @@ CONFIG_FILE_ERRORS = {
         "[alignment] kept_ratio: expected float, got 'maybe' (line 2)",
     "[DEFAULT]\ndim = 0\n[sgns]\nepochs = 1\n":
         "unknown configuration section [DEFAULT] (line 1)",
+    "# run\nkept_ratio = 0.5\n[alignment]\n":
+        "expected [section], or key = value under one, got 'kept_ratio = 0.5'"
+        " (line 2)",
+    "[sgns]\nepochs 2\n": "expected [section], or key = value under one, got "
+                          "'epochs 2' (line 2)",
+    "[sgns]\n= 2\n": "expected [section], or key = value under one, got '= 2'"
+                     " (line 2)",
+    "[sgns]\nepochs = 2\n[mining]\n[sgns]\n":
+        "repeated configuration section [sgns] (line 4)",
+    "[sgns]\nepochs = 2\nwindow = 3\nEpochs : 4\n":
+        "repeated configuration key [sgns] epochs (line 4)",
+    # the first bad line is named, whatever is wrong with a later one
+    "[sgns]\ndim = 0\nepochs 2\n": "[sgns] dim must be >= 2, got 0 (line 2)",
+    "[sgns]\nepochs 2\ndim = 0\n": "expected [section], or key = value under "
+                                   "one, got 'epochs 2' (line 2)",
+    # a value never continues onto the next line, however it is indented
+    "[mining]\ntop_n =\n  5\n": "[mining] top_n: expected int, got '' (line 2)",
+    "[mining]\ntop_n = 5\n  min_support = 2\n":
+        "[mining] min_support must be in (0, 1], got 2.0 (line 3)",
 }
 
 
@@ -703,6 +728,67 @@ def test_config_file_error_names_file_and_line(filter_inputs, tmp_path, capsys,
     assert capsys.readouterr().err == (
         f"crosslex: configuration error: {cfg}: {CONFIG_FILE_ERRORS[text]}\n")
     assert not manifest.exists()
+
+
+_SPACES = st.sampled_from(["", " ", "  ", "\t"])
+_COMMENTS = st.builds(str.__add__, st.sampled_from("#;"),
+                      st.text(alphabet="ab =:[]#;%", max_size=6))
+# raw values besides a key's default; some are valid for some keys
+_RAW_VALUES = ("0", "3", "-1", "0.5", "1e-3", "abc", "bounded", "2 3", "5%",
+               "a=b:c", "")
+
+
+@st.composite
+def _config_texts(draw):
+    """A config file of ``config._SCHEMA``'s sections and keys, each at most
+    once, in the layouts that configparser reads as crosslex does: comment
+    and blank lines, a note after a header, mixed-case keys, "=" or ":"
+    with any spacing, and no indented line."""
+    filler = st.lists(st.one_of(st.just(""), _COMMENTS), max_size=2)
+    lines = draw(filler)
+    sections = draw(st.lists(st.sampled_from(list(config._SCHEMA)), unique=True))
+    for section in sections:
+        note = draw(st.sampled_from(["", " ; note", "\t# [x"]))
+        lines += [f"[{section}]{note}", *draw(filler)]
+        for key in draw(st.lists(st.sampled_from(list(config._SCHEMA[section])),
+                                 unique=True)):
+            spelled = "".join(draw(st.sampled_from([c, c.upper()])) for c in key)
+            raw = draw(mostly(st.just(str(config.default(section, key))),
+                              *_RAW_VALUES, one_in=8))
+            lines += [f"{spelled}{draw(_SPACES)}{draw(st.sampled_from('=:'))}"
+                      f"{draw(_SPACES)}{raw}{draw(_SPACES)}", *draw(filler)]
+    return "\n".join(lines) + "\n"
+
+
+def _read_with_configparser(path):
+    """The run config as configparser reads the file at ``path``, each
+    value parsed by the reader's own ``_parse_value``."""
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
+    parser.read(path, encoding="utf-8")
+    cfg = config.load_config()
+    for section in parser.sections():
+        for key, raw in parser.items(section):
+            cfg[section][key] = config._parse_value(section, key, raw)
+    return cfg
+
+
+@settings(max_examples=300, deadline=None)
+@given(_config_texts())
+def test_config_reader_agrees_with_configparser(text):
+    """On files that both read alike, load_config gives configparser's
+    values, or the same first value error, with its file and line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.ini")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        try:
+            expected = _read_with_configparser(path)
+        except ConfigurationError as err:
+            with pytest.raises(ConfigurationError) as caught:
+                config.load_config(path)
+            assert str(caught.value).startswith(f"{path}: {err} (line ")
+        else:
+            assert config.load_config(path) == expected
 
 
 _HELP = (["-h", "--help"], False, argparse.SUPPRESS, "help", None)
@@ -797,6 +883,7 @@ def filter_inputs(tmp_path):
     ("alignment.split_seed=maybe",
      "[alignment] split_seed: expected int, got 'maybe'"),
     ("sgns.dim=abc", "[sgns] dim: expected int, got 'abc'"),
+    ("sgns.DIM=abc", "[sgns] dim: expected int, got 'abc'"),  # as in a file
 ])
 def test_bad_override_value_exits_1(filter_inputs, capsys, override, message):
     argv, manifest = filter_inputs
@@ -812,9 +899,8 @@ def test_unparsable_config_file_exits_1(filter_inputs, tmp_path, capsys):
     cfg.write_text("kept_ratio = 0.5\n")
     assert main([*argv, "--config", str(cfg)]) == 1
     assert capsys.readouterr().err == (
-        "crosslex: configuration error: cannot parse config file: File "
-        f"contains no section headers.\nfile: '{cfg}', line: 1\n"
-        "'kept_ratio = 0.5\\n'\n")
+        f"crosslex: configuration error: {cfg}: expected [section], or key = "
+        "value under one, got 'kept_ratio = 0.5' (line 1)\n")
     assert not manifest.exists()
 
 
@@ -829,19 +915,40 @@ def test_set_overrides_config_file(mini_pipeline_inputs, tmp_path, capsys):
     model_dir = tmp_path / "model"
     argv, manifest = _align_argv(mini_pipeline_inputs, model_dir)
     cfg = tmp_path / "run.ini"
-    cfg.write_text("[alignment]\nkept_ratio = 0.5\nsplit_seed = 7\n")
+    cfg.write_text("[alignment]\nKept_Ratio = 0.5\nsplit_seed = 7\n")
     assert main([*argv, "--config", str(cfg)]) == 0
     assert json.loads(manifest.read_text())["config"]["alignment"] == {
         "lambda": 1e-3, "kept_ratio": 0.5, "train_fraction": 0.8, "split_seed": 7}
     assert json.loads((model_dir / "metadata.json").read_text())["kept_ratio"] == 0.5
     assert main([*argv, "--config", str(cfg),
-                 "--set", "alignment.kept_ratio=1"]) == 0
+                 "--set", "alignment.KEPT_ratio=1"]) == 0  # keys in lowercase
     assert json.loads(manifest.read_text())["config"] == {
         "pivot": "en",
         "alignment": {"lambda": 1e-3, "kept_ratio": 1.0, "train_fraction": 0.8,
                       "split_seed": 7}}
     assert json.loads((model_dir / "metadata.json").read_text())["kept_ratio"] == 1.0
     assert "en-es: 60 alignment pairs" in capsys.readouterr().err
+
+
+def test_align_without_holdout_removes_its_languages_held_out_pairs(
+        mini_pipeline_inputs, tmp_path, capsys):
+    """align without --holdout, into the directory of an earlier align
+    --holdout, fits on the pairs that run held out, so it removes their file;
+    that of a language the new model lacks stays, and bli refuses it."""
+    inp = mini_pipeline_inputs
+    model_dir = tmp_path / "model"
+    argv, _ = _align_argv(inp, model_dir)
+    assert main([*argv, "--holdout"]) == 0
+    held_out, other = model_dir / "validation_es.tsv", model_dir / "validation_it.tsv"
+    other.write_text(held_out.read_text().replace("es", "it"))
+    assert main(argv) == 0
+    assert not held_out.exists() and other.exists()
+    capsys.readouterr()
+    assert main(["bli", "--model", str(model_dir), "--embeddings", f"en={inp['en']}",
+                 "--embeddings", f"it={inp['es']}", "--validation", f"it={other}"]) == 1
+    assert capsys.readouterr().err == (
+        f"crosslex: configuration error: {model_dir}: language 'it' not in "
+        "alignment model\n")
 
 
 def _repeated_language_argv(inp, model_dir, emb):

@@ -1,11 +1,13 @@
 """The README's promises about the package match the package."""
 
+import argparse
 import inspect
 import re
 from pathlib import Path
 
 import crosslex
 from crosslex import config
+from crosslex.cli import build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -44,3 +46,14 @@ def test_every_exported_function_is_documented():
     exported = [name for name, obj in vars(crosslex).items()
                 if inspect.isfunction(obj) and not name.startswith("_")]
     assert sorted(set(exported) - names) == []
+
+
+def test_command_table_matches_the_parser():
+    """The rows of the README's ``| command | purpose |`` table are the CLI's
+    subcommands, in the parser's order."""
+    text = README.read_text(encoding="utf-8")
+    table = text.split("| command | purpose |", 1)[1].split("\n\n", 1)[0]
+    rows = re.findall(r"^\| `([\w-]+)` \|", table, re.M)
+    sub = next(action for action in build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    assert rows == list(sub.choices)
