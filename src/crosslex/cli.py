@@ -84,13 +84,13 @@ def _k(value):
 
 
 def _seed_terms(value):
-    """The comma-separated seed words, in the form ``check_seed_term``
-    matches them."""
-    terms = value.split(",")
+    """The comma-separated seed words, stripped, each once in the form
+    ``check_seed_term`` matches them."""
+    terms = [term.strip() for term in value.split(",")]
     if "" in terms:
         raise argparse.ArgumentTypeError(f"empty seed term in {value!r}")
     try:
-        return [check_seed_term(term) for term in terms]
+        return list(dict.fromkeys(check_seed_term(term) for term in terms))
     except ConfigurationError as err:
         raise argparse.ArgumentTypeError(str(err)) from None
 
@@ -334,31 +334,30 @@ def _cmd_classify(args, cfg):
     ccfg = ClassifyConfig(**cfg["classify"])
     train_lang, train_path = args.train
     test_lang, test_path = args.test
-    if args.monolingual != (train_lang == test_lang):
-        raise ConfigurationError(
-            "--monolingual must be given exactly when --train and --test name one "
-            f"language (here {train_lang!r} and {test_lang!r})")
+    monolingual = train_lang == test_lang
     model, model_files = _load_model(args)
     spaces, read = _load_spaces(args, {train_lang: "--train", test_lang: "--test"},
                                 model)
     train_ds = load_labeled_dataset(train_path, train_lang)
-    if train_lang == test_lang and os.path.samefile(train_path, test_path):
+    datasets = [train_path]
+    if monolingual and os.path.samefile(train_path, test_path):
         train_ds, _, test_ds = split_dataset(train_ds, seed=ccfg.split_seed)
     else:
         test_ds = load_labeled_dataset(test_path, test_lang)
+        datasets.append(test_path)
     # too little data is the --test file's fault when it has no document
     with in_file(train_path if test_ds.docs else test_path):
         metrics = zero_shot_eval(train_ds, test_ds, model, spaces, ccfg,
-                                 allow_same_language=args.monolingual)
+                                 allow_same_language=monolingual)
     record = {"train_lang": train_lang, "test_lang": test_lang,
-              "monolingual": args.monolingual, **dataclasses.asdict(metrics)}
+              "monolingual": monolingual, **dataclasses.asdict(metrics)}
     _write_jsonl(args.output, [record])
     tsv = (f"{train_lang}\t{test_lang}\t{metrics.f1:.4f}\t"
            f"{metrics.precision:.4f}\t{metrics.recall:.4f}\t{metrics.accuracy:.4f}")
     print(tsv, file=sys.stderr)
     _manifest(args, {"classify": cfg["classify"], "train": train_lang,
                      "test": test_lang},
-              [train_path, test_path] + read + model_files)
+              datasets + read + model_files)
 
 
 def _cmd_report(args, cfg):
@@ -374,13 +373,12 @@ def _cmd_report(args, cfg):
                 rec = json.loads(line)
                 if not isinstance(rec, dict):
                     raise FormatError("record is not a JSON object", lineno)
-                if "seed" in rec:
-                    key = str(rec["seed"]), str(rec["target_lang"])
-                    cells[key] = ("(no context)" if rec.get("no_context") else
-                                  "; ".join(f"{r['word']} ({r['score']:.2f})"
-                                            for r in rec["results"]))
-                    # a JSON escape can spell a lone surrogate, not UTF-8
-                    "".join([*key, cells[key]]).encode("utf-8")
+                key = str(rec["seed"]), str(rec["target_lang"])
+                cells[key] = ("(no context)" if rec.get("no_context") else
+                              "; ".join(f"{r['word']} ({r['score']:.2f})"
+                                        for r in rec["results"]))
+                # a JSON escape can spell a lone surrogate, not UTF-8
+                "".join([*key, cells[key]]).encode("utf-8")
             except json.JSONDecodeError as err:
                 raise FormatError(f"invalid JSON: {err.msg}", lineno) from None
             except KeyError as err:
@@ -494,7 +492,6 @@ def build_parser():
                    metavar="LANG=PATH")
     p.add_argument("--test", required=True, type=_lang_path_pair,
                    metavar="LANG=PATH")
-    p.add_argument("--monolingual", action="store_true")
     p.add_argument("--output")
     p.set_defaults(func=_cmd_classify)
 

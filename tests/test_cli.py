@@ -169,8 +169,7 @@ def test_monolingual_classify_reads_its_one_file_once(mini_pipeline_inputs,
     en = str(inp["datasets"]["en"])
     out = tmp_path / "mono.jsonl"
     assert main(["classify", "--model", str(model_dir), *emb, "--train",
-                 f"en={en}", "--test", f"en={en}", "--monolingual",
-                 "--output", str(out)]) == 0
+                 f"en={en}", "--test", f"en={en}", "--output", str(out)]) == 0
     assert reads == [en]
     train, _, test = crosslex.split_dataset(crosslex.load_labeled_dataset(en, "en"))
     spaces = {"en": crosslex.load_embeddings(inp["en"], "en")}
@@ -182,6 +181,7 @@ def test_monolingual_classify_reads_its_one_file_once(mini_pipeline_inputs,
     manifest = json.loads((tmp_path / "mono.jsonl.manifest.json").read_text())
     assert manifest["config"]["classify"]["split_seed"] == 0
     assert "seeds" not in manifest
+    assert [path for path in manifest["inputs"] if path.endswith(".tsv")] == [en]
 
 
 @pytest.mark.parametrize("test_path", ["./en.tsv", "link.tsv"])
@@ -195,7 +195,7 @@ def test_monolingual_classify_knows_its_one_file_by_identity(
     monkeypatch.chdir(inp["datasets"]["en"].parent)
     (tmp_path / "link.tsv").symlink_to(inp["datasets"]["en"])
     argv = ["classify", "--model", str(model_dir), *emb, "--train", "en=en.tsv",
-            "--monolingual", "--output"]
+            "--output"]
     assert main([*argv, str(tmp_path / "same.jsonl"), "--test", "en=en.tsv"]) == 0
     assert main([*argv, str(tmp_path / "other.jsonl"), "--test",
                  f"en={test_path}"]) == 0
@@ -203,6 +203,40 @@ def test_monolingual_classify_knows_its_one_file_by_identity(
     assert (tmp_path / "other.jsonl").read_text() == same
     record = json.loads(same)
     assert sum(record[key] for key in ("tp", "fp", "fn", "tn")) < 40  # a split
+    manifest = json.loads((tmp_path / "other.jsonl.manifest.json").read_text())
+    assert [path for path in manifest["inputs"] if path.endswith(".tsv")] == [
+        "en.tsv"]
+
+
+def test_same_language_classify_tests_on_another_file(mini_pipeline_inputs,
+                                                      tmp_path):
+    """A --test file in the --train language that is not the --train file
+    is tested on whole, and both files are in the manifest."""
+    inp = mini_pipeline_inputs
+    model_dir = tmp_path / "model"
+    emb = _aligned_model(inp, model_dir)
+    en = str(inp["datasets"]["en"])
+    copy = tmp_path / "copy.tsv"
+    shutil.copyfile(en, copy)
+    out = tmp_path / "copy.jsonl"
+    assert main(["classify", "--model", str(model_dir), *emb, "--train",
+                 f"en={en}", "--test", f"en={copy}", "--output", str(out)]) == 0
+    record = json.loads(out.read_text())
+    assert record["monolingual"] is True
+    docs = len(crosslex.load_labeled_dataset(copy, "en").docs)
+    assert sum(record[key] for key in ("tp", "fp", "fn", "tn")) == docs
+    manifest = json.loads((tmp_path / "copy.jsonl.manifest.json").read_text())
+    assert {path for path in manifest["inputs"] if path.endswith(".tsv")} == {
+        en, str(copy)}
+
+
+def test_classify_has_no_monolingual_flag(mini_pipeline_inputs, tmp_path, capsys):
+    inp = mini_pipeline_inputs
+    en = str(inp["datasets"]["en"])
+    assert main(["classify", "--model", str(tmp_path / "model"), "--embeddings",
+                 f"en={inp['en']}", "--train", f"en={en}", "--test", f"en={en}",
+                 "--monolingual"]) == 1
+    assert "unrecognized arguments: --monolingual" in capsys.readouterr().err
 
 
 def test_monolingual_classify_missing_test_file_exits_2(mini_pipeline_inputs,
@@ -213,8 +247,7 @@ def test_monolingual_classify_missing_test_file_exits_2(mini_pipeline_inputs,
     gone = tmp_path / "gone.tsv"
     capsys.readouterr()
     assert main(["classify", "--model", str(model_dir), *emb, "--train",
-                 f"en={inp['datasets']['en']}", "--test", f"en={gone}",
-                 "--monolingual"]) == 2
+                 f"en={inp['datasets']['en']}", "--test", f"en={gone}"]) == 2
     assert capsys.readouterr().err == (
         f"crosslex: i/o error: [Errno 2] No such file or directory: '{gone}'\n")
 
@@ -236,6 +269,23 @@ def test_context_sim_seed_terms_are_lowercased(mini_pipeline_inputs, tmp_path):
     records = [json.loads(line) for line in written[0].splitlines()]
     assert {rec["seed"] for rec in records} == {"en1", "en3"}
     assert not any(rec["no_context"] for rec in records)
+
+
+def test_context_sim_takes_each_seed_term_once(mini_pipeline_inputs, tmp_path):
+    """--seed-terms items are stripped, as a seed file's lines are, and a
+    term given twice in any case is scored once."""
+    inp = mini_pipeline_inputs
+    model_dir = tmp_path / "model"
+    emb = _aligned_model(inp, model_dir)
+    argv = ["context-sim", "--model", str(model_dir), *emb,
+            "--dataset", f"en={inp['datasets']['en']}",
+            "--dataset", f"es={inp['datasets']['es']}", "--source-lang", "en"]
+    written = []
+    for name, seeds in (("once", "en1"), ("twice", "en1, EN1")):
+        out = tmp_path / f"{name}.jsonl"
+        assert main([*argv, "--seed-terms", seeds, "--output", str(out)]) == 0
+        written.append(out.read_bytes())
+    assert written[1] == written[0]
 
 
 def _knn(model_dir, emb):
@@ -576,8 +626,6 @@ def test_missing_language_exits_1_naming_it(mini_pipeline_inputs, tmp_path,
     assert "Traceback" not in err
 
 
-_PROTOCOL = ("--monolingual must be given exactly when --train and --test name one "
-             "language")
 _PIVOT = "language 'en' is the pivot; name the language paired with it"
 
 
@@ -586,14 +634,7 @@ def _flag_fault_argv(missing, model_dir, out):
     ``missing`` file, and the message it must exit 1 with. Only bli reads a
     file first, the model that names its pivot."""
     emb = ["--embeddings", f"en={missing}", "--embeddings", f"es={missing}"]
-    classify = ["classify", "--model", missing, *emb, "--output", out]
     return {
-        "classify --monolingual across languages": (
-            [*classify, "--train", f"en={missing}", "--test", f"es={missing}",
-             "--monolingual"], f"{_PROTOCOL} (here 'en' and 'es')"),
-        "classify one language without --monolingual": (
-            [*classify, "--train", f"en={missing}", "--test", f"en={missing}"],
-            f"{_PROTOCOL} (here 'en' and 'en')"),
         "align --lexicon pivot": (
             ["align", "--pivot", "en", *emb, "--lexicon", f"en={missing}",
              "--output", out],
@@ -605,11 +646,7 @@ def _flag_fault_argv(missing, model_dir, out):
     }
 
 
-@pytest.mark.parametrize("case", [
-    "classify --monolingual across languages",
-    "classify one language without --monolingual",
-    "align --lexicon pivot", "bli --validation pivot",
-])
+@pytest.mark.parametrize("case", ["align --lexicon pivot", "bli --validation pivot"])
 def test_flag_fault_exits_1_before_reading_its_inputs(mini_pipeline_inputs,
                                                       tmp_path, capsys, case):
     """A flag combination that the command refuses exits 1 naming the flag,
@@ -839,7 +876,6 @@ FLAG_TABLE = {
     "classify": [_HELP, *_CONFIG, *_MODEL,
                  (["--train"], True, None, "train", "LANG=PATH"),
                  (["--test"], True, None, "test", "LANG=PATH"),
-                 (["--monolingual"], False, False, "monolingual", None),
                  _OUTPUT],
     "report": [_HELP,
                (["--input"], True, None, "input", None),
@@ -1194,6 +1230,10 @@ MALFORMED = {
         "malformed record: 'utf-8' codec can't encode character '\\ud800'"),
     "report truncated line": ("report.jsonl", 2, b'{"seed": "s2", "target_',
                               2, "invalid JSON: Unterminated string"),
+    "report record without seed": (
+        "report.jsonl", 2,
+        b'{"source_lang": "en", "target_lang": "es", "k": 1, "precision": 0.5}\n',
+        2, "record lacks key 'seed'"),
     "report record without results": (
         "report.jsonl", 2, b'{"seed": "s2", "target_lang": "es"}\n', 2,
         "record lacks key 'results'"),

@@ -57,3 +57,28 @@ def test_command_table_matches_the_parser():
     sub = next(action for action in build_parser()._actions
                if isinstance(action, argparse._SubParsersAction))
     assert rows == list(sub.choices)
+
+
+def _backticked_flags(text):
+    """The ``--flag`` names in the text's code spans and in the ``crosslex``
+    commands of its fenced blocks."""
+    parts = text.split("```")
+    commands = [line for block in parts[1::2]
+                for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("crosslex ")]
+    spans = [span for prose in parts[::2] for span in re.findall(r"`([^`]+)`", prose)]
+    return {flag for chunk in commands + spans
+            for flag in re.findall(r"(?<![\w-])--[a-z][\w-]*", chunk)}
+
+
+def test_readme_names_only_real_flags():
+    """Every backticked ``--flag`` in the README is an option of the CLI or
+    of one of its subcommands."""
+    parser = build_parser()
+    sub = next(action for action in parser._actions
+               if isinstance(action, argparse._SubParsersAction))
+    options = {option for p in (parser, *sub.choices.values())
+               for action in p._actions for option in action.option_strings}
+    named = _backticked_flags(README.read_text(encoding="utf-8"))
+    assert "--embeddings" in named
+    assert sorted(named - options) == []
