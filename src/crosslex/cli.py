@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import logging
 import os
 import sys
 
@@ -58,6 +59,19 @@ from .sgns import train_sgns
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
+
+
+class _StderrHandler(logging.Handler):
+    """Prints a log record to the stderr of the moment, prefixed as the CLI's
+    other diagnostics are: ``crosslex: warning: ...``."""
+
+    def emit(self, record):
+        print(f"crosslex: {record.levelname.lower()}: {self.format(record)}",
+              file=sys.stderr)
+
+
+# The one handler of the library's log records; adding it again is a no-op.
+_STDERR = _StderrHandler()
 
 
 class _Parser(argparse.ArgumentParser):
@@ -126,7 +140,8 @@ def _load_spaces(args, needed, model=None):
     read. A needed language without a space, or one other than the pivot
     that is not in ``model``, is an error raised before any file is read;
     the files of other languages are not read. A space that its map in
-    ``model`` does not fit is an error naming its file and the model."""
+    ``model`` does not fit is an error naming its file and the model. The
+    paths read map to the sha256 each file had when it was loaded."""
     for lang, flag in needed.items():
         if lang not in args.embeddings:
             raise ConfigurationError(
@@ -144,7 +159,7 @@ def _load_spaces(args, needed, model=None):
             except DimensionError as err:
                 raise DimensionError(
                     f"{path} does not fit {args.model}: {err}") from None
-    return spaces, list(paths.values())
+    return spaces, {path: spaces[lang].source_sha256 for lang, path in paths.items()}
 
 
 def _not_pivot(paths, flag, pivot):
@@ -170,14 +185,15 @@ def _write_jsonl(path_or_stdout, records):
                                 for rec in records))
 
 
-def _manifest(args, config, inputs):
+def _manifest(args, config, inputs, digests=None):
     """Write the run manifest of a command given ``--output``: align's as
     ``manifest.json`` in the model directory, any other's beside its output
-    as ``<output>.manifest.json``."""
+    as ``<output>.manifest.json``. ``digests`` maps the inputs already
+    hashed, the spaces, to their sha256."""
     if args.output:
         path = (os.path.join(args.output, "manifest.json") if args.command == "align"
                 else args.output + ".manifest.json")
-        write_manifest(path, args.command, config, inputs)
+        write_manifest(path, args.command, config, inputs, digests=digests)
 
 
 def _cmd_filter_corpus(args, cfg):
@@ -228,7 +244,7 @@ def _cmd_align(args, cfg):
         elif os.path.exists(path):
             os.remove(path)
     _manifest(args, {"alignment": acfg, "pivot": pivot},
-              read + list(args.lexicon.values()))
+              [*read, *args.lexicon.values()], read)
 
 
 def _load_model(args):
@@ -284,7 +300,7 @@ def _cmd_bli(args, cfg):
         })
     _write_jsonl(args.output, records)
     _manifest(args, {"k": args.k},
-              list(args.validation.values()) + read + model_files)
+              [*args.validation.values(), *read, *model_files], read)
 
 
 def _mine(ds, class_filter, mcfg, path):
@@ -357,7 +373,7 @@ def _cmd_classify(args, cfg):
     print(tsv, file=sys.stderr)
     _manifest(args, {"classify": cfg["classify"], "train": train_lang,
                      "test": test_lang},
-              datasets + read + model_files)
+              [*datasets, *read, *model_files], read)
 
 
 def _cmd_report(args, cfg):
@@ -504,6 +520,7 @@ def build_parser():
 
 
 def main(argv=None):
+    logging.getLogger("crosslex").addHandler(_STDERR)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -2,19 +2,23 @@
 
 from __future__ import annotations
 
+import io
 import itertools
 import math
+import os
 import re
 
 import numpy as np
 
 from .errors import (
     ConfigurationError,
+    CrosslexError,
     DimensionError,
     DomainError,
     FormatError,
     InsufficientDataError,
     in_file,
+    sha256_file,
     text_lines,
     write_text,
 )
@@ -44,6 +48,7 @@ class EmbeddingSpace:
         self.language = language
         self.vectors = vectors
         self.duplicates_dropped = 0
+        self.source_sha256 = None
 
     @property
     def dim(self):
@@ -76,18 +81,41 @@ def load_embeddings(path, language):
     First line is "<vocab_count> <dim>"; each following line is a word and
     its components, space separated. Duplicate words keep the first
     occurrence; the count of dropped rows is recorded on the returned
-    space as ``duplicates_dropped``.
+    space as ``duplicates_dropped``, and the sha256 of the file's bytes as
+    ``source_sha256``.
 
     The numbers are parsed in one ``np.loadtxt`` call. A file that call
     refuses (a bad line, other spacing, undecodable bytes, or a rarer
     number spelling such as ``1_0``) is read again line by line, which
     returns the same space or raises the first bad line's error.
+
+    The parsed space is kept beside the file in ``<path>.cache``, keyed by
+    the file's sha256, and a later load of the same bytes reads it from
+    there. A cache that is missing, stale or malformed is replaced after a
+    successful parse, unless the file changed meanwhile; one that cannot
+    be written is skipped.
     """
+    cache = os.fsdecode(path) + ".cache"
     with in_file(path):
-        try:
-            words, vectors = _parse_bulk(path)
-        except ValueError:  # undecodable bytes, or a row the bulk parse refuses
-            words, vectors = _parse_lines(path)
+        hashed = os.stat(path)
+        digest = sha256_file(path)
+        space = _read_cache(cache, digest, language)
+        if space is None:
+            space = _parse(path, language)
+            now = os.stat(path)
+            if (now.st_size, now.st_mtime_ns) == (hashed.st_size, hashed.st_mtime_ns):
+                _write_cache(cache, digest, space)
+    space.source_sha256 = digest
+    return space
+
+
+def _parse(path, language):
+    """The space of a word2vec text file, by the bulk parse or the per-line
+    scan, with its duplicate words dropped."""
+    try:
+        words, vectors = _parse_bulk(path)
+    except ValueError:  # undecodable bytes, or a row the bulk parse refuses
+        words, vectors = _parse_lines(path)
     first_row = {}
     for i, word in enumerate(words):
         first_row.setdefault(word, i)
@@ -98,6 +126,53 @@ def load_embeddings(path, language):
     space = EmbeddingSpace(language, words, vectors)
     space.duplicates_dropped = duplicates
     return space
+
+
+# A cache file holds the 64 hex digits of its .vec file's sha256, then three
+# .npy arrays: the count of duplicate rows dropped, the words as UTF-8 joined
+# by "\n" (uint8: a "<U" array would drop a word's trailing NULs), and the
+# float32 vectors.
+def _read_cache(path, digest, language):
+    """The space kept in the cache file ``path`` for the bytes of sha256
+    ``digest``, or None when the file is missing, names another digest, or
+    is truncated or malformed."""
+    try:
+        with open(path, "rb") as fh:
+            if fh.read(64) != digest.encode("ascii"):
+                return None
+            duplicates, words, vectors = [np.load(fh, allow_pickle=False)
+                                          for _ in range(3)]
+            if fh.read(1):
+                return None
+        if (duplicates.shape != () or duplicates.dtype != np.int64
+                or words.ndim != 1 or words.dtype != np.uint8
+                or vectors.dtype != np.float32):
+            return None
+        # the space refuses vectors that are not 2-d with one row per word
+        space = EmbeddingSpace(language, words.tobytes().decode("utf-8").split("\n"),
+                               vectors)
+    # MemoryError: a header that declares an array larger than memory
+    except (OSError, EOFError, ValueError, MemoryError, CrosslexError):
+        return None
+    space.duplicates_dropped = int(duplicates)
+    return space
+
+
+def _write_cache(path, digest, space):
+    """Keep ``space``, parsed from the bytes of sha256 ``digest``, in the
+    cache file ``path``; a file that cannot be written is skipped."""
+    words = np.frombuffer("\n".join(space.words).encode("utf-8"), dtype=np.uint8)
+    chunks = [digest.encode("ascii")]
+    for array in (np.array(space.duplicates_dropped, dtype=np.int64), words,
+                  space.vectors):
+        header = io.BytesIO()
+        np.lib.format.write_array_header_1_0(
+            header, np.lib.format.header_data_from_array_1_0(array))
+        chunks += [header.getvalue(), memoryview(array)]
+    try:
+        write_text(path, chunks)
+    except OSError:  # a read-only directory, say: the load needs no cache
+        pass
 
 
 def _read_header(header):

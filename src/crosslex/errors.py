@@ -1,6 +1,8 @@
 """Exception hierarchy shared by all crosslex modules, the one checked reader
-of text inputs (undecodable text is a format error) and the one writer."""
+of text inputs (undecodable text is a format error), the one hash of input
+files and the one writer."""
 
+import hashlib
 import os
 import shutil
 import sys
@@ -55,22 +57,34 @@ def text_lines(path):
             yield lineno, line
 
 
+def sha256_file(path):
+    """The hex sha256 of the bytes of the file at ``path``."""
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            h.update(chunk)
+    return h.hexdigest()
+
+
 def write_text(path, chunks):
-    """Write the strings of ``chunks`` to ``path`` as UTF-8, or to stdout when
-    ``path`` is None. A pipe or device is written in place; any other path (a
-    symlink's target) is replaced only once the new file is complete, with
-    the old file's permission bits. Makes no directory."""
+    """Write ``chunks`` to ``path``, a string as UTF-8 and any other chunk
+    (bytes, or a memoryview of an array, which is not copied) as its bytes;
+    when ``path`` is None, write the strings to stdout. A pipe or device is
+    written in place; any other path (a symlink's target) is replaced only
+    once the new file is complete, with the old file's permission bits.
+    Makes no directory."""
     if path is None:
         sys.stdout.writelines(chunks)
         return
+    chunks = (c.encode("utf-8") if isinstance(c, str) else c for c in chunks)
     path = os.path.realpath(path)
     if os.path.exists(path) and not os.path.isfile(path):
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(path, "wb") as fh:
             fh.writelines(chunks)
         return
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
+        with open(tmp, "wb") as fh:
             fh.writelines(chunks)
         if os.path.exists(path):
             shutil.copymode(path, tmp)

@@ -2,29 +2,24 @@
 
 from __future__ import annotations
 
-import hashlib
 import json
 import time
 
 from . import __version__
-from .errors import write_text
+from .errors import sha256_file, write_text
 
 
-def _sha256(path):
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
-def write_manifest(path, command, config, inputs):
+def write_manifest(path, command, config, inputs, *, digests=None):
     """Write the JSON manifest at ``path``: command, config snapshot (seeds
-    included), input checksums, package version, and a timestamp."""
+    included), input checksums, package version, and a timestamp. An input
+    in ``digests``, a map from path to the sha256 taken when it was read, is
+    not hashed again."""
+    digests = digests or {}
     manifest = {
         "command": command,
         "config": config,
-        "inputs": {str(p): _sha256(p) for p in inputs},
+        "inputs": {str(p): digests[p] if p in digests else sha256_file(p)
+                   for p in inputs},
         "version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }

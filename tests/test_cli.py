@@ -1,7 +1,9 @@
 import argparse
+import collections
 import configparser
 import dataclasses
 import functools
+import hashlib
 import json
 import os
 import re
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import crosslex
-from crosslex import config
+from crosslex import config, embedding_store, errors, manifest
 from crosslex.cli import main
 from crosslex.errors import ConfigurationError
 
@@ -286,6 +288,25 @@ def test_context_sim_takes_each_seed_term_once(mini_pipeline_inputs, tmp_path):
         assert main([*argv, "--seed-terms", seeds, "--output", str(out)]) == 0
         written.append(out.read_bytes())
     assert written[1] == written[0]
+
+
+def test_a_seed_without_rules_warns_once_with_the_prefix(mini_pipeline_inputs,
+                                                        tmp_path, capsys):
+    """A library warning reaches stderr through the CLI's one handler, with
+    the prefix of every other diagnostic, however often main runs in one
+    process."""
+    inp = mini_pipeline_inputs
+    model_dir = tmp_path / "model"
+    emb = _aligned_model(inp, model_dir)
+    argv = ["context-sim", "--model", str(model_dir), *emb,
+            "--dataset", f"en={inp['datasets']['en']}",
+            "--dataset", f"es={inp['datasets']['es']}", "--source-lang", "en",
+            "--seed-terms", "zzz"]
+    for _ in range(2):
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr().err == (
+            "crosslex: warning: word 'zzz' has no mined rules; empty context\n")
 
 
 def _knn(model_dir, emb):
@@ -1556,6 +1577,42 @@ def test_bli_and_classify_manifests_list_every_file_read(mini_pipeline_inputs,
                               .read_text())
         assert manifest["command"] == command
         assert set(manifest["inputs"]) == given | read
+
+
+def test_each_space_is_hashed_once_per_command(mini_pipeline_inputs, tmp_path,
+                                               monkeypatch):
+    """align, bli and classify list each space in their manifest with the
+    sha256 it had when it was loaded, and do not hash it again."""
+    hashed = collections.Counter()
+
+    def counting(path):
+        hashed[str(path)] += 1
+        return errors.sha256_file(path)
+
+    monkeypatch.setattr(embedding_store, "sha256_file", counting)
+    monkeypatch.setattr(manifest, "sha256_file", counting)
+    inp = mini_pipeline_inputs
+    model_dir = tmp_path / "model"
+    emb = ["--embeddings", f"en={inp['en']}", "--embeddings", f"es={inp['es']}"]
+    tsv = inp["datasets"]
+    bli, classify = tmp_path / "bli.jsonl", tmp_path / "classify.jsonl"
+    runs = [
+        (["align", *emb, "--lexicon", f"es={inp['lexicon']}",
+          "--output", str(model_dir)], model_dir / "manifest.json"),
+        (["bli", "--model", str(model_dir), *emb,
+          "--validation", f"es={inp['lexicon']}", "--output", str(bli)],
+         tmp_path / "bli.jsonl.manifest.json"),
+        (["classify", "--model", str(model_dir), *emb, "--train", f"en={tsv['en']}",
+          "--test", f"es={tsv['es']}", "--output", str(classify)],
+         tmp_path / "classify.jsonl.manifest.json"),
+    ]
+    for argv, manifest_path in runs:
+        hashed.clear()
+        assert main(argv) == 0
+        inputs = json.loads(manifest_path.read_text())["inputs"]
+        for space in (inp["en"], inp["es"]):
+            assert hashed[str(space)] == 1
+            assert inputs[str(space)] == hashlib.sha256(space.read_bytes()).hexdigest()
 
 
 def test_manifests_state_each_rng_seed_once_in_their_config(mini_pipeline_inputs,

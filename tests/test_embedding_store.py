@@ -1,6 +1,11 @@
+import contextlib
+import hashlib
+import io
 import os
+import pickle
 import tempfile
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -568,3 +573,199 @@ def test_a_space_that_saves_loads_back(space):
     assert again.words == space.words
     assert np.allclose(again.vectors.astype(np.float64), space.vectors,
                        rtol=2 ** -24, atol=5e-7)
+
+
+
+# The parse kept beside each .vec file in <path>.cache, keyed by the sha256
+# of the file's bytes.
+
+def _write_exact(path, words, vectors):
+    """A .vec file whose components parse back to the float32 bits of
+    ``vectors``."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{len(words)} {vectors.shape[1]}\n")
+        for word, row in zip(words, vectors.tolist()):
+            fh.write(word + " " + " ".join(map(repr, row)) + "\n")
+
+
+def _same_space(got, want):
+    assert got.words == want.words
+    assert np.array_equal(got.vectors.view(np.uint32), want.vectors.view(np.uint32))
+    assert got.duplicates_dropped == want.duplicates_dropped
+    assert got.source_sha256 == want.source_sha256
+
+
+@contextlib.contextmanager
+def _unparsed():
+    """Within the block, a parse of any .vec file fails the test."""
+    def fail(path):
+        raise AssertionError(f"{path} was parsed")
+    with mock.patch.object(embedding_store, "_parse_bulk", fail), \
+            mock.patch.object(embedding_store, "_parse_lines", fail):
+        yield
+
+
+def _sha256(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_a_cache_hit_returns_the_parse(data):
+    """A load of unchanged bytes reads the cache that the first load wrote,
+    and returns the words, vector bits and duplicate count that the parse
+    did, words that end in NUL and words given twice included."""
+    word = st.text(st.characters(exclude_categories=("Cs",),
+                                 exclude_characters=" \n\r"), min_size=1, max_size=3)
+    words = data.draw(st.lists(st.sampled_from(["a", "a\x00", "b\x00\x00"]) | word,
+                               min_size=1, max_size=6))
+    vectors = data.draw(arrays(np.float32, (len(words), data.draw(st.integers(1, 3))),
+                               elements=st.floats(-1e3, 1e3, width=32)))
+    vectors[vectors[:, 0] == 0, 0] = 1  # no all-zero row
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "e.vec")
+        _write_exact(path, words, vectors)
+        parsed = load_embeddings(path, "en")
+        assert parsed.source_sha256 == _sha256(path)
+        assert os.path.exists(path + ".cache")
+        with _unparsed():
+            again = load_embeddings(path, "en")
+    _same_space(again, parsed)
+
+
+def test_a_hit_keeps_nul_endings_and_the_duplicate_count(tmp_path):
+    path = tmp_path / "e.vec"
+    path.write_text("4 2\na\x00 1 0\na 0 1\na\x00 9 9\nb 1 1\n", encoding="utf-8")
+    parsed = load_embeddings(path, "en")
+    with _unparsed():
+        again = load_embeddings(path, "en")
+    assert again.words == ["a\x00", "a", "b"] and again.duplicates_dropped == 1
+    _same_space(again, parsed)
+
+
+def test_a_rewritten_file_is_parsed_again(tmp_path):
+    path = tmp_path / "e.vec"
+    path.write_text("2 2\na 1 0\nb 0 1\n")
+    load_embeddings(path, "en")
+    path.write_text("2 2\na 1 0\nc 0 2\n")
+    space = load_embeddings(path, "en")
+    assert space.words == ["a", "c"] and space.vectors[1].tolist() == [0, 2]
+    assert space.source_sha256 == _sha256(path)
+    with _unparsed():
+        _same_space(load_embeddings(path, "en"), space)
+
+
+def _pickled(good):
+    array = io.BytesIO()
+    np.save(array, np.array([{"a": 1}], dtype=object), allow_pickle=True)
+    return good[:64] + array.getvalue()
+
+
+def _npy(*arrays_):
+    out = io.BytesIO()
+    for array in arrays_:
+        np.save(out, array)
+    return out.getvalue()
+
+
+def _huge_header():
+    """The .npy header of a float32 array too large for any memory."""
+    out = io.BytesIO()
+    np.lib.format.write_array_header_1_0(out, {
+        "descr": "<f4", "fortran_order": False, "shape": (2 ** 40, 100)})
+    return out.getvalue()
+
+
+# name -> the bad cache, made from the good cache's bytes of the file
+# "2 2\na 1 0\nb 0 1\n"
+BAD_CACHES = {
+    "empty": lambda good: b"",
+    "digest only": lambda good: good[:64],
+    "truncated header": lambda good: good[:80],
+    "truncated vectors": lambda good: good[:-1],
+    "trailing bytes": lambda good: good + b"\0",
+    "garbage": lambda good: bytes(range(256)) * 4,
+    "garbage after the digest": lambda good: good[:64] + bytes(range(256)),
+    "another digest": lambda good: b"0" * 64 + good[64:],
+    "pickle": lambda good: good[:64] + pickle.dumps([0, ["a", "b"], [[1, 0]]]),
+    "object array": _pickled,
+    "float64 vectors": lambda good: good[:64] + _npy(
+        np.int64(0), np.frombuffer(b"a\nb", np.uint8), np.eye(2)),
+    "one row short": lambda good: good[:64] + _npy(
+        np.int64(0), np.frombuffer(b"a\nb", np.uint8), np.eye(1, 2, dtype=np.float32)),
+    "duplicate words": lambda good: good[:64] + _npy(
+        np.int64(0), np.frombuffer(b"a\na", np.uint8), np.eye(2, dtype=np.float32)),
+    "not UTF-8": lambda good: good[:64] + _npy(
+        np.int64(0), np.frombuffer(b"a\n\xff", np.uint8), np.eye(2, dtype=np.float32)),
+    "3-d vectors": lambda good: good[:64] + _npy(
+        np.int64(0), np.frombuffer(b"a\nb", np.uint8),
+        np.ones((2, 2, 1), dtype=np.float32)),
+    "no dimension": lambda good: good[:64] + _npy(
+        np.int64(0), np.frombuffer(b"a\nb", np.uint8), np.ones((2, 0), np.float32)),
+    "huge declared shape": lambda good: good[:64] + _npy(
+        np.int64(0), np.frombuffer(b"a\nb", np.uint8)) + _huge_header(),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_CACHES.values(), ids=BAD_CACHES.keys())
+def test_a_bad_cache_is_ignored_and_replaced(tmp_path, bad):
+    path = tmp_path / "e.vec"
+    path.write_text("2 2\na 1 0\nb 0 1\n")
+    space = load_embeddings(path, "en")
+    cache = tmp_path / "e.vec.cache"
+    good = cache.read_bytes()
+    cache.write_bytes(bad(good))
+    _same_space(load_embeddings(path, "en"), space)
+    assert cache.read_bytes() == good
+
+
+def test_a_cache_that_cannot_be_written_is_skipped(tmp_path, monkeypatch):
+    def refuse(path, chunks):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr(embedding_store, "write_text", refuse)
+    path = tmp_path / "e.vec"
+    path.write_text("2 2\na 1 0\nb 0 1\n")
+    assert load_embeddings(path, "en").words == ["a", "b"]
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_a_directory_in_the_caches_place_is_left_alone(tmp_path):
+    path = tmp_path / "e.vec"
+    path.write_text("2 2\na 1 0\nb 0 1\n")
+    (tmp_path / "e.vec.cache").mkdir()
+    assert load_embeddings(path, "en").words == ["a", "b"]
+    assert list((tmp_path / "e.vec.cache").iterdir()) == []
+
+
+def test_a_file_changed_after_it_was_hashed_gets_no_cache(tmp_path, monkeypatch):
+    """The file's size and mtime when the parse ends differ from those when
+    it was hashed, so the parse may not be of the hashed bytes."""
+    path = tmp_path / "e.vec"
+    path.write_text("2 2\na 1 0\nb 0 1\n")
+    parse_bulk = embedding_store._parse_bulk
+
+    def touched(p):
+        result = parse_bulk(p)
+        os.utime(p, ns=(0, 0))
+        return result
+
+    monkeypatch.setattr(embedding_store, "_parse_bulk", touched)
+    assert load_embeddings(path, "en").words == ["a", "b"]
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_a_malformed_file_gets_no_cache(tmp_path):
+    path = tmp_path / "e.vec"
+    path.write_text("3 2\na 1 0\nb 0 x\nc 1 1\n")
+    for _ in range(2):
+        with pytest.raises(FormatError) as exc:
+            load_embeddings(path, "en")
+        assert str(exc.value) == f"{path}: non-numeric vector component (line 3)"
+        assert list(tmp_path.iterdir()) == [path]
+
+
+def test_save_embeddings_writes_no_cache(tmp_path):
+    save_embeddings(EmbeddingSpace("en", ["a", "b"], np.eye(2)), tmp_path / "e.vec")
+    assert list(tmp_path.iterdir()) == [tmp_path / "e.vec"]

@@ -4,6 +4,7 @@ import os
 import stat
 import threading
 
+import numpy as np
 import pytest
 
 from crosslex.errors import (
@@ -67,6 +68,13 @@ def test_rewrite_keeps_permission_bits(tmp_path):
     write_text(out, ["new\n"])
     assert out.read_text() == "new\n"
     assert stat.S_IMODE(os.stat(out).st_mode) == 0o600
+
+
+def test_bytes_chunks_are_written_as_they_are(tmp_path):
+    out = tmp_path / "out.bin"
+    vectors = np.arange(4, dtype=np.float32)
+    write_text(out, ["é\n", b"\x00\xff", memoryview(vectors)])
+    assert out.read_bytes() == "é\n".encode("utf-8") + b"\x00\xff" + vectors.tobytes()
 
 
 def test_none_writes_stdout_and_no_directory_is_made(tmp_path, capsys):
