@@ -8,6 +8,7 @@ the shared space so no target-language labels are ever consumed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -49,21 +50,47 @@ class Metrics:
     tn: int
 
 
+_BLOCK_DOCS = 128  # documents whose shared-space rows are gathered at once
+
+
 def featurize_dataset(ds, model, spaces):
-    """Feature matrix and binary label vector (1 = hate) for a dataset."""
+    """Feature matrix, binary label vector (1 = hate) and all-OOV document
+    count for a dataset.
+
+    A document's features are the mean shared-space row of its
+    in-vocabulary tokens, repeats included, or zeros when it has none.
+    Method: one ``map`` of the vocabulary's dict lookup gives every
+    token's row of the projected space, and ``np.add.reduceat`` sums each
+    document's rows. Rows are gathered ``_BLOCK_DOCS`` documents at a
+    time, so memory grows with the tokens of one block, not with the
+    dataset.
+    """
     shared = project_space(model, ds.language, spaces)
     vocab = spaces[ds.language].vocab
-    feats = np.zeros((len(ds.docs), shared.shape[1]))
-    labels = np.zeros(len(ds.docs))
-    oov_docs = 0
-    for i, (tokens, label) in enumerate(ds.docs):
-        rows = [vocab[t] for t in tokens if t in vocab]
-        if rows:
-            feats[i] = shared[rows].mean(axis=0)
-        else:
-            oov_docs += 1
-        labels[i] = 1.0 if label == HATE else 0.0
-    return feats, labels, oov_docs
+    n = len(ds.docs)
+    token_lists = [tokens for tokens, _ in ds.docs]
+    lengths = np.array(list(map(len, token_lists)), dtype=np.intp)
+    rows = np.fromiter(map(vocab.get, chain.from_iterable(token_lists), repeat(-1)),
+                       dtype=np.intp, count=int(lengths.sum()))
+    doc = np.repeat(np.arange(n), lengths)
+    known = rows >= 0
+    rows, doc = rows[known], doc[known]
+    counts = np.bincount(doc, minlength=n)
+    feats = np.zeros((n, shared.shape[1]))
+    bounds = np.searchsorted(doc, np.arange(0, n + _BLOCK_DOCS, _BLOCK_DOCS))
+    # one buffer for every block's rows: a fresh one per block would fault
+    # its pages in again; "clip" keeps take from buffering (rows are valid)
+    gathered = np.empty((np.diff(bounds).max(initial=0), shared.shape[1]))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        if lo < hi:
+            block = np.take(shared, rows[lo:hi], axis=0, out=gathered[:hi - lo],
+                            mode="clip")
+            starts = np.flatnonzero(np.diff(doc[lo:hi], prepend=-1))
+            feats[doc[lo + starts]] = np.add.reduceat(block, starts)
+    nonempty = counts > 0
+    feats[nonempty] /= counts[nonempty, None]
+    labels = np.array([label == HATE for _, label in ds.docs], dtype=np.float64)
+    return feats, labels, n - int(np.count_nonzero(nonempty))
 
 
 def train_logreg(features, labels, epochs=ClassifyConfig.epochs,

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from crosslex import (
     ClassifierModel,
@@ -12,7 +13,7 @@ from crosslex import (
     train_logreg,
     zero_shot_eval,
 )
-from crosslex.classify import metrics_from_counts
+from crosslex.classify import _BLOCK_DOCS, metrics_from_counts
 from crosslex.errors import (
     ConfigurationError,
     DegenerateDataError,
@@ -62,6 +63,61 @@ def test_featurize_mean_of_tokens(trilingual):
         for row, (tokens, _) in zip(feats, docs):
             expected = whole[[vocab[t] for t in tokens if t in vocab]].mean(axis=0)
             np.testing.assert_allclose(row, expected, rtol=0, atol=1e-12)
+
+
+def featurize_loop(ds, model, spaces):
+    """featurize_dataset one document at a time: the oracle of the
+    vectorized featurizer."""
+    shared = project_space(model, ds.language, spaces)
+    vocab = spaces[ds.language].vocab
+    feats = np.zeros((len(ds.docs), shared.shape[1]))
+    labels = np.zeros(len(ds.docs))
+    oov_docs = 0
+    for i, (tokens, label) in enumerate(ds.docs):
+        rows = [vocab[t] for t in tokens if t in vocab]
+        if rows:
+            feats[i] = shared[rows].mean(axis=0)
+        else:
+            oov_docs += 1
+        labels[i] = 1.0 if label == HATE else 0.0
+    return feats, labels, oov_docs
+
+
+def assert_featurized_as_loop(ds, tri):
+    feats, labels, oov_docs = featurize_dataset(ds, tri.model, tri.spaces)
+    want_feats, want_labels, want_oov = featurize_loop(ds, tri.model, tri.spaces)
+    assert feats.shape == want_feats.shape
+    np.testing.assert_allclose(feats, want_feats, rtol=0, atol=1e-12)
+    assert labels.dtype == want_labels.dtype
+    assert labels.tolist() == want_labels.tolist()
+    assert oov_docs == want_oov
+
+
+# Six in-vocabulary words and two OOV ones, so repeats and all-OOV
+# documents are common.
+_TOKENS = st.sampled_from([f"w{i:03d}" for i in range(6)] + ["nope", "W000"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(docs=st.lists(st.tuples(st.lists(_TOKENS, max_size=7),
+                               st.sampled_from([HATE, NON_HATE])), max_size=20),
+       lang=st.sampled_from(["en", "es", "it"]))
+@example(docs=[], lang="en")
+def test_featurize_matches_per_document_loop(trilingual, docs, lang):
+    """Features within 1e-12 of the per-document mean, labels and the
+    all-OOV count equal, with empty, all-OOV and repeated-token documents
+    and no documents at all (features of shape ``(0, d)``)."""
+    assert_featurized_as_loop(LabeledDataset(lang, docs), trilingual)
+
+
+def test_featurize_dataset_longer_than_a_block(trilingual):
+    rng = np.random.default_rng(3)
+    vocab = trilingual.words[:40] + ["nope"]
+    docs = [([vocab[i] for i in rng.integers(len(vocab), size=rng.integers(4))],
+             HATE if i % 3 else NON_HATE) for i in range(2 * _BLOCK_DOCS + 5)]
+    ds = LabeledDataset("es", docs)
+    assert_featurized_as_loop(ds, trilingual)
+    assert featurize_dataset(ds, trilingual.model, trilingual.spaces)[2] > 0
 
 
 def test_zero_weight_model_predicts_half():

@@ -1428,6 +1428,8 @@ def _probe_argv(base, out):
                         "en1,en2", "--source-lang", "en"],
         "classify": ["classify", *model, "--train", f"en={base / 'en.tsv'}",
                      "--test", f"es={base / 'es.tsv'}"],
+        "classify --train": ["classify", *model, "--train", f"es={base / 'es.tsv'}",
+                             "--test", f"en={base / 'en.tsv'}"],
         "report": ["report", "--input", str(base / "report.jsonl")],
     }
 
@@ -1479,7 +1481,7 @@ def probe_inputs(tmp_path_factory):
     assert main(_probe_argv(base, base)["align"]) == 0  # writes base / "model"
     argv = _probe_argv(base, tmp_path_factory.mktemp("probe_out"))
     assert main(argv["context-sim"] + ["--output", str(base / "report.jsonl")]) == 0
-    for command in FLAG_TABLE:
+    for command in [*FLAG_TABLE, "classify --train"]:
         assert main(argv[command]) == 0, command
     return base
 
@@ -1838,18 +1840,19 @@ def test_malformed_flag_value_exits_1_before_reading(tmp_path, capsys, command,
     assert "Traceback" not in captured.err
 
 
-# Per input kind of PROBES, the command and the file that the seeded fuzz
-# mutates.
+# Per input kind of PROBES, the commands that read each mutation and the
+# file that the seeded fuzz mutates. A dataset is mined by context-sim and
+# featurized by classify, as its training set.
 FUZZ_CASES = {
-    "corpus": ("train-embeddings", "corpus.txt"),
-    "seed list": ("filter-corpus", "seeds.txt"),
-    "config": ("mine-rules", "run.ini"),
-    ".vec": ("knn", "es.vec"),
-    "lexicon": ("bli", "lex.tsv"),
-    "dataset": ("context-sim", "es.tsv"),
-    "metadata.json": ("bli", "model/metadata.json"),
-    ".mat": ("knn", "model/es.mat"),
-    "report": ("report", "report.jsonl"),
+    "corpus": (("train-embeddings",), "corpus.txt"),
+    "seed list": (("filter-corpus",), "seeds.txt"),
+    "config": (("mine-rules",), "run.ini"),
+    ".vec": (("knn",), "es.vec"),
+    "lexicon": (("bli",), "lex.tsv"),
+    "dataset": (("context-sim", "classify --train"), "es.tsv"),
+    "metadata.json": (("bli",), "model/metadata.json"),
+    ".mat": (("knn",), "model/es.mat"),
+    "report": (("report",), "report.jsonl"),
 }
 FUZZ_SEED = 0  # with the kind's index, the seed of its mutations
 FUZZ_BUDGET = 16  # mutations per kind
@@ -1890,7 +1893,7 @@ def test_seeded_mutations_exit_cleanly_naming_the_file(probe_inputs, tmp_path,
     """Each mutation exits 0, 1 or 2 without a traceback, and a nonzero exit
     names the mutated file; a model file's may instead name the --model
     directory."""
-    command, name = FUZZ_CASES[kind]
+    commands, name = FUZZ_CASES[kind]
     base = tmp_path / "in"
     shutil.copytree(probe_inputs, base)
     path = base / name
@@ -1901,7 +1904,9 @@ def test_seeded_mutations_exit_cleanly_naming_the_file(probe_inputs, tmp_path,
     for _ in range(FUZZ_BUDGET):
         mutated = _mutate(valid, rng)
         path.write_bytes(mutated)
-        code = main(_probe_argv(base, tmp_path)[command])
-        err = capsys.readouterr().err
-        assert code in (0, 1, 2) and "Traceback" not in err, mutated
-        assert code == 0 or any(part in err for part in names), (mutated, err)
+        for command in commands:
+            code = main(_probe_argv(base, tmp_path)[command])
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2) and "Traceback" not in err, (command, mutated)
+            assert code == 0 or any(part in err for part in names), (
+                command, mutated, err)

@@ -2,9 +2,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crosslex import build_context, load_labeled_dataset, mine_rules
-from crosslex.errors import FormatError
+from crosslex.errors import FormatError, InsufficientDataError
 from crosslex.rules import HATE, NON_HATE, AssociationRule, load_stopwords
 
 DOCS = [["a", "b"], ["a", "b", "c"], ["a", "c"]]
@@ -76,6 +77,51 @@ def test_mine_rules_matches_brute_force(seed):
     mined = mine_rules(docs, 6, min_support=0.1, min_confidence=0.2)
     expected = brute_force_rules(docs, 6, 0.1, 0.2)
     assert mined == expected
+
+
+# A few words, so document-frequency ties at the top_n cut are common and
+# top_n often exceeds the vocabulary; "B" and "é" sort around the others.
+_WORDS = ["a", "b", "c", "d", "ab", "the", "B", "é"]
+# Fractions that some support or confidence equals exactly.
+_THRESHOLDS = [1e-9, 0.1, 0.25, 1 / 3, 0.5, 2 / 3, 1.0]
+_FORMS = {
+    "list": lambda docs: docs,
+    "tuples": lambda docs: [tuple(d) for d in docs],
+    "sets": lambda docs: [set(d) for d in docs],
+    "generator": lambda docs: (iter(d) for d in docs),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(docs=st.lists(st.lists(st.sampled_from(_WORDS), max_size=6), max_size=12),
+       top_n=st.integers(1, 10), min_support=st.sampled_from(_THRESHOLDS),
+       min_confidence=st.sampled_from(_THRESHOLDS),
+       stopwords=st.frozensets(st.sampled_from(_WORDS), max_size=8),
+       form=st.sampled_from(sorted(_FORMS)))
+def test_mine_rules_equals_brute_force_exactly(docs, top_n, min_support,
+                                               min_confidence, stopwords, form):
+    """Rules, their order and their float metrics equal the exhaustive
+    recount bit for bit, on corpora with empty documents, repeated tokens
+    and stopwords, passed as lists, tuples, sets or a generator of
+    iterators."""
+    args = (top_n, min_support, min_confidence, stopwords)
+    if not any(docs):
+        with pytest.raises(InsufficientDataError,
+                           match="no nonempty documents to mine"):
+            mine_rules(_FORMS[form](docs), *args)
+        return
+    assert mine_rules(_FORMS[form](docs), *args) == brute_force_rules(docs, *args)
+
+
+@pytest.mark.parametrize("docs", [[], [[], []], iter([[], ()])])
+def test_mine_rules_refuses_corpus_without_words(docs):
+    with pytest.raises(InsufficientDataError, match="no nonempty documents to mine"):
+        mine_rules(docs, 3, 0.1, 0.1)
+
+
+def test_mine_rules_every_candidate_a_stopword():
+    assert mine_rules([["the", "a"], ["a"]], 5, 0.1, 0.1,
+                      stopwords={"the", "a"}) == []
 
 
 def test_mine_rules_deterministic_order():
