@@ -3,9 +3,9 @@
 Each non-pivot language is fitted against the pivot through its bilingual
 lexicon and kept as one affine map ``x @ W + b`` into the pivot's original
 coordinate system, so pivot embeddings are used without a map and all
-languages land in a single space anchored at the pivot. The model owns the
-preparation of its inputs: a fitted model normalizes, scaling every
-language's rows, the pivot's included, to unit length before anything else.
+languages land in a single space anchored at the pivot. The model prepares
+its inputs one way: it scales every language's rows, the pivot's included,
+to unit length before anything else.
 """
 
 from __future__ import annotations
@@ -50,8 +50,7 @@ class CcaResult:
 @dataclass
 class LanguageMap:
     """Affine map ``x @ W + b`` taking one language's prepared rows into
-    the shared space, with the canonical correlations of its CCA fit
-    (empty for a model read from the older four-block layout)."""
+    the shared space, with the canonical correlations of its CCA fit."""
 
     W: np.ndarray  # d x shared_dim
     b: np.ndarray  # shared_dim
@@ -62,19 +61,15 @@ class LanguageMap:
 class AlignmentModel:
     """Per-language affine maps into a single shared space with a pivot.
 
-    ``normalize`` is the model's input preparation: each row is scaled to
-    unit length (in float32, before the float64 map) for every language,
-    the pivot included, and always set by ``fit_hub_alignment``. ``legacy``
-    marks a model read from a directory without the format marker.
+    Every language's rows, the pivot's included, are prepared one way: each
+    row is scaled to unit length (in float32, before the float64 map).
     """
 
     pivot_lang: str
     shared_dim: int
     regularization: float
     kept_ratio: float
-    normalize: bool
     maps: dict = field(default_factory=dict)  # language -> LanguageMap
-    legacy: bool = False
 
 
 def _inv_sqrt(cov, name, lam):
@@ -128,9 +123,9 @@ def fit_cca(X, Y, lam=default("alignment", "lambda"),
     )
 
 
-def _prepare(vectors, normalize):
-    """The float64 rows a map acts on: unit rows first when ``normalize``."""
-    return (unit_rows(vectors) if normalize else vectors).astype(np.float64)
+def _prepare(vectors):
+    """The float64 rows a map acts on: the unit rows of ``vectors``."""
+    return unit_rows(vectors).astype(np.float64)
 
 
 def _fold(mean, projection, back_map, pivot_mean):
@@ -164,7 +159,6 @@ def fit_hub_alignment(spaces, lexicons, pivot,
         shared_dim=spaces[pivot].dim,
         regularization=lam,
         kept_ratio=kept_ratio,
-        normalize=True,
     )
     for lex in lexicons:
         if lex.src_lang != pivot:
@@ -177,8 +171,8 @@ def fit_hub_alignment(spaces, lexicons, pivot,
         if not lex.pairs:
             raise InsufficientDataError(f"empty alignment lexicon for {lang!r}")
         src, tgt = spaces[pivot], spaces[lang]
-        X = _prepare(src.vectors[[src.vocab[s] for s, _ in lex.pairs]], True)
-        Y = _prepare(tgt.vectors[[tgt.vocab[t] for _, t in lex.pairs]], True)
+        X = _prepare(src.vectors[[src.vocab[s] for s, _ in lex.pairs]])
+        Y = _prepare(tgt.vectors[[tgt.vocab[t] for _, t in lex.pairs]])
         try:
             cca = fit_cca(X, Y, lam=lam, kept_ratio=kept_ratio)
         except (SingularityError, InsufficientDataError) as err:
@@ -215,10 +209,10 @@ def checked_map(model, language, space):
 
 def _shared_rows(model, language, spaces, rows):
     """Shared-space float64 rows of ``spaces[language].vectors[rows]``:
-    prepared as the model says, then mapped unless ``language`` is the
-    pivot. A map that does not fit the space raises DimensionError."""
+    prepared, then mapped unless ``language`` is the pivot. A map that does
+    not fit the space raises DimensionError."""
     lmap = checked_map(model, language, spaces[language])
-    vecs = _prepare(spaces[language].vectors[rows], model.normalize)
+    vecs = _prepare(spaces[language].vectors[rows])
     if lmap is None:
         return vecs
     out = vecs @ lmap.W
@@ -238,8 +232,8 @@ def project(model, word, language, spaces):
 def project_space(model, language, spaces):
     """Shared-space matrix for a whole vocabulary, one row per word.
 
-    Rows are prepared as ``model.normalize`` says, the pivot's included,
-    and mapped by the language's ``W`` and ``b``; pivot rows are not mapped.
+    Rows are prepared, the pivot's included, and mapped by the language's
+    ``W`` and ``b``; pivot rows are not mapped.
     """
     return _shared_rows(model, language, spaces, slice(None))
 
@@ -281,11 +275,15 @@ def _read_matrix(lines, start):
     return data, start + 1 + rows
 
 
-# The metadata marker of a model that records its own input preparation and
-# writes two blocks (W, b) per language; older models have no marker.
+# The metadata marker of the one model layout: two blocks (W, b) per language,
+# whose rows are prepared as unit rows, which "normalize": true records.
 _FORMAT = 2
 # The AlignmentModel fields that metadata.json stores under their own names.
-_STORED = ("pivot_lang", "shared_dim", "regularization", "kept_ratio", "normalize")
+_STORED = ("pivot_lang", "shared_dim", "regularization", "kept_ratio")
+# Every key of metadata.json, in the order a refusal lists the missing ones.
+_KEYS = (*_STORED, "normalize", "languages", "correlations", "sha256", "format")
+# How a model that does not load is replaced.
+_REFIT = "fit the model again with `crosslex align`"
 
 
 def is_language_name(name):
@@ -309,6 +307,7 @@ def save_alignment(model, dirpath):
     meta = {
         "format": _FORMAT,
         **{name: getattr(model, name) for name in _STORED},
+        "normalize": True,
         "languages": sorted(model.maps),
         "correlations": {lang: lmap.correlations.tolist()
                          for lang, lmap in sorted(model.maps.items())},
@@ -340,14 +339,17 @@ def _read_metadata(path):
 
 def _check_metadata(meta):
     """Raise FormatError unless ``meta`` is a JSON object with every model
-    key, language names, stored values of their type and in their range
-    (the numbers in that of their ``[alignment]`` key), a known format,
-    lists of numbers as correlations and strings as digests."""
+    key, this format, language names, stored values of their type and in
+    their range (the numbers in that of their ``[alignment]`` key), unit-row
+    preparation, and for exactly the listed languages, lists of numbers as
+    correlations and strings as digests."""
     if not isinstance(meta, dict):
         raise FormatError("metadata must be a JSON object")
-    missing = [key for key in (*_STORED, "languages") if key not in meta]
+    missing = [key for key in _KEYS if key not in meta]
     if missing:
-        raise FormatError(f"metadata lacks {', '.join(missing)}")
+        raise FormatError(f"metadata lacks {', '.join(missing)}; {_REFIT}")
+    if meta["format"] != _FORMAT:
+        raise FormatError(f"unsupported model format {meta['format']!r}; {_REFIT}")
     if not isinstance(meta["languages"], list) or not all(
             isinstance(lang, str) for lang in meta["languages"]):
         raise FormatError("metadata 'languages' must be a list of strings")
@@ -357,8 +359,8 @@ def _check_metadata(meta):
         raise FormatError(f"metadata names an invalid language {bad[0]!r}")
     if type(meta["shared_dim"]) is not int or meta["shared_dim"] < 1:
         raise FormatError("metadata 'shared_dim' must be an integer >= 1")
-    if type(meta["normalize"]) is not bool:
-        raise FormatError("metadata 'normalize' must be true or false")
+    if meta["normalize"] is not True:
+        raise FormatError(f"metadata 'normalize' must be true; {_REFIT}")
     for name, key in (("regularization", "lambda"), ("kept_ratio", "kept_ratio")):
         value = meta[name]
         if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -367,98 +369,63 @@ def _check_metadata(meta):
             check("alignment", key, value)
         except ConfigurationError as err:
             raise FormatError(f"metadata {name!r}: {err}") from None
-    if meta.get("format", _FORMAT) != _FORMAT:
-        raise FormatError(f"unsupported model format {meta['format']!r}")
-    correlations = meta.get("correlations", {})
-    if not isinstance(correlations, dict) or not all(
-            isinstance(values, list)
-            and all(isinstance(x, (int, float)) for x in values)
-            for values in correlations.values()):
-        raise FormatError("metadata 'correlations' must map languages to "
-                          "lists of numbers")
-    digests = meta.get("sha256", {})
-    if not isinstance(digests, dict) or not all(
-            isinstance(digest, str) for digest in digests.values()):
-        raise FormatError("metadata 'sha256' must map languages to strings")
+    for key, kind, fits in (
+            ("correlations", "lists of numbers", lambda values: isinstance(
+                values, list) and all(isinstance(x, (int, float)) for x in values)),
+            ("sha256", "strings", lambda digest: isinstance(digest, str))):
+        table = meta[key]
+        if not isinstance(table, dict) or not all(map(fits, table.values())):
+            raise FormatError(f"metadata {key!r} must map languages to {kind}")
+        if set(table) != set(meta["languages"]):
+            raise FormatError(
+                f"metadata {key!r} names {sorted(table)}, not the languages "
+                f"{sorted(set(meta['languages']))}; {_REFIT}")
 
 
 def _read_language_map(lines, shared_dim):
-    """``W, b`` of a ``.mat`` file: its two blocks, or the four blocks of
-    the older layout (mean, projection, back-map, pivot mean) folded.
-    The blocks are checked against each other and ``W``'s columns against
-    ``shared_dim``; errors carry the line of the offending block's header."""
+    """``W, b`` of a ``.mat`` file's two blocks, checked against each other
+    and ``W``'s columns against ``shared_dim``; errors carry the line of the
+    offending block's header."""
     blocks, headers = [], []
     at = 0
     while at < len(lines):
         headers.append(at + 1)
         mat, at = _read_matrix(lines, at)
         blocks.append(mat)
-    if len(blocks) == 4:
-        W, b = _fold(*_check_legacy_blocks(blocks, headers))
-        name, line = "back-map", headers[2]  # whose columns are W's
-    elif len(blocks) != 2:
+    if len(blocks) != 2:
         raise FormatError(
-            f"found {len(blocks)} matrix blocks, expected 2 (W, b) or 4",
-            headers[4] if len(blocks) > 4 else len(lines) + 1)
-    else:
-        W, b = blocks
-        if b.shape[0] != 1:
-            raise FormatError(f"b block has {b.shape[0]} rows, expected 1", headers[1])
-        if b.shape[1] != W.shape[1]:
-            raise FormatError(
-                f"b block has {b.shape[1]} values, expected {W.shape[1]} "
-                "(W's columns)", headers[1])
-        b = b[0]
-        name, line = "W", headers[0]
+            f"found {len(blocks)} matrix blocks, expected 2 (W, b); {_REFIT}",
+            headers[2] if len(blocks) > 2 else len(lines) + 1)
+    W, b = blocks
+    if b.shape[0] != 1:
+        raise FormatError(f"b block has {b.shape[0]} rows, expected 1", headers[1])
+    if b.shape[1] != W.shape[1]:
+        raise FormatError(
+            f"b block has {b.shape[1]} values, expected {W.shape[1]} "
+            "(W's columns)", headers[1])
     if W.shape[1] != shared_dim:
-        raise FormatError(f"{name} block has {W.shape[1]} columns, expected "
-                          f"{shared_dim} (shared_dim)", line)
-    return W, b
-
-
-def _check_legacy_blocks(blocks, headers):
-    mean, projection, back_map, pivot_mean = blocks
-    for name, mat, line in (("mean", mean, headers[0]),
-                            ("pivot mean", pivot_mean, headers[3])):
-        if mat.shape[0] != 1:
-            raise FormatError(f"{name} block has {mat.shape[0]} rows, expected 1", line)
-    if projection.shape[0] != mean.shape[1]:
-        raise FormatError(
-            f"projection block has {projection.shape[0]} rows, expected "
-            f"{mean.shape[1]} (the mean's length)", headers[1])
-    if back_map.shape[0] != projection.shape[1]:
-        raise FormatError(
-            f"back-map block has {back_map.shape[0]} rows, expected "
-            f"{projection.shape[1]} (the projection's columns)", headers[2])
-    if pivot_mean.shape[1] != back_map.shape[1]:
-        raise FormatError(
-            f"pivot mean block has {pivot_mean.shape[1]} values, expected "
-            f"{back_map.shape[1]} (the back-map's columns)", headers[3])
-    return mean[0], projection, back_map, pivot_mean[0]
+        raise FormatError(f"W block has {W.shape[1]} columns, expected "
+                          f"{shared_dim} (shared_dim)", headers[0])
+    return W, b[0]
 
 
 def load_alignment(dirpath):
     """Read a model written by ``save_alignment``; a corrupt metadata file
-    or ``.mat`` file, or one whose text is not the one that its recorded
-    sha256 names, raises FormatError naming the file. A model without the
-    format marker normalizes, as ``align`` did before it recorded so."""
+    or ``.mat`` file, one of another layout, or one whose text is not the
+    one that its recorded sha256 names, raises FormatError naming the file."""
     meta_path = os.path.join(dirpath, "metadata.json")
     with in_file(meta_path):
         meta = _read_metadata(meta_path)
-    model = AlignmentModel(**{name: meta[name] for name in _STORED},
-                           legacy="format" not in meta)
-    model.normalize = model.normalize or model.legacy
-    correlations = meta.get("correlations", {})
-    digests = meta.get("sha256", {})
+    model = AlignmentModel(**{name: meta[name] for name in _STORED})
     for lang in meta["languages"]:
         path = os.path.join(dirpath, f"{lang}.mat")
         with in_file(path):
             lines = [line for _, line in text_lines(path)]
             model.maps[lang] = LanguageMap(
                 *_read_language_map(lines, model.shared_dim),
-                correlations=np.array(correlations.get(lang, []), dtype=np.float64),
+                correlations=np.array(meta["correlations"][lang], dtype=np.float64),
             )
-            if lang in digests and _digest(lines) != digests[lang]:
+            if _digest(lines) != meta["sha256"][lang]:
                 raise FormatError("not the map that metadata.json records (its "
                                   "sha256 differs), so it is from another model")
     return model

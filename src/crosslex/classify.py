@@ -107,7 +107,7 @@ def train_logreg(features, labels, epochs=ClassifyConfig.epochs,
     n = features.shape[0]
     if n < 2:
         raise InsufficientDataError("need at least 2 training examples")
-    if len(np.unique(labels)) < 2:
+    if labels.min() == labels.max():
         raise DegenerateDataError("training labels contain a single class")
 
     w = np.zeros(features.shape[1])

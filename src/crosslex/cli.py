@@ -248,14 +248,9 @@ def _cmd_align(args, cfg):
 
 
 def _load_model(args):
-    """The model as loaded, which prepares the spaces it is given as its
-    metadata says, and the files read: its ``metadata.json`` and one
-    ``.mat`` per language. A model without the format marker is warned of."""
+    """The model as loaded, which prepares the spaces it is given itself,
+    and the files read: its ``metadata.json`` and one ``.mat`` per language."""
     model = load_alignment(args.model)
-    if model.legacy:
-        print(f"crosslex: warning: {args.model} has no format marker; "
-              "normalizing its inputs, as align did before models recorded it",
-              file=sys.stderr)
     return model, [os.path.join(args.model, name) for name in (
         "metadata.json", *(f"{lang}.mat" for lang in model.maps))]
 

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from dataclasses import dataclass, field
 
@@ -27,6 +29,29 @@ def mostly(valid, *faults, one_in=10):
     more often than the others, unlike the bounds."""
     return st.integers(1, one_in).flatmap(
         lambda i: st.sampled_from(faults) if i == one_in // 2 else valid)
+
+
+# What the message of a model that does not load tells its user to do.
+REFIT = "fit the model again with `crosslex align`"
+
+
+def record_map(model_dir, lang, text):
+    """Replace ``lang``'s ``.mat`` file of a saved model with ``text``, and
+    record its digest in ``metadata.json`` as ``save_alignment`` does."""
+    (model_dir / f"{lang}.mat").write_text(text, encoding="utf-8")
+    meta_path = model_dir / "metadata.json"
+    meta = json.loads(meta_path.read_text())
+    meta["sha256"][lang] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    meta_path.write_text(json.dumps(meta))
+
+
+def unmarked(meta):
+    """``meta`` as models were written before the format marker and the
+    digests: no ``format``, ``correlations`` or ``sha256``, and
+    ``"normalize": false``."""
+    del meta["format"], meta["correlations"], meta["sha256"]
+    meta["normalize"] = False
+    return meta
 
 
 def write_embedding_file(path, words, vectors):

@@ -38,7 +38,7 @@ from crosslex.errors import (
 )
 from crosslex.rules import HATE, LabeledDataset
 
-from conftest import mostly, random_orthogonal
+from conftest import REFIT, mostly, random_orthogonal, record_map, unmarked
 
 
 def oracle_correlations(X, Y):
@@ -191,9 +191,8 @@ def test_identity_alignment(duplicate_space_pair):
         assert np.max(np.abs(shared - en.vectors[en.vocab[word]])) < 1e-5
 
 
-def test_pivot_words_unchanged(duplicate_space_pair, tmp_path):
-    """Pivot words get the model's preparation and no map; a model saved
-    with ``"normalize": false`` loads and keeps their rows as given."""
+def test_pivot_words_unchanged(duplicate_space_pair):
+    """Pivot words get the model's preparation and no map."""
     spaces, lex = duplicate_space_pair
     model = fit_hub_alignment(spaces, [lex], "en", lam=1e-3, kept_ratio=1.0)
     word = spaces["en"].words[0]
@@ -201,10 +200,6 @@ def test_pivot_words_unchanged(duplicate_space_pair, tmp_path):
     assert np.array_equal(
         project(model, word, "en", spaces), unit_rows(row[None])[0]
     )
-    save_alignment(dataclasses.replace(model, normalize=False), tmp_path / "raw")
-    raw = load_alignment(tmp_path / "raw")
-    assert not raw.normalize and not raw.legacy
-    assert np.array_equal(project(raw, word, "en", spaces), row)
 
 
 def test_trilingual_recovery(trilingual):
@@ -271,9 +266,9 @@ def _raw_spaces(tri, seed=13):
     }
 
 
-def _unnormalized_model(spaces, lexicons, pivot, lam, kept_ratio):
-    """The model ``fit_hub_alignment`` would fit on the rows as given,
-    built from the ``fit_cca`` oracle, with ``normalize`` false."""
+def _oracle_maps(spaces, lexicons, pivot, lam, kept_ratio):
+    """The maps ``fit_hub_alignment`` would fit on the rows as given, built
+    from the ``fit_cca`` oracle."""
     maps = {}
     for lex in lexicons:
         src, tgt = spaces[pivot], spaces[lex.tgt_lang]
@@ -284,12 +279,13 @@ def _unnormalized_model(spaces, lexicons, pivot, lam, kept_ratio):
         maps[lex.tgt_lang] = alignment.LanguageMap(
             *alignment._fold(cca.means_tgt, cca.proj_tgt, back, cca.means_src),
             correlations=cca.correlations)
-    return AlignmentModel(pivot, spaces[pivot].dim, lam, kept_ratio, False, maps)
+    return maps
 
 
 def test_model_normalizes_raw_spaces_pivot_included(trilingual_labeled):
-    """Raw spaces fitted by the model give what pre-normalized spaces give
-    to the same fit without normalization, down to the classifier's counts."""
+    """Raw spaces fitted by the model give, row for row, the oracle's maps
+    of the pre-normalized spaces applied by hand (``unit_rows(x) @ W + b``),
+    and the classifier's counts of the pre-normalized spaces."""
     tri = trilingual_labeled
     raw = _raw_spaces(tri)
     prenormalized = {lang: EmbeddingSpace(lang, space.words, unit_rows(space.vectors))
@@ -297,17 +293,18 @@ def test_model_normalizes_raw_spaces_pivot_included(trilingual_labeled):
     lexicons = [BilingualLexicon("en", lang, [(w, w) for w in tri.align_words])
                 for lang in ("es", "it")]
     own = fit_hub_alignment(raw, lexicons, "en", lam=1e-3, kept_ratio=1.0)
-    outside = _unnormalized_model(prenormalized, lexicons, "en", 1e-3, 1.0)
+    maps = _oracle_maps(prenormalized, lexicons, "en", 1e-3, 1.0)
     pivot_norms = np.linalg.norm(project_space(own, "en", raw), axis=1)
     assert np.max(np.abs(pivot_norms - 1.0)) < 1e-6
     for lang in ("en", "es", "it"):
-        assert np.array_equal(project_space(own, lang, raw),
-                              project_space(outside, lang, prenormalized))
+        rows = prenormalized[lang].vectors.astype(np.float64)
+        want = rows if lang == "en" else rows @ maps[lang].W + maps[lang].b
+        assert np.array_equal(project_space(own, lang, raw), want)
     cfg = ClassifyConfig(epochs=500, learning_rate=2.0, l2=1e-5)
     for train, test in (("es", "en"), ("en", "es")):
         got = zero_shot_eval(tri.datasets[train], tri.datasets[test], own, raw,
                              cfg)
-        want = zero_shot_eval(tri.datasets[train], tri.datasets[test], outside,
+        want = zero_shot_eval(tri.datasets[train], tri.datasets[test], own,
                               prenormalized, cfg)
         assert got == want
         assert got.f1 > 0.9
@@ -319,13 +316,12 @@ def test_project_is_a_row_of_project_space(trilingual):
     fitted = fit_hub_alignment(
         raw, [BilingualLexicon("en", "es", [(w, w) for w in tri.align_words])],
         "en", lam=1e-3, kept_ratio=1.0)
-    for model in (fitted, dataclasses.replace(fitted, normalize=False)):
-        for lang in ("en", "es"):
-            whole = project_space(model, lang, raw)
-            for word in tri.val_words[:20]:
-                row = whole[raw[lang].vocab[word]]
-                np.testing.assert_allclose(project(model, word, lang, raw), row,
-                                           rtol=0, atol=1e-12)
+    for lang in ("en", "es"):
+        whole = project_space(fitted, lang, raw)
+        for word in tri.val_words[:20]:
+            row = whole[raw[lang].vocab[word]]
+            np.testing.assert_allclose(project(fitted, word, lang, raw), row,
+                                       rtol=0, atol=1e-12)
 
 
 def test_featurize_projects_only_document_rows(trilingual):
@@ -357,30 +353,6 @@ def test_map_that_does_not_fit_the_space_names_language(duplicate_space_pair, la
         project_space(model, lang, narrow)
 
 
-def test_legacy_four_block_model_loads_folded(tmp_path, trilingual):
-    """A model written before the format marker: four blocks per language,
-    no marker, no digests, and "normalize": false although align normalized.
-    It folds at load, normalizes, and projects like the fitted model."""
-    tri = trilingual
-    save_alignment(tri.model, tmp_path / "model")
-    meta_path = tmp_path / "model" / "metadata.json"
-    meta = json.loads(meta_path.read_text())
-    del meta["format"], meta["correlations"], meta["sha256"]
-    meta["normalize"] = False
-    meta_path.write_text(json.dumps(meta))
-    for lang in ("es", "it"):
-        lmap = tri.model.maps[lang]
-        with open(tmp_path / "model" / f"{lang}.mat", "w") as fh:
-            for block in (np.zeros(50), lmap.W, np.eye(50), lmap.b):
-                fh.writelines(alignment._matrix_lines(block))
-    again = load_alignment(tmp_path / "model")
-    assert again.legacy and again.normalize
-    assert len(again.maps["es"].correlations) == 0
-    for lang in ("es", "it"):
-        assert np.max(np.abs(again.maps[lang].W - tri.model.maps[lang].W)) < 1e-12
-        assert np.max(np.abs(again.maps[lang].b - tri.model.maps[lang].b)) < 1e-12
-
-
 def test_alignment_model_roundtrip(tmp_path, trilingual):
     tri = trilingual
     save_alignment(tri.model, tmp_path / "model")
@@ -391,7 +363,6 @@ def test_alignment_model_roundtrip(tmp_path, trilingual):
     a = project(tri.model, word, "it", tri.spaces)
     b = project(again, word, "it", tri.spaces)
     assert np.max(np.abs(a - b)) < 1e-6
-    assert not again.legacy
     for lang in ("es", "it"):
         fitted = tri.model.maps[lang].correlations
         assert len(fitted) == 50
@@ -442,8 +413,9 @@ def test_mat_non_numeric_cell_reports_line(tmp_path, trilingual):
 @pytest.mark.parametrize("cell", ["nan", "inf", "-1e400"])
 @pytest.mark.parametrize("layout", ["two blocks", "four blocks"])
 def test_mat_non_finite_cell_reports_line(tmp_path, trilingual, layout, cell):
-    """A cell that ``float`` reads but that is not finite is refused in both
-    layouts; line 4 is a row of W in each."""
+    """A cell that ``float`` reads but that is not finite is refused by its
+    line, also in a file of four blocks, whose blocks are only counted once
+    read; line 4 is a row of W in each."""
     lines = _saved_mat_lines(tmp_path, trilingual)
     if layout == "four blocks":
         lmap = trilingual.model.maps["it"]
@@ -481,19 +453,17 @@ def _mat_lines(*shapes):
 
 
 @pytest.mark.parametrize("shapes, line, message", [
-    (((1, 5), (6, 4), (4, 6), (1, 6)), 3,
-     "projection block has 6 rows, expected 5 (the mean's length)"),
-    (((1, 6), (6, 4), (3, 6), (1, 6)), 10,
-     "back-map block has 3 rows, expected 4 (the projection's columns)"),
-    (((1, 6), (6, 4), (4, 6), (1, 5)), 15,
-     "pivot mean block has 5 values, expected 6 (the back-map's columns)"),
-    (((2, 6), (6, 4), (4, 6), (1, 6)), 1, "mean block has 2 rows, expected 1"),
-    (((1, 6), (6, 4), (4, 6), (2, 6)), 15,
-     "pivot mean block has 2 rows, expected 1"),
+    # a W alone, a third block, and the four blocks of the layout that
+    # older versions wrote (mean, projection, back-map, pivot mean)
+    (((50, 50),), 52, f"found 1 matrix blocks, expected 2 (W, b); {REFIT}"),
+    (((50, 50), (1, 50), (1, 50)), 54,
+     f"found 3 matrix blocks, expected 2 (W, b); {REFIT}"),
+    (((1, 50), (50, 50), (50, 50), (1, 50)), 54,
+     f"found 4 matrix blocks, expected 2 (W, b); {REFIT}"),
+    (((50, 50), (2, 50)), 52, "b block has 2 rows, expected 1"),
+    (((50, 50), (1, 49)), 52, "b block has 49 values, expected 50 (W's columns)"),
     # blocks that agree with each other but not with shared_dim, 50
     (((50, 49), (1, 49)), 1, "W block has 49 columns, expected 50 (shared_dim)"),
-    (((1, 6), (6, 4), (4, 6), (1, 6)), 10,
-     "back-map block has 6 columns, expected 50 (shared_dim)"),
 ])
 def test_mat_block_shape_mismatch_names_block(tmp_path, trilingual, shapes,
                                                line, message):
@@ -503,24 +473,14 @@ def test_mat_block_shape_mismatch_names_block(tmp_path, trilingual, shapes,
     assert str(err) == f"{tmp_path / 'model' / 'it.mat'}: {message} (line {line})"
 
 
-def _without_digests(model_dir):
-    """Drop the maps' sha256 from a saved model's metadata, as in a model
-    saved before they were recorded."""
-    meta_path = model_dir / "metadata.json"
-    meta = json.loads(meta_path.read_text())
-    del meta["sha256"]
-    meta_path.write_text(json.dumps(meta))
-
-
 def test_mat_consistent_blocks_load(tmp_path, trilingual):
+    """Blocks that agree with each other and with shared_dim load, whatever
+    W's row count, once metadata.json records the file's digest."""
     save_alignment(trilingual.model, tmp_path / "model")
-    _without_digests(tmp_path / "model")
-    (tmp_path / "model" / "it.mat").write_text(
-        "".join(_mat_lines((1, 6), (6, 4), (4, 50), (1, 50))))
+    record_map(tmp_path / "model", "it", "".join(_mat_lines((6, 50), (1, 50))))
     lmap = load_alignment(tmp_path / "model").maps["it"]
-    mean, P, B, pm = (np.ones(shape) for shape in ((6,), (6, 4), (4, 50), (50,)))
-    assert np.array_equal(lmap.W, P @ B)
-    assert np.array_equal(lmap.b, pm - mean @ lmap.W)
+    assert np.array_equal(lmap.W, np.ones((6, 50)))
+    assert np.array_equal(lmap.b, np.ones(50))
 
 
 def _rescaled(model, factor):
@@ -581,7 +541,8 @@ def test_map_copied_from_another_model_is_refused(tmp_path, trilingual):
      "enclosed in double quotes", 3),
     ("[1, 2]", "metadata must be a JSON object", None),
     ('{"pivot_lang": "en", "shared_dim": 3}', "metadata lacks regularization, "
-     "kept_ratio, normalize, languages", None),
+     f"kept_ratio, normalize, languages, correlations, sha256, format; {REFIT}",
+     None),
 ])
 def test_corrupt_metadata_is_format_error(tmp_path, trilingual, text, message,
                                           line):
@@ -600,8 +561,8 @@ BAD_STORED = [
     ("shared_dim", "100", "'shared_dim' must be an integer >= 1"),
     ("shared_dim", True, "'shared_dim' must be an integer >= 1"),
     ("shared_dim", 0, "'shared_dim' must be an integer >= 1"),
-    ("normalize", "true", "'normalize' must be true or false"),
-    ("normalize", 1, "'normalize' must be true or false"),
+    ("normalize", "true", f"'normalize' must be true; {REFIT}"),
+    ("normalize", 1, f"'normalize' must be true; {REFIT}"),
     ("regularization", None, "'regularization' must be a number"),
     ("regularization", False, "'regularization' must be a number"),
     ("regularization", -1.0, "'regularization': [alignment] lambda must be "
@@ -656,12 +617,13 @@ def _cell(index, value):
 
 # (change of the fitted trilingual model, the file the loader names, its
 # message): models that load_alignment refuses once written. The es map's
-# W (50 x 50) is lines 1-51 of es.mat and its b lines 52-53.
+# W (50 x 50) is lines 1-51 of es.mat and its b lines 52-53. A model has no
+# "normalize" to change: save_alignment always writes true.
 BAD_MODELS = [
     *(pytest.param(_replace(**{key: value}), "metadata.json",
                    f"metadata {message}", id=f"{key}-{value}-{message}")
-      for key, value, message in BAD_STORED),
-    pytest.param(lambda model: AlignmentModel("en", 0, -1.0, 7.0, "yes"),
+      for key, value, message in BAD_STORED if key in alignment._STORED),
+    pytest.param(lambda model: AlignmentModel("en", 0, -1.0, 7.0),
                  "metadata.json", "metadata 'shared_dim' must be an integer >= 1",
                  id="hand-built"),
     pytest.param(_languages("en", "../x"), "metadata.json",
@@ -730,7 +692,6 @@ def _models(draw):
         shared_dim=draw(mostly(st.just(dim), 0, True, "2")),
         regularization=draw(mostly(st.floats(0, 10), -1.0, np.nan, None)),
         kept_ratio=draw(mostly(st.floats(0, 1, exclude_min=True), 0.0, 2.0, "x")),
-        normalize=draw(mostly(st.booleans(), 1)),
         maps=maps)
 
 
@@ -755,7 +716,7 @@ def test_a_model_that_saves_loads_back(model):
         again = load_alignment(model_dir)
     assert [getattr(again, name) for name in alignment._STORED] == [
         getattr(model, name) for name in alignment._STORED]
-    assert sorted(again.maps) == sorted(model.maps) and not again.legacy
+    assert sorted(again.maps) == sorted(model.maps)
     for lang, lmap in model.maps.items():
         assert np.array_equal(again.maps[lang].W, _as_written(lmap.W))
         assert np.array_equal(again.maps[lang].b, _as_written(lmap.b)[0])
@@ -763,11 +724,16 @@ def test_a_model_that_saves_loads_back(model):
 
 
 @pytest.mark.parametrize("key,value,message", [
-    ("format", 3, "unsupported model format 3"),
+    ("format", 3, f"unsupported model format 3; {REFIT}"),
+    ("normalize", False, f"metadata 'normalize' must be true; {REFIT}"),
     ("correlations", {"es": ["x"]},
      "metadata 'correlations' must map languages to lists of numbers"),
+    ("correlations", {"it": []}, "metadata 'correlations' names ['it'], not "
+     f"the languages ['es', 'it']; {REFIT}"),
     ("sha256", ["0" * 64], "metadata 'sha256' must map languages to strings"),
     ("sha256", {"es": 1}, "metadata 'sha256' must map languages to strings"),
+    ("sha256", {"es": "0" * 64}, "metadata 'sha256' names ['es'], not the "
+     f"languages ['es', 'it']; {REFIT}"),
 ])
 def test_metadata_format_and_correlations_are_checked(tmp_path, trilingual, key,
                                                       value, message):
@@ -779,6 +745,18 @@ def test_metadata_format_and_correlations_are_checked(tmp_path, trilingual, key,
     with pytest.raises(FormatError) as exc:
         load_alignment(tmp_path / "model")
     assert str(exc.value) == f"{meta}: {message}"
+
+
+def test_model_without_the_format_marker_is_refused(tmp_path, trilingual):
+    """A model of the layout before the format marker and the digests is
+    refused, naming metadata.json and telling how to replace it."""
+    save_alignment(trilingual.model, tmp_path / "model")
+    meta = tmp_path / "model" / "metadata.json"
+    meta.write_text(json.dumps(unmarked(json.loads(meta.read_text()))))
+    with pytest.raises(FormatError) as exc:
+        load_alignment(tmp_path / "model")
+    assert str(exc.value) == (f"{meta}: metadata lacks correlations, sha256, "
+                              f"format; {REFIT}")
 
 
 def test_metadata_languages_must_be_strings(tmp_path, trilingual):

@@ -143,8 +143,10 @@ def test_loss_non_increasing():
 
 
 def test_single_class_error():
-    with pytest.raises(DegenerateDataError):
-        train_logreg(np.zeros((4, 2)), np.ones(4), epochs=1)
+    for labels in (np.ones(4), np.zeros(4)):
+        with pytest.raises(DegenerateDataError,
+                           match="training labels contain a single class"):
+            train_logreg(np.zeros((4, 2)), labels, epochs=1)
 
 
 def test_l2_shrinks_weights():

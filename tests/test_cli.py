@@ -20,7 +20,8 @@ from crosslex.cli import main
 from crosslex.errors import ConfigurationError
 
 from conftest import (
-    mostly, planted_pair_corpus, write_embedding_file, write_mini_inputs)
+    REFIT, mostly, planted_pair_corpus, record_map, unmarked,
+    write_embedding_file, write_mini_inputs)
 
 
 @pytest.fixture
@@ -364,14 +365,11 @@ def test_knn_map_that_does_not_fit_the_space_exits_2(mini_pipeline_inputs,
                                                      tmp_path, capsys):
     model_dir = tmp_path / "model"
     emb = _aligned_model(mini_pipeline_inputs, model_dir)
-    # A model saved before maps had digests, whose es.mat has blocks that
-    # agree with each other: a 5 x 10 W and a 1 x 10 b.
-    meta = json.loads((model_dir / "metadata.json").read_text())
-    del meta["sha256"]
-    (model_dir / "metadata.json").write_text(json.dumps(meta))
-    (model_dir / "es.mat").write_text(
-        "5 10\n" + "0.1 " * 9 + "0.1\n" + ("0.0 " * 9 + "0.0\n") * 4
-        + "1 10\n" + "0.0 " * 9 + "0.0\n")
+    # An es.mat, recorded in metadata.json, whose blocks agree with each
+    # other: a 5 x 10 W and a 1 x 10 b.
+    record_map(model_dir, "es",
+               "5 10\n" + "0.1 " * 9 + "0.1\n" + ("0.0 " * 9 + "0.0\n") * 4
+               + "1 10\n" + "0.0 " * 9 + "0.0\n")
     capsys.readouterr()
     assert _knn(model_dir, emb) == 2
     err = capsys.readouterr().err
@@ -389,39 +387,6 @@ def test_align_records_its_preparation(mini_pipeline_inputs, tmp_path):
     assert len(meta["correlations"]["es"]) == 8  # ceil(0.8 * 10) directions
     config = json.loads((model_dir / "manifest.json").read_text())["config"]
     assert "normalize" not in config["alignment"]
-
-
-def test_legacy_model_is_normalized_with_one_warning(mini_pipeline_inputs,
-                                                     tmp_path, capsys):
-    from crosslex.alignment import _matrix_lines, load_alignment
-
-    model_dir = tmp_path / "model"
-    emb = _aligned_model(mini_pipeline_inputs, model_dir)
-    knn_out = tmp_path / "knn.jsonl"
-    argv = ["knn", "--model", str(model_dir), *emb, "--word", "en3",
-            "--lang", "en", "--target", "es", "--k", "5",
-            "--output", str(knn_out)]
-    assert main(argv) == 0
-    expected = knn_out.read_text()
-    # The same map in the older layout: four blocks per language, no format
-    # marker, no digests, and "normalize": false, as align wrote when it
-    # normalized the spaces itself.
-    lmap = load_alignment(model_dir).maps["es"]
-    with open(model_dir / "es.mat", "w", encoding="utf-8") as fh:
-        for block in (np.zeros(10), lmap.W, np.eye(10), lmap.b):
-            fh.writelines(_matrix_lines(block))
-    meta_path = model_dir / "metadata.json"
-    meta = json.loads(meta_path.read_text())
-    del meta["format"], meta["correlations"], meta["sha256"]
-    meta["normalize"] = False
-    meta_path.write_text(json.dumps(meta))
-    capsys.readouterr()
-    assert main(argv) == 0
-    assert knn_out.read_text() == expected
-    err = capsys.readouterr().err
-    assert err == (f"crosslex: warning: {model_dir} has no format marker; "
-                   "normalizing its inputs, as align did before models "
-                   "recorded it\n")
 
 
 def test_diagnostics_go_to_stderr(mini_pipeline_inputs, tmp_path, capsys):
@@ -1148,7 +1113,7 @@ def _library_guards():
     labels = [1, 0, 1]
     report = (["a"], "en", {"en": []}, "hate", None, {})
     hub = ({"en": crosslex.EmbeddingSpace("en", ["a", "b"], np.eye(2))}, [], "en")
-    pivot_only = crosslex.AlignmentModel("en", 2, 1e-3, 0.8, False)
+    pivot_only = crosslex.AlignmentModel("en", 2, 1e-3, 0.8)
     # one value out of range per [sgns] field; a new field needs one here
     bad_sgns = {"dim": 1, "window": 0, "negatives": 0, "epochs": 0,
                 "learning_rate": float("nan"), "min_count": 0,
@@ -1332,26 +1297,36 @@ def _without_first_line(data):
     return data.split(b"\n", 1)[1]
 
 
-def _without_pivot_lang(data):
-    meta = json.loads(data)
-    del meta["pivot_lang"]
-    return json.dumps(meta).encode()
+def _metadata(change):
+    """A form that applies ``change`` to the parsed metadata."""
+    def form(data):
+        meta = json.loads(data)
+        change(meta)
+        return json.dumps(meta).encode()
+    return form
 
 
-def _shared_dim_as_string(data):
-    meta = json.loads(data)
-    meta["shared_dim"] = str(meta["shared_dim"])
-    return json.dumps(meta).encode()
+def _mat_blocks(data):
+    """The W and b blocks of a ``.mat`` file."""
+    lines = data.decode().splitlines()
+    rows = int(lines[0].split()[0])
+    return (np.array([line.split() for line in block], dtype=float)
+            for block in (lines[1:rows + 1], lines[rows + 2:]))
 
 
 def _one_column_fewer(data):
     """A ``.mat`` file's W and b without their last column: blocks that
     agree with each other, but a W that does not end in shared_dim."""
-    lines = data.decode().splitlines()
-    rows = int(lines[0].split()[0])
-    W, b = (np.array([line.split() for line in block], dtype=float)
-            for block in (lines[1:rows + 1], lines[rows + 2:]))
+    W, b = _mat_blocks(data)
     return "".join(crosslex.alignment._matrix_lines(W[:, :-1], b[:, :-1])).encode()
+
+
+def _four_blocks(data):
+    """The same map in the layout that older versions wrote: a zero mean,
+    W as the projection, an identity back-map, and b as the pivot mean."""
+    W, b = _mat_blocks(data)
+    return "".join(crosslex.alignment._matrix_lines(
+        np.zeros(len(W)), W, np.eye(W.shape[1]), b)).encode()
 
 
 # Per input kind, its malformed forms: functions of the valid file's bytes.
@@ -1378,10 +1353,18 @@ MALFORMED_FORMS = {
         "wrong column count": _SHORT_ROW,
         "missing key": _without_first_line,
         "width not shared_dim": _one_column_fewer,
+        "four blocks": _four_blocks,
     },
     "metadata.json": {
         "empty": _empty, "truncated": _half, "not UTF-8": _NOT_UTF8,
-        "missing key": _without_pivot_lang, "wrong type": _shared_dim_as_string,
+        "missing key": _metadata(lambda meta: meta.pop("pivot_lang")),
+        "wrong type": _metadata(
+            lambda meta: meta.update(shared_dim=str(meta["shared_dim"]))),
+        "no format marker": _metadata(unmarked),
+        "normalize false": _metadata(lambda meta: meta.update(normalize=False)),
+        "a digest missing": _metadata(lambda meta: meta["sha256"].pop("es")),
+        "a correlation missing": _metadata(
+            lambda meta: meta["correlations"].pop("es")),
     },
     "lexicon": {
         "empty": _empty, "truncated": _cut_before_last_tab, "not UTF-8": _NOT_UTF8,
@@ -1501,6 +1484,27 @@ def test_every_command_refuses_each_malformed_input(probe_inputs, tmp_path, caps
     assert code in (1, 2)
     assert str(path) in captured.err
     assert "Traceback" not in captured.err
+
+
+# (file in the model directory, its kind, form): models that align does not
+# write, which no command loads.
+REFUSED_MODELS = [("metadata.json", "metadata.json", form) for form in (
+    "no format marker", "normalize false", "a digest missing",
+    "a correlation missing")] + [("es.mat", ".mat", "four blocks")]
+
+
+@pytest.mark.parametrize("name,kind,form", REFUSED_MODELS,
+                         ids=[form for _, _, form in REFUSED_MODELS])
+def test_a_model_that_align_did_not_write_exits_2_with_the_refit_hint(
+        probe_inputs, tmp_path, capsys, name, kind, form):
+    base = tmp_path / "in"
+    shutil.copytree(probe_inputs, base)
+    path = base / "model" / name
+    path.write_bytes(MALFORMED_FORMS[kind][form](path.read_bytes()))
+    assert main(_probe_argv(base, tmp_path)["knn"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"crosslex: error: {path}: ") and REFIT in err
+    assert "Traceback" not in err
 
 
 def _empty_input_cases(inp, model_dir, emb, empty):

@@ -75,7 +75,7 @@ def test_word_sim_refuses_a_missing_vector(missing):
 def test_report_skips_a_candidate_whose_context_has_no_vectors():
     """A candidate none of whose context words is in its language's
     vocabulary is left out of the results and adds no skipped pairs."""
-    model = AlignmentModel("en", 2, 0.0, 1.0, False,
+    model = AlignmentModel("en", 2, 0.0, 1.0,
                            maps={"es": LanguageMap(np.eye(2), np.zeros(2))})
     spaces = {"en": EmbeddingSpace("en", ["a"], [[1.0, 0.0]]),
               "es": EmbeddingSpace("es", ["b"], [[0.6, 0.8]])}

@@ -227,7 +227,7 @@ def _equal_cosine_inputs(base):
     (base / "lex.tsv").write_text("".join(f"{q}\tt{i:03d}\n"
                                           for i, q in enumerate(en_words)))
     model = base / "model"
-    save_alignment(AlignmentModel("en", dim, 0.0, 1.0, True, maps={
+    save_alignment(AlignmentModel("en", dim, 0.0, 1.0, maps={
         "es": LanguageMap(np.eye(dim), np.zeros(dim))}), model)
     return base, model
 

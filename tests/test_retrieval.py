@@ -51,7 +51,7 @@ def test_top_k_matches_scalar_oracle(seed, monkeypatch):
     ])
     spaces = {"xx": EmbeddingSpace("xx", words, target),
               "yy": EmbeddingSpace("yy", [f"q{i}" for i in range(len(cross))], cross)}
-    model = AlignmentModel("xx", dim, 0.0, 1.0, False,
+    model = AlignmentModel("xx", dim, 0.0, 1.0,
                            maps={"yy": LanguageMap(np.eye(dim), np.zeros(dim))})
     target_unit = retrieval.unit_rows(project_space(model, "xx", spaces))
     # Same-language queries inside both tie groups, and one outside them.
@@ -132,7 +132,7 @@ def test_knn_same_language_truncation(duplicate_space_pair):
 def test_knn_empty_target_space():
     """A target space with no words gives every query an empty, truncated
     list; an unknown query word is still an error."""
-    model = AlignmentModel("xx", 3, 0.0, 1.0, False,
+    model = AlignmentModel("xx", 3, 0.0, 1.0,
                            maps={"en": LanguageMap(np.eye(3), np.zeros(3))})
     spaces = {"en": EmbeddingSpace("en", ["a"], np.ones((1, 3))),
               "xx": EmbeddingSpace("xx", [], np.empty((0, 3)))}

@@ -209,26 +209,6 @@ def test_every_config_key_is_read_outside_config():
     assert unread == []
 
 
-def _sets_normalize(node):
-    """Whether ``node`` assigns a ``.normalize`` or passes ``normalize=``."""
-    if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-        return any(isinstance(target, ast.Attribute) and target.attr == "normalize"
-                   for target in targets)
-    return isinstance(node, ast.Call) and any(
-        kw.arg == "normalize" for kw in node.keywords)
-
-
-def test_only_alignment_sets_a_model_preparation():
-    """A model's ``normalize`` is fitted or read by ``alignment`` alone: no
-    other module assigns it or passes it, so the metadata a model was saved
-    with is the one record of how its inputs are prepared."""
-    found = {where for path in SRC.glob("*.py")
-             for where, _ in _nodes(_module_tree(path.stem), path.stem,
-                                    _sets_normalize)}
-    assert found and {where.split(".")[0] for where in found} == {"alignment"}
-
-
 def test_only_align_reads_the_alignment_section():
     """The ``[alignment]`` config section configures the fit alone: no
     command that loads a model reads it."""
