@@ -725,13 +725,13 @@ def test_a_model_that_saves_loads_back(model):
 
 @pytest.mark.parametrize("key,value,message", [
     ("format", 3, f"unsupported model format 3; {REFIT}"),
-    ("normalize", False, f"metadata 'normalize' must be true; {REFIT}"),
     ("correlations", {"es": ["x"]},
      "metadata 'correlations' must map languages to lists of numbers"),
-    ("correlations", {"it": []}, "metadata 'correlations' names ['it'], not "
-     f"the languages ['es', 'it']; {REFIT}"),
     ("sha256", ["0" * 64], "metadata 'sha256' must map languages to strings"),
     ("sha256", {"es": 1}, "metadata 'sha256' must map languages to strings"),
+    ("normalize", False, f"metadata 'normalize' must be true; {REFIT}"),
+    ("correlations", {"it": []}, "metadata 'correlations' names ['it'], not "
+     f"the languages ['es', 'it']; {REFIT}"),
     ("sha256", {"es": "0" * 64}, "metadata 'sha256' names ['es'], not the "
      f"languages ['es', 'it']; {REFIT}"),
 ])
